@@ -11,6 +11,7 @@ outgoing labels.  Folded graphs immerse into the rose; foldable ones admit
 maximal folds that stay foldable.
 """
 
+from itertools import permutations
 from typing import NamedTuple
 
 from .errors import ContractibleGraphError, DomainError
@@ -522,55 +523,48 @@ def _canonical_code(g, base):
     At each vertex the outgoing edges are scanned in label order; edges to
     already-numbered targets come first (by target number), then edges to
     new targets, whose visiting order is branched over when the label alone
-    does not determine it.  Folded graphs never branch.
+    does not determine it.  Folded graphs never branch.  Pending branches
+    wait on an explicit stack, so deep graphs need no deep recursion.
     """
-    from itertools import permutations
+    best = None
+    stack = [(0, 0, {base: 0}, [base], [])]
+    while stack:
+        idx, li, num, order, acc = stack.pop()
+        while idx < len(order):
+            by_label = {}
+            for e in g.out_edges(order[idx]):
+                by_label.setdefault(e.label, []).append(e)
+            labels = sorted(by_label, key=letter_key)
+            for li in range(li, len(labels)):
+                lk = letter_key(labels[li])
+                group = by_label[labels[li]]
+                fixed = sorted(num[e.dst] for e in group if e.dst in num)
+                entries = [lk + (n,) for n in fixed]
+                fresh = {}
+                for e in group:
+                    if e.dst not in num:
+                        fresh[e.dst] = fresh.get(e.dst, 0) + 1
+                branches = list(permutations(sorted(fresh)))
+                # every branch but the first continues later from a copy
+                for perm in branches[1:]:
+                    state = (dict(num), list(order), list(acc))
+                    _number(perm, fresh, lk, entries, *state)
+                    stack.append((idx, li + 1) + state)
+                _number(branches[0], fresh, lk, entries, num, order, acc)
+            idx, li = idx + 1, 0
+        if best is None or tuple(acc) < best:
+            best = tuple(acc)
+    return (len(g.vertices), len(g.edges)) + (best,)
 
-    best = [None]
 
-    def process(idx, num, order, acc):
-        if idx == len(order):
-            cand = tuple(acc)
-            if best[0] is None or cand < best[0]:
-                best[0] = cand
-            return
-        v = order[idx]
-        by_label = {}
-        for e in g.out_edges(v):
-            by_label.setdefault(e.label, []).append(e)
-        labels = sorted(by_label, key=letter_key)
-
-        def do_label(li, num, order, acc):
-            if li == len(labels):
-                process(idx + 1, num, order, acc)
-                return
-            label = labels[li]
-            lk = letter_key(label)
-            group = by_label[label]
-            fixed = sorted(num[e.dst] for e in group if e.dst in num)
-            entries = [lk + (n,) for n in fixed]
-            fresh = {}
-            for e in group:
-                if e.dst not in num:
-                    fresh[e.dst] = fresh.get(e.dst, 0) + 1
-            targets = sorted(fresh)
-            if not targets:
-                do_label(li + 1, num, order, acc + [tuple(entries)])
-                return
-            for perm in permutations(targets):
-                num2 = dict(num)
-                order2 = list(order)
-                ext = list(entries)
-                for t in perm:
-                    num2[t] = len(order2)
-                    order2.append(t)
-                    ext.extend([lk + (num2[t],)] * fresh[t])
-                do_label(li + 1, num2, order2, acc + [tuple(ext)])
-
-        do_label(0, num, order, acc)
-
-    process(0, {base: 0}, [base], [])
-    return (len(g.vertices), len(g.edges)) + (best[0],)
+def _number(perm, fresh, lk, entries, num, order, acc):
+    """Number one label's new targets in the order perm, append its entry."""
+    ext = list(entries)
+    for t in perm:
+        num[t] = len(order)
+        order.append(t)
+        ext.extend([lk + (num[t],)] * fresh[t])
+    acc.append(tuple(ext))
 
 
 def canonical_code(g, base=None):

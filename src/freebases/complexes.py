@@ -14,11 +14,11 @@ witness-path builders require rank >= 3.
 """
 
 from dataclasses import dataclass, field
-from itertools import permutations, product
+from functools import cached_property
 
 from . import agraph
 from .agraph import MarkingGraph, labeled_isomorphic, rose, spanning_tree
-from .errors import DomainError, FoldabilityError, TrivialFactorError
+from .errors import DomainError, FoldabilityError, NotABasisError, TrivialFactorError
 from .folding import ensure_foldable, fold_to_rose, is_basis
 from .words import (
     concat,
@@ -29,6 +29,7 @@ from .words import (
     find_conjugator,
     invert,
     is_reduced,
+    parse_word,
     power,
     word_str,
 )
@@ -68,6 +69,28 @@ class FBVertex:
         """Check that the representative really is a free basis."""
         return is_basis(self.basis, self.rank)
 
+    @cached_property
+    def classes(self):
+        """Class key -> (0-based position, orientation) of each element.
+
+        The key is the conjugacy class up to inversion, the lesser cyclic
+        normal form of the element and its inverse; the orientation says
+        whether it is the element's own.  The elements of a basis map to a
+        basis of the abelianization, so their keys are distinct; a tuple
+        repeating a key is no basis and raises NotABasisError.
+        """
+        index = {}
+        for pos, w in enumerate(self.basis):
+            forward = cyclic_normal_form(w)
+            key = min(forward, cyclic_normal_form(invert(w)))
+            if key in index:
+                raise NotABasisError(
+                    "elements %d and %d are conjugate up to inversion"
+                    % (index[key][0] + 1, pos + 1)
+                )
+            index[key] = (pos, key == forward)
+        return index
+
     def to_json_dict(self):
         return {"basis": [word_str(w) for w in self.basis]}
 
@@ -104,44 +127,37 @@ class FFVertex:
         }
 
 
-def _class_key(w):
-    """Conjugacy class of w up to inversion, as a canonical tuple."""
-    return min(cyclic_normal_form(w), cyclic_normal_form(invert(w)))
-
-
 def fb_equivalent(a, b):
     """Are two stored bases the same free-bases vertex?
 
-    Searches all permutations and inversion patterns; for each, conjugators
-    taking the first pair to each other form the coset {u^k g0} of the
+    No two elements of a basis are conjugate, even up to inversion, since
+    they map to a basis of the abelianization.  So the class keys force the
+    permutation and inversions taking a to b (see FBVertex.classes), and
+    only one simultaneous conjugator is left to find.  Those taking the
+    first matched pair to each other form the coset {u^k g0} of the
     centralizer of the (primitive, hence root-free) first element, and |k|
     admits a length bound beyond which conjugates are longer than the
-    target.
+    target.  Raises NotABasisError when either tuple repeats a class key.
     """
     if a.rank != b.rank:
         raise ValueError("bases of different rank")
-    n = a.rank
-    if sorted(map(_class_key, a.basis)) != sorted(map(_class_key, b.basis)):
+    if a.classes.keys() != b.classes.keys():
         return False
+    u = []
+    for key, (_, forward) in b.classes.items():
+        i, a_forward = a.classes[key]
+        u.append(a.basis[i] if a_forward == forward else invert(a.basis[i]))
     targets = b.basis
-    for sigma in permutations(range(n)):
-        for eps in product((1, -1), repeat=n):
-            u = tuple(
-                a.basis[sigma[k]] if eps[k] > 0 else invert(a.basis[sigma[k]])
-                for k in range(n)
-            )
-            g0 = find_conjugator(u[0], targets[0])
-            if g0 is None:
-                continue
-            root_len = len(cyclic_reduce(u[0])[0])
-            bound = max(
-                (len(u[k]) + len(targets[k]) + 2 * len(g0)) // root_len + 1
-                for k in range(n)
-            )
-            for k in range(-bound, bound + 1):
-                g = concat(power(u[0], k), g0)
-                if all(conjugate(u[i], g) == targets[i] for i in range(n)):
-                    return True
+    g0 = find_conjugator(u[0], targets[0])
+    root_len = len(cyclic_reduce(u[0])[0])
+    bound = max(
+        (len(u[k]) + len(targets[k]) + 2 * len(g0)) // root_len + 1
+        for k in range(a.rank)
+    )
+    for k in range(-bound, bound + 1):
+        g = concat(power(u[0], k), g0)
+        if all(conjugate(u[i], g) == targets[i] for i in range(a.rank)):
+            return True
     return False
 
 
@@ -172,20 +188,23 @@ class FBAdjacency:
 
 
 def fb_adjacent(a, b):
-    """First adjacency certificate scanning b's elements outermost, or None.
+    """Certificate for the first element of b shared with a, or None.
 
-    The two vertices must be distinct (raises DomainError on equivalent
-    inputs, where adjacency is not defined).
+    Two elements are conjugate up to inversion exactly when their class
+    keys agree, and the keys of a basis are distinct (its elements map to a
+    basis of the abelianization), so looking b's elements up in a's key
+    index fixes the element of a and the sign; one conjugator is computed,
+    for the first hit.  Raises DomainError on equivalent vertices, where
+    adjacency is not defined, and NotABasisError on tuples repeating a key.
     """
     if fb_equivalent(a, b):
         raise DomainError("fb_adjacent called on equivalent vertices")
-    for j in range(1, b.rank + 1):
-        for i in range(1, a.rank + 1):
-            for sign in (1, -1):
-                target = b.basis[j - 1] if sign > 0 else invert(b.basis[j - 1])
-                g = find_conjugator(a.basis[i - 1], target)
-                if g is not None:
-                    return FBAdjacency(i, j, sign, g)
+    for key, (j, forward) in b.classes.items():
+        if key in a.classes:
+            i, a_forward = a.classes[key]
+            sign = 1 if a_forward == forward else -1
+            target = b.basis[j] if sign > 0 else invert(b.basis[j])
+            return FBAdjacency(i + 1, j + 1, sign, find_conjugator(a.basis[i], target))
     return None
 
 
@@ -244,19 +263,20 @@ WITNESS_BOUNDS = {"h-lipschitz": 4, "hq": 3, "density": 3}
 
 
 def witness_path_from_json(data):
-    """Rebuild a WitnessPath from its JSON form (for re-validation)."""
-    from .words import parse_word
-
+    """Rebuild a WitnessPath from its JSON form (for re-validation), at the
+    rank of its ambient bases."""
     vertices = tuple(
         FFVertex(
-            tuple(parse_word(w) for w in v["ambient"]), frozenset(v["subset"])
+            tuple(parse_word(w, len(v["ambient"])) for w in v["ambient"]),
+            frozenset(v["subset"]),
         )
         for v in data["vertices"]
     )
+    rank = len(vertices[0].ambient) if vertices else None
     steps = tuple(
         FFStep(
             s["kind"],
-            conjugator=parse_word(s.get("conjugator", "1")),
+            conjugator=parse_word(s.get("conjugator", "1"), rank),
             sign=s.get("sign", 1),
         )
         for s in data["steps"]
@@ -464,12 +484,17 @@ class ChainReport:
         return data
 
 
-def _hop_between(u, v):
-    if fb_equivalent(u, v):
+def _hop_between(a, u_ref, v_ref, u, v):
+    """Hop between two reference-chain vertices, its certificate pushed
+    through x_i -> a_i and re-validated on their images u, v."""
+    if fb_equivalent(u_ref, v_ref):
         return ChainHop("equivalent")
-    cert = fb_adjacent(u, v)
+    cert = fb_adjacent(u_ref, v_ref)
     if cert is None:
         return ChainHop("uncertified")
+    cert = FBAdjacency(cert.i, cert.j, cert.sign, substitute(cert.conjugator, a.basis))
+    if not cert.holds_for(u, v):
+        raise AssertionError("mapped certificate failed to validate")
     return ChainHop("adjacent", cert)
 
 
@@ -486,20 +511,10 @@ def fb_chain_report(a, b_rel):
     mapped = [
         FBVertex(tuple(substitute(w, a.basis) for w in v.basis)) for v in ref
     ]
-    hops = []
-    for k in range(len(ref) - 1):
-        hop = _hop_between(ref[k], ref[k + 1])
-        if hop.cert is not None:
-            cert = FBAdjacency(
-                hop.cert.i,
-                hop.cert.j,
-                hop.cert.sign,
-                substitute(hop.cert.conjugator, a.basis),
-            )
-            if not cert.holds_for(mapped[k], mapped[k + 1]):
-                raise AssertionError("mapped certificate failed to validate")
-            hop = ChainHop(hop.status, cert)
-        hops.append(hop)
+    hops = [
+        _hop_between(a, ref[k], ref[k + 1], mapped[k], mapped[k + 1])
+        for k in range(len(ref) - 1)
+    ]
     certified = all(h.status != "uncertified" for h in hops)
     bound = sum(1 for h in hops if h.status == "adjacent") if certified else None
     shared = None
@@ -507,19 +522,10 @@ def fb_chain_report(a, b_rel):
     first = b_rel.basis[0]
     if len(first) == 1:
         shared = substitute(first, a.basis)
-        for v, v_ref in zip(mapped, ref):
-            hop = _hop_between(v_ref, ref[-1])
-            if hop.cert is not None:
-                cert = FBAdjacency(
-                    hop.cert.i,
-                    hop.cert.j,
-                    hop.cert.sign,
-                    substitute(hop.cert.conjugator, a.basis),
-                )
-                if not cert.holds_for(v, mapped[-1]):
-                    raise AssertionError("mapped target certificate failed")
-                hop = ChainHop(hop.status, cert)
-            target_certs.append(hop)
+        target_certs = [
+            _hop_between(a, v_ref, ref[-1], v, mapped[-1])
+            for v, v_ref in zip(mapped, ref)
+        ]
     return ChainReport(mapped, hops, bound, m, shared, target_certs)
 
 

@@ -70,10 +70,6 @@ class FoldingPath:
     foldable: list
     bases: list = field(default=None)
 
-    @property
-    def base_vertices(self):
-        return [g.base for g in self.graphs]
-
     def single_fold_count(self):
         return sum(len(group) for group in self.steps)
 

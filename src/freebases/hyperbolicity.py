@@ -13,7 +13,10 @@ from itertools import combinations
 
 import numpy as np
 
+from .complexes import fb_adjacent, fb_equivalent, folding_path_bases
 from .errors import DomainError
+from .folding import random_basis
+from .words import words_str
 
 
 class FiniteGraph:
@@ -516,12 +519,11 @@ def sample_fb_ball(center, seeds, moves):
     Vertices equal up to the free-bases equivalence are merged, edges come
     from adjacency certificates, and the largest connected component is
     returned together with one label per vertex (basis words plus
-    provenance of every merged copy).
+    provenance of every merged copy).  Both relations go by class keys: the
+    elements of a basis map to a basis of the abelianization, so their keys
+    are distinct and fix the matching, and adjacency is a shared key.  A
+    candidate repeating a key is no basis and raises NotABasisError.
     """
-    from .complexes import fb_adjacent, fb_equivalent, folding_path_bases
-    from .folding import random_basis
-    from .words import words_str
-
     candidates = [(center, "center")]
     for s in seeds:
         walked = center.__class__(random_basis(s, moves, rank=center.rank,

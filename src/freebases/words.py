@@ -15,8 +15,6 @@ x_1 < x_1^-1 < x_2 < x_2^-1 < ... (generator before its inverse).
 
 DEFAULT_RANK = 3
 
-Word = tuple  # tuple of nonzero ints, freely reduced
-
 
 def letter_key(letter):
     """Sort key realising the order x_1 < x_1^-1 < x_2 < x_2^-1 < ..."""
@@ -61,7 +59,6 @@ def invert(w):
 def concat(u, w):
     """Reduced product u·w."""
     u = list(u)
-    i = len(w)
     for letter in w:
         if u and u[-1] == -letter:
             u.pop()

@@ -6,11 +6,28 @@ vertices, and repeatedly merges the endpoints of an arbitrary violating
 pair chosen by a seeded generator.  Any fixed folding strategy must land
 on the same folded graph up to labeled isomorphism, so this is the
 confluence oracle for fold_to_rose.
+
+The free-bases oracles search every permutation and inversion pattern (for
+equivalence) and every element pair and sign (for adjacency), where the
+library lets class keys force the matching.  The recursive canonical code
+is the library's traversal before it moved to an explicit stack.
 """
 
 import random
+from itertools import permutations, product
 
 from freebases.agraph import AGraph, Edge
+from freebases.complexes import FBAdjacency
+from freebases.words import (
+    concat,
+    conjugate,
+    cyclic_normal_form,
+    cyclic_reduce,
+    find_conjugator,
+    invert,
+    letter_key,
+    power,
+)
 
 
 def _wedge_edges(b):
@@ -140,3 +157,104 @@ def brute_four_point_delta(g):
                     )
                     best = max(best, sums[2] - sums[1])
     return best / 2
+
+
+def _class_key(w):
+    return min(cyclic_normal_form(w), cyclic_normal_form(invert(w)))
+
+
+def search_fb_equivalent(a, b):
+    """fb_equivalent by trying all n! * 2^n permutations and sign patterns,
+    each with the centralizer-coset conjugator check."""
+    if a.rank != b.rank:
+        raise ValueError("bases of different rank")
+    n = a.rank
+    if sorted(map(_class_key, a.basis)) != sorted(map(_class_key, b.basis)):
+        return False
+    targets = b.basis
+    for sigma in permutations(range(n)):
+        for eps in product((1, -1), repeat=n):
+            u = tuple(
+                a.basis[sigma[k]] if eps[k] > 0 else invert(a.basis[sigma[k]])
+                for k in range(n)
+            )
+            g0 = find_conjugator(u[0], targets[0])
+            if g0 is None:
+                continue
+            root_len = len(cyclic_reduce(u[0])[0])
+            bound = max(
+                (len(u[k]) + len(targets[k]) + 2 * len(g0)) // root_len + 1
+                for k in range(n)
+            )
+            for k in range(-bound, bound + 1):
+                g = concat(power(u[0], k), g0)
+                if all(conjugate(u[i], g) == targets[i] for i in range(n)):
+                    return True
+    return False
+
+
+def scan_fb_adjacent(a, b):
+    """fb_adjacent by 2n^2 conjugator searches, b's elements outermost.
+
+    Like fb_adjacent it is defined on distinct vertices only; the caller
+    checks that (with search_fb_equivalent), so the exhaustive search runs
+    once per pair rather than once per direction.
+    """
+    for j in range(1, b.rank + 1):
+        for i in range(1, a.rank + 1):
+            for sign in (1, -1):
+                target = b.basis[j - 1] if sign > 0 else invert(b.basis[j - 1])
+                g = find_conjugator(a.basis[i - 1], target)
+                if g is not None:
+                    return FBAdjacency(i, j, sign, g)
+    return None
+
+
+def recursive_canonical_code(g, base):
+    """Minimal BFS code over all label-respecting traversals from base,
+    one Python frame per vertex and label."""
+    best = [None]
+
+    def process(idx, num, order, acc):
+        if idx == len(order):
+            cand = tuple(acc)
+            if best[0] is None or cand < best[0]:
+                best[0] = cand
+            return
+        v = order[idx]
+        by_label = {}
+        for e in g.out_edges(v):
+            by_label.setdefault(e.label, []).append(e)
+        labels = sorted(by_label, key=letter_key)
+
+        def do_label(li, num, order, acc):
+            if li == len(labels):
+                process(idx + 1, num, order, acc)
+                return
+            label = labels[li]
+            lk = letter_key(label)
+            group = by_label[label]
+            fixed = sorted(num[e.dst] for e in group if e.dst in num)
+            entries = [lk + (n,) for n in fixed]
+            fresh = {}
+            for e in group:
+                if e.dst not in num:
+                    fresh[e.dst] = fresh.get(e.dst, 0) + 1
+            targets = sorted(fresh)
+            if not targets:
+                do_label(li + 1, num, order, acc + [tuple(entries)])
+                return
+            for perm in permutations(targets):
+                num2 = dict(num)
+                order2 = list(order)
+                ext = list(entries)
+                for t in perm:
+                    num2[t] = len(order2)
+                    order2.append(t)
+                    ext.extend([lk + (num2[t],)] * fresh[t])
+                do_label(li + 1, num2, order2, acc + [tuple(ext)])
+
+        do_label(0, num, order, acc)
+
+    process(0, {base: 0}, [base], [])
+    return (len(g.vertices), len(g.edges)) + (best[0],)

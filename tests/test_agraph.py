@@ -1,11 +1,14 @@
 """Tests for labeled graphs: cores, natural edges, folding predicates,
 spanning trees and basis extraction, smoothing, isomorphism."""
 
+import random
+
 import pytest
 
 from freebases.agraph import (
     AGraph,
     Edge,
+    _canonical_code,
     basis_from_tree,
     canonical_code,
     check_spanning_tree,
@@ -24,6 +27,7 @@ from freebases.agraph import (
 from freebases.errors import ContractibleGraphError, DomainError
 from freebases.folding import fold_to_rose, is_basis, random_basis, wedge_graph
 from freebases.words import parse_words
+from oracles import recursive_canonical_code
 
 
 def edge_pair(a, src, dst, label):
@@ -215,6 +219,50 @@ def test_labeled_isomorphic_distinguishes_ranks():
 def test_canonical_code_is_stable():
     g = wedge_graph(parse_words("ab,b,c"))
     assert canonical_code(g) == canonical_code(g)
+
+
+def _relabelled(g, shift):
+    """Copy of g with every vertex id and edge id moved and reversed."""
+    top_v, top_e = max(g.vertices), max(g.edges)
+    v = {x: shift + top_v - x for x in g.vertices}
+    e = {x: shift + top_e - x for x in g.edges}
+    edges = {
+        e[x.id]: Edge(e[x.id], e[x.inv], v[x.src], v[x.dst], x.label)
+        for x in g.edges.values()
+    }
+    return AGraph(v.values(), edges, base=v[g.base], rank=g.rank)
+
+
+def test_labeled_isomorphic_on_deep_folded_graph():
+    """A wedge of long words starting and ending with their own letter is
+    folded; its traversal is far deeper than Python's recursion limit."""
+    rng = random.Random(7)
+    words = []
+    for letter in (1, 2, 3):
+        w = [letter]
+        while len(w) < 349 or w[-1] == -letter:
+            w.append(rng.choice([x for x in (1, -1, 2, -2, 3, -3) if x != -w[-1]]))
+        words.append(tuple(w) + (letter,))
+    g = wedge_graph(words)
+    assert is_folded(g) and len(g.vertices) >= 1000
+    assert labeled_isomorphic(g, _relabelled(g, 5))
+    # the same letters with the middle of the last word reversed
+    other = wedge_graph(words[:2] + [(3,) + words[2][-2:0:-1] + (3,)])
+    assert len(other.vertices) == len(g.vertices)
+    assert not labeled_isomorphic(g, other)
+
+
+def test_canonical_code_matches_recursive_oracle():
+    """Same code as the recursive traversal, on folded graphs and on
+    unfolded wedges and fold paths, where label ties make it branch."""
+    for seed in range(10):
+        for g in fold_to_rose(random_basis(seed, 5)).graphs:
+            h = _relabelled(g, 3)
+            code = _canonical_code(g, g.base)
+            assert code == recursive_canonical_code(g, g.base)
+            assert code == _canonical_code(h, h.base)
+    g = wedge_graph(parse_words("ab,ab,ab"))
+    assert _canonical_code(g, g.base) == recursive_canonical_code(g, g.base)
 
 
 def test_has_loop_labeled():

@@ -117,7 +117,31 @@ def test_fb_adjacent_equivalent_pair_exits_one(tmp_path):
     assert rc == 1
 
 
+def test_fb_adjacent_repeated_class_key_exits_one(tmp_path):
+    rc = main(["fb-adjacent", "--a", "a,A,c", "--b", "a,b,c",
+               "--json", str(tmp_path / "adj.json")])
+    assert rc == 1
+
+
 # -- witness ------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("rank", [3, 4, 5, 6])
+def test_witness_generate_then_verify_at_every_rank(tmp_path, rank):
+    rest = "abcdef"[2:rank]
+    out = tmp_path / "w.json"
+    rc = main(["witness", "--rank", str(rank), "--kind", "h-lipschitz",
+               "--a", ",".join(("b", "a") + tuple(rest)),
+               "--b", ",".join(("ab", "a") + tuple(rest)), "--json", str(out)])
+    assert rc == 0
+    assert main(["witness", "--verify", str(out),
+                 "--json", str(tmp_path / "v.json")]) == 0
+
+
+def test_witness_at_rank_two_exits_one(tmp_path):
+    rc = main(["witness", "--rank", "2", "--kind", "h-lipschitz",
+               "--a", "b,a", "--b", "ab,a", "--json", str(tmp_path / "w.json")])
+    assert rc == 1
 
 
 def test_witness_generate_then_verify(tmp_path):
@@ -266,6 +290,14 @@ def test_experiment_only_runs_a_single_sample(tmp_path):
     report = load(out)
     assert report["config"]["samples"] == 1
     assert [s["index"] for s in report["samples"]] == [3]
+
+
+def test_experiment_fb_witnesses_at_rank_four(tmp_path):
+    out = tmp_path / "w4.json"
+    rc = main(["experiment", "fb-witnesses", "--rank", "4", "--samples", "4",
+               "--seed", "3", "--json", str(out), "--no-timings"])
+    assert rc == 0
+    assert all(s["ok"] for s in load(out)["samples"])
 
 
 def test_experiment_negative_samples_exits_two(tmp_path):

@@ -33,6 +33,7 @@ from freebases.complexes import (
 from freebases.errors import DomainError, TrivialFactorError
 from freebases.folding import fold_to_rose, random_basis
 from freebases.words import conjugate, invert, parse_word, parse_words, reduce
+from oracles import scan_fb_adjacent, search_fb_equivalent
 
 X = FBVertex(parse_words("a,b,c"))
 
@@ -106,6 +107,51 @@ def test_fb_equivalent_under_random_moves():
             for w in basis
         )
         assert fb_equivalent(FBVertex(tuple(random_basis(seed, 8))), FBVertex(moved))
+
+
+def _oracle_pairs(per_kind):
+    """Seeded pairs at ranks 2-5: disguised copies (permuted, inverted and
+    conjugated), same-key pairs (last element conjugated by the first),
+    Nielsen neighbours and independent random bases."""
+    rng = random.Random(2012)
+    for rank in range(2, 6):
+        letters = [s * k for k in range(1, rank + 1) for s in (1, -1)]
+        for seed in range(per_kind):
+            a = random_basis(1000 * rank + seed, rank + 3, rank)
+            g = reduce(tuple(rng.choice(letters) for _ in range(rng.randrange(4))))
+            order = list(range(rank))
+            rng.shuffle(order)
+            yield "disguised", a, tuple(
+                conjugate(a[i] if rng.random() < 0.5 else invert(a[i]), g)
+                for i in order
+            )
+            yield "same-key", a, a[:-1] + (conjugate(a[-1], a[0]),)
+            yield "neighbour", a, random_basis(seed, 1, rank, start=a)
+            yield "random", a, random_basis(rng.randrange(10**6), rank + 3, rank)
+
+
+def test_fb_relations_agree_with_search_oracles():
+    kinds = {}
+    for kind, a, b in _oracle_pairs(26):
+        u, v = FBVertex(a), FBVertex(b)
+        eq = fb_equivalent(u, v)
+        assert eq == search_fb_equivalent(u, v), (kind, a, b)
+        if not eq:
+            assert fb_adjacent(u, v) == scan_fb_adjacent(u, v), (kind, a, b)
+            assert fb_adjacent(v, u) == scan_fb_adjacent(v, u), (kind, a, b)
+        kinds.setdefault(kind, set()).add(eq)
+    assert kinds["disguised"] == {True}
+    assert False in kinds["same-key"]
+    assert sum(1 for _ in _oracle_pairs(26)) >= 400
+
+
+def test_repeated_class_keys_are_refused():
+    for bad in ("a,A,c", "a,bAB,c", "ab,c,BA"):
+        for left, right in ((fb(bad), X), (X, fb(bad))):
+            with pytest.raises(DomainError):
+                fb_equivalent(left, right)
+            with pytest.raises(DomainError):
+                fb_adjacent(left, right)
 
 
 def test_fb_adjacent_shared_element():
@@ -250,6 +296,17 @@ def test_witness_json_round_trip():
     assert reread.kind == path.kind
     assert reread.length == path.length
     assert reread.validate() == []
+
+
+def test_witness_json_round_trip_above_rank_three():
+    for rank in (4, 5, 6):
+        a = FBVertex(random_basis(rank, 6, rank))
+        b = FBVertex(random_basis(rank + 1, 3, rank, frozen=(0,), start=a.basis))
+        path = h_lipschitz_path(a, b)
+        data = json.loads(json.dumps(path.to_json_dict()))
+        reread = witness_path_from_json(data)
+        assert reread == path
+        assert reread.to_json_dict() == data
 
 
 def test_witness_validate_catches_corruption():

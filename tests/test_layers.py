@@ -1,0 +1,53 @@
+"""Import direction inside the package, read off each module's syntax tree.
+
+The layers are words -> agraph -> folding -> complexes -> hyperbolicity ->
+cli: a module imports only from layers below it, and ``errors`` from
+anywhere.  Imports sit at module level, so the dependency graph is the one
+a reader sees at the top of each file.
+"""
+
+import ast
+from pathlib import Path
+
+import freebases
+
+LAYERS = ["words", "agraph", "folding", "complexes", "hyperbolicity", "cli"]
+PACKAGE = Path(freebases.__file__).parent
+MODULES = {path.stem: ast.parse(path.read_text()) for path in PACKAGE.glob("*.py")}
+
+
+def _imported(node):
+    """Package modules named by one import statement."""
+    if isinstance(node, ast.Import):
+        names = [alias.name for alias in node.names]
+        return {n.split(".")[1] for n in names if n.startswith("freebases.")}
+    if isinstance(node, ast.ImportFrom):
+        if node.level == 0:
+            parts = (node.module or "").split(".")
+            return {parts[1]} if parts[0] == "freebases" and len(parts) > 1 else set()
+        if node.level == 1 and node.module:
+            return {node.module.split(".")[0]}
+        if node.level == 1:
+            return {alias.name for alias in node.names}
+    return set()
+
+
+def test_every_module_has_a_layer():
+    assert set(MODULES) == set(LAYERS) | {"__init__", "errors"}
+
+
+def test_imports_point_down_the_layers():
+    for name in LAYERS:
+        below = set(LAYERS[: LAYERS.index(name)]) | {"errors"}
+        for node in ast.walk(MODULES[name]):
+            assert _imported(node) <= below, (name, ast.unparse(node))
+    for node in ast.walk(MODULES["errors"]):
+        assert not _imported(node), ast.unparse(node)
+
+
+def test_no_function_imports_a_package_module():
+    for name, tree in MODULES.items():
+        for func in ast.walk(tree):
+            if isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                for node in ast.walk(func):
+                    assert not _imported(node), (name, func.name, ast.unparse(node))
