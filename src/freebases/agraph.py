@@ -36,7 +36,32 @@ class Edge(NamedTuple):
     label: int
 
 
-class AGraph:
+class _Graph:
+    """Vertices, edges by id, and each vertex's outgoing edges in id order;
+    the storage shared by letter-labeled and word-labeled graphs."""
+
+    __slots__ = ("vertices", "edges", "_out")
+
+    def __init__(self, vertices, edges):
+        self.vertices = frozenset(vertices)
+        self.edges = dict(edges) if isinstance(edges, dict) else {e.id: e for e in edges}
+        self._out = {v: [] for v in self.vertices}
+        for e in sorted(self.edges.values(), key=lambda e: e.id):
+            self._out[e.src].append(e)
+
+    def out_edges(self, v):
+        return self._out[v]
+
+    def topological_edges(self):
+        """One id pair (e, e.inv) per topological edge, e the lower id."""
+        return [(e.id, e.inv) for e in self.edges.values() if e.id < e.inv]
+
+    def betti(self):
+        """First Betti number (the graph is connected by invariant)."""
+        return len(self.edges) // 2 - len(self.vertices) + 1
+
+
+class AGraph(_Graph):
     """Letter-labeled graph, optionally based.
 
     ``edges`` maps edge id -> Edge; the involution and label conventions are
@@ -44,20 +69,12 @@ class AGraph:
     quotient from an already-checked graph).
     """
 
-    __slots__ = ("vertices", "edges", "base", "rank", "_out")
+    __slots__ = ("base", "rank")
 
     def __init__(self, vertices, edges, base=None, rank=DEFAULT_RANK, check=True):
-        self.vertices = frozenset(vertices)
-        if isinstance(edges, dict):
-            self.edges = dict(edges)
-        else:
-            self.edges = {e.id: e for e in edges}
+        super().__init__(vertices, edges)
         self.base = base
         self.rank = rank
-        out = {v: [] for v in self.vertices}
-        for e in self.edges.values():
-            out[e.src].append(e)
-        self._out = {v: sorted(es, key=lambda e: e.id) for v, es in out.items()}
         if check:
             problems = self.validate()
             if problems:
@@ -100,25 +117,14 @@ class AGraph:
             problems.append("graph has no vertices")
         return problems
 
-    def out_edges(self, v):
-        return self._out[v]
-
     def degree(self, v):
         return len(self._out[v])
 
     def edge(self, eid):
         return self.edges[eid]
 
-    def topological_edges(self):
-        """One id pair (e, e.inv) per topological edge, e the lower id."""
-        return [(e.id, e.inv) for e in self.edges.values() if e.id < e.inv]
-
     def num_topological_edges(self):
         return len(self.edges) // 2
-
-    def betti(self):
-        """First Betti number (the graph is connected by invariant)."""
-        return self.num_topological_edges() - len(self.vertices) + 1
 
     def with_base(self, base):
         return AGraph(self.vertices, self.edges, base=base, rank=self.rank, check=False)
@@ -180,29 +186,21 @@ def core(g):
     Raises ContractibleGraphError for an unbased graph whose core would be
     empty (a tree).
     """
-    alive_v = set(g.vertices)
-    alive_e = dict(g.edges)
-    degree = {v: 0 for v in alive_v}
-    for e in alive_e.values():
-        degree[e.src] += 1
-    queue = [v for v in alive_v if degree[v] <= 1 and v != g.base]
-    while queue:
-        v = queue.pop()
-        if v not in alive_v or degree[v] > 1 or v == g.base:
-            continue
-        alive_v.discard(v)
-        incident = [e for e in alive_e.values() if e.src == v or e.dst == v]
-        for e in incident:
-            alive_e.pop(e.id, None)
-            other = e.dst if e.src == v else e.src
-            if other in alive_v and other != v:
-                degree[other] -= 1
-                if degree[other] <= 1 and other != g.base:
-                    queue.append(other)
-        degree[v] = 0
-    if not alive_v:
+    degree = {v: g.degree(v) for v in g.vertices}
+    queue = [v for v in g.vertices if degree[v] <= 1 and v != g.base]
+    gone = set(queue)
+    for v in queue:
+        # a stripped vertex has no loop, so its one live edge leads elsewhere
+        for e in g.out_edges(v):
+            if e.dst not in gone:
+                degree[e.dst] -= 1
+                if degree[e.dst] <= 1 and e.dst != g.base:
+                    gone.add(e.dst)
+                    queue.append(e.dst)
+    if len(gone) == len(g.vertices):
         raise ContractibleGraphError("core of a contractible graph without base")
-    return AGraph(alive_v, alive_e, base=g.base, rank=g.rank)
+    edges = {e.id: e for e in g.edges.values() if e.src not in gone and e.dst not in gone}
+    return AGraph(g.vertices - gone, edges, base=g.base, rank=g.rank)
 
 
 def natural_vertices(g):
@@ -310,8 +308,7 @@ def spanning_tree(g, root=None):
     seen = {root}
     tree = set()
     queue = [root]
-    while queue:
-        v = queue.pop(0)
+    for v in queue:
         for e in sorted(g.out_edges(v), key=lambda e: (letter_key(e.label), e.id)):
             if e.dst not in seen:
                 seen.add(e.dst)
@@ -342,8 +339,7 @@ def tree_words(g, tree, root):
     """Label word of the unique tree path root -> v, for every vertex v."""
     words = {root: ()}
     queue = [root]
-    while queue:
-        v = queue.pop(0)
+    for v in queue:
         for e in sorted(g.out_edges(v), key=lambda e: (letter_key(e.label), e.id)):
             if e.id in tree and e.dst not in words:
                 words[e.dst] = words[v] + (e.label,)
@@ -388,22 +384,14 @@ class MarkingEdge(NamedTuple):
     word: tuple
 
 
-class MarkingGraph:
+class MarkingGraph(_Graph):
     """Graph with freely reduced nonempty words on edges and no vertices of
     degree less than 3."""
 
-    __slots__ = ("vertices", "edges", "_out")
+    __slots__ = ()
 
     def __init__(self, vertices, edges, check=True):
-        self.vertices = frozenset(vertices)
-        if isinstance(edges, dict):
-            self.edges = dict(edges)
-        else:
-            self.edges = {e.id: e for e in edges}
-        out = {v: [] for v in self.vertices}
-        for e in self.edges.values():
-            out[e.src].append(e)
-        self._out = {v: sorted(es, key=lambda e: e.id) for v, es in out.items()}
+        super().__init__(vertices, edges)
         if check:
             problems = self.validate()
             if problems:
@@ -426,15 +414,6 @@ class MarkingGraph:
             if len(self._out[v]) < 3:
                 problems.append("vertex %d has degree %d < 3" % (v, len(self._out[v])))
         return problems
-
-    def out_edges(self, v):
-        return self._out[v]
-
-    def topological_edges(self):
-        return [(e.id, e.inv) for e in self.edges.values() if e.id < e.inv]
-
-    def betti(self):
-        return len(self.edges) // 2 - len(self.vertices) + 1
 
     def expand(self, rank=None):
         """Subdivide every edge word into single letters, giving an AGraph."""

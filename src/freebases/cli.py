@@ -549,26 +549,17 @@ def build_parser():
 def main(argv=None):
     parser = build_parser()
     args = parser.parse_args(argv)
-    if args.rank < 2:
-        print(
-            json.dumps({"error": {"type": "ValueError", "message": "rank must be at least 2"}}),
-            file=sys.stderr,
-        )
-        return 2
     try:
+        if args.rank < 2:
+            raise ValueError("rank must be at least 2")
         return args.func(args)
-    except DomainError as exc:
+    except (DomainError, ValueError, KeyError, OSError) as exc:
         print(
             json.dumps({"error": {"type": type(exc).__name__, "message": str(exc)}}),
             file=sys.stderr,
         )
-        return 1
-    except (ValueError, KeyError, OSError) as exc:
-        print(
-            json.dumps({"error": {"type": type(exc).__name__, "message": str(exc)}}),
-            file=sys.stderr,
-        )
-        return 2
+        # the operation refused its input (1), or the input was malformed (2)
+        return 1 if isinstance(exc, DomainError) else 2
 
 
 if __name__ == "__main__":

@@ -1,9 +1,13 @@
 """Stallings folds over wedges of words, down to the rose.
 
-The pipeline: build the wedge of loops spelling the given words, repair
-foldability by conjugating every word with a power of the common boundary
-letter when needed, then repeatedly perform maximal folds until the graph is
-folded.  A tuple of words is a free basis exactly when this ends at the rose.
+Every fold runs through one engine, ``_fold``: a union-find over vertices and
+one over edges, plus, when folding until folded, a label -> edge dict per
+vertex class whose collisions are the folds still to do.  ``single_fold`` and
+``maximal_fold`` hand it ordered edge pairs; ``fold_completely`` and
+``is_basis`` let it drain its collisions.  A tuple of rank-many words is a
+free basis exactly when its wedge folds to a graph with one vertex and
+2·rank edges, which is the rose.  ``fold_to_rose`` records the path in the
+paper's order, one maximal fold at a time.
 
 Folds come in two kinds: a fold identifying two edges whose endpoints were
 distinct ("I") is a homotopy equivalence; one whose endpoints already
@@ -17,19 +21,19 @@ from dataclasses import dataclass, field
 from .agraph import (
     AGraph,
     Edge,
+    MarkingEdge,
+    MarkingGraph,
     _chain_from,
     fold_pairs,
     is_foldable,
     is_folded,
-    labeled_isomorphic,
     natural_vertices,
-    rose,
 )
 from .errors import DomainError, FoldabilityError
 from .words import (
     DEFAULT_RANK,
     concat,
-    concat_all,
+    conjugate,
     invert,
     letter_str,
     power,
@@ -87,27 +91,25 @@ class FoldingPath:
         return data
 
 
+def _wedge_words(b, rank):
+    words = tuple(reduce(w, rank) for w in b)
+    if not all(words):
+        raise DomainError("cannot build a wedge over an empty word")
+    return words
+
+
 def wedge_graph(b, rank=DEFAULT_RANK):
     """Wedge of loops at vertex 0, loop i spelling the i-th word of b.
 
-    One edge per letter; interior vertices have degree 2.  Words must be
-    nonempty and freely reduced letters within the rank.
+    The subdivision of a one-vertex marking graph: one edge per letter,
+    interior vertices of degree 2.  Words must be nonempty and freely
+    reduced letters within the rank.
     """
-    words = [reduce(w, rank) for w in b]
-    if any(not w for w in words):
-        raise DomainError("cannot build a wedge over an empty word")
     edges = {}
-    next_v = 1
-    next_e = 0
-    for w in words:
-        stops = [0] + list(range(next_v, next_v + len(w) - 1)) + [0]
-        next_v += len(w) - 1
-        for k, letter in enumerate(w):
-            a, bb = next_e, next_e + 1
-            edges[a] = Edge(a, bb, stops[k], stops[k + 1], letter)
-            edges[bb] = Edge(bb, a, stops[k + 1], stops[k], -letter)
-            next_e += 2
-    return AGraph(range(next_v), edges, base=0, rank=rank)
+    for k, w in enumerate(_wedge_words(b, rank)):
+        edges[2 * k] = MarkingEdge(2 * k, 2 * k + 1, 0, 0, w)
+        edges[2 * k + 1] = MarkingEdge(2 * k + 1, 2 * k, 0, 0, invert(w))
+    return MarkingGraph([0], edges, check=False).expand(rank).with_base(0)
 
 
 def ensure_foldable(b, rank=DEFAULT_RANK):
@@ -115,16 +117,22 @@ def ensure_foldable(b, rank=DEFAULT_RANK):
 
     Returns ``(m, b2, g)`` with ``b2 = x_c^m . b . x_c^-m`` elementwise,
     ``g = wedge_graph(b2)`` foldable, and |m| minimal (m = 0 when the wedge
-    of b is already foldable).  x_c is the common boundary letter: the wedge
-    of freely reduced words only fails foldability at the wedge point, and
-    only when the first and last letters of all words involve a single
-    generator.  Raises FoldabilityError when no such letter exists or no
-    power works.
+    of b is already foldable).  x_c is the common boundary letter: interior
+    vertices of a wedge of reduced words see two distinct labels, so only
+    the wedge point can fail, when its labels {w[0]} and {-w[-1]} are fewer
+    than min(3, degree); then the first and last letters of all words
+    involve a single generator.  So each power is tested on that label set
+    alone.  Raises FoldabilityError when no such letter exists or no power
+    works.
     """
-    words = tuple(reduce(w, rank) for w in b)
-    g = wedge_graph(words, rank)
-    if is_foldable(g):
-        return 0, words, g
+    words = _wedge_words(b, rank)
+    need = 2 if len(words) == 1 else 3
+
+    def foldable(ws):
+        return len({w[0] for w in ws} | {-w[-1] for w in ws}) >= need
+
+    if foldable(words):
+        return 0, words, wedge_graph(words, rank)
     boundary = {abs(w[0]) for w in words} | {abs(w[-1]) for w in words}
     if len(boundary) != 1:
         raise FoldabilityError(
@@ -134,16 +142,73 @@ def ensure_foldable(b, rank=DEFAULT_RANK):
     limit = max(len(w) for w in words) // 2 + 2
     for size in range(1, limit + 1):
         for m in (-size, size):
-            b2 = tuple(
-                concat_all(power((c,), m), w, power((c,), -m)) for w in words
-            )
-            g2 = wedge_graph(b2, rank)
-            if is_foldable(g2):
-                return m, b2, g2
+            b2 = tuple(conjugate(w, power((c,), -m)) for w in words)
+            if foldable(b2):
+                return m, b2, wedge_graph(b2, rank)
     raise FoldabilityError(
         "conjugating by powers of %s does not make the wedge foldable"
         % letter_str(c)
     )
+
+
+def _find(root, x):
+    """Root of x in a union-find dict, halving the path on the way."""
+    while root[x] != x:
+        root[x] = x = root[root[x]]
+    return x
+
+
+def _fold(g, pairs=None):
+    """Fold g along ``pairs`` in order, or until folded; ``(graph, steps)``.
+
+    Folding (e1, e2) sends e2, e2.inv to e1, e1.inv in an edge union-find
+    and e2.dst to the kept root e1.dst in a vertex union-find, so the graph
+    built at the end has the ids of folding the pairs one at a time.  With
+    no pairs, each vertex root keeps a label -> edge dict; a kind I fold
+    merges the smaller dict into the larger and queues its collisions,
+    whose ids are read through the edge union-find when their turn comes.
+    """
+    vroot = {v: v for v in g.vertices}
+    eroot = {eid: eid for eid in g.edges}
+    out = None
+    if pairs is None:
+        out = {v: {} for v in g.vertices}
+        pairs = []
+        for e in g.edges.values():
+            if e.label in out[e.src]:
+                pairs.append((out[e.src][e.label], e.id))
+            else:
+                out[e.src][e.label] = e.id
+    steps = []
+    for a, b in pairs:  # without given pairs, the queue grows as it is read
+        e1, e2 = g.edges[_find(eroot, a)], g.edges[_find(eroot, b)]
+        if e1.id == e2.id:
+            continue
+        kept, gone = _find(vroot, e1.dst), _find(vroot, e2.dst)
+        eroot[e2.id], eroot[e2.inv] = e1.id, e1.inv
+        if kept == gone:
+            steps.append(FoldStep("II", (e1.id, e2.id)))
+            continue
+        vroot[gone] = kept
+        steps.append(FoldStep("I", (e1.id, e2.id), ((kept, gone),)))
+        if out is not None:
+            big, small = out[kept], out.pop(gone)
+            if len(big) < len(small):
+                big, small = small, big
+            for label, eid in small.items():
+                if label in big:
+                    pairs.append((big[label], eid))
+                else:
+                    big[label] = eid
+            out[kept] = big
+    edges = {
+        eid: Edge(eid, e.inv, _find(vroot, e.src), _find(vroot, e.dst), e.label)
+        for eid, e in g.edges.items()
+        if eroot[eid] == eid
+    }
+    vertices = [v for v in g.vertices if vroot[v] == v]
+    base = None if g.base is None else _find(vroot, g.base)
+    return AGraph(vertices, edges, base=base, rank=g.rank, check=False), steps
 
 
 def single_fold(g, e1_id, e2_id):
@@ -157,26 +222,8 @@ def single_fold(g, e1_id, e2_id):
         raise ValueError("cannot fold an edge with itself")
     if e1.src != e2.src or e1.label != e2.label:
         raise ValueError("edges %d, %d are not foldable together" % (e1_id, e2_id))
-    kept, gone = e1.dst, e2.dst
-    kind = "I" if kept != gone else "II"
-
-    def remap(v):
-        return kept if v == gone else v
-
-    edges = {}
-    for e in g.edges.values():
-        if e.id in (e2.id, e2.inv):
-            continue
-        edges[e.id] = Edge(e.id, e.inv, remap(e.src), remap(e.dst), e.label)
-    vertices = {remap(v) for v in g.vertices}
-    if kind == "I":
-        vertices.discard(gone)
-    base = g.base if g.base != gone else kept
-    merged = ((kept, gone),) if kind == "I" else ()
-    return (
-        AGraph(vertices, edges, base=base, rank=g.rank, check=False),
-        FoldStep(kind, (e1_id, e2_id), merged),
-    )
+    folded, (step,) = _fold(g, [(e1_id, e2_id)])
+    return folded, step
 
 
 def maximal_fold(g):
@@ -191,14 +238,9 @@ def maximal_fold(g):
     if is_folded(g):
         raise DomainError("graph is already folded")
     natural = set(natural_vertices(g))
-    site = None
-    for v, label, ids in fold_pairs(g):
-        if v in natural:
-            site = (v, label, ids)
-            break
-    if site is None:
+    ids = next((ids for v, _, ids in fold_pairs(g) if v in natural), None)
+    if ids is None:
         raise DomainError("no fold site at a natural vertex")
-    _, _, ids = site
     chain1 = _chain_from(g, g.edges[ids[0]], natural)
     chain2 = _chain_from(g, g.edges[ids[1]], natural)
     pairs = []
@@ -206,12 +248,7 @@ def maximal_fold(g):
         if f.id == h.id or f.label != h.label:
             break
         pairs.append((f.id, h.id))
-    cur = g
-    steps = []
-    for a, b in pairs:
-        cur, step = single_fold(cur, a, b)
-        steps.append(step)
-    return cur, steps
+    return _fold(g, pairs)
 
 
 def fold_to_rose(b, rank=DEFAULT_RANK):
@@ -220,7 +257,8 @@ def fold_to_rose(b, rank=DEFAULT_RANK):
     The wedge should be foldable (run ensure_foldable first); when an
     intermediate graph loses foldability, which only happens when b is not a
     basis, the fold falls back to plain single folds so the path still
-    terminates.  The base vertex is tracked through every merge.
+    terminates.  The base vertex is tracked through every merge.  One graph
+    is built per maximal fold.
     """
     g = wedge_graph(b, rank)
     graphs = [g]
@@ -231,9 +269,8 @@ def fold_to_rose(b, rank=DEFAULT_RANK):
         try:
             cur, group = maximal_fold(cur)
         except DomainError:
-            v, label, ids = fold_pairs(cur)[0]
-            cur, step = single_fold(cur, ids[0], ids[1])
-            group = [step]
+            _, _, ids = fold_pairs(cur)[0]
+            cur, group = _fold(cur, [ids[:2]])
         graphs.append(cur)
         steps.append(group)
         foldable.append(is_foldable(cur))
@@ -241,38 +278,29 @@ def fold_to_rose(b, rank=DEFAULT_RANK):
 
 
 def fold_completely(g):
-    """Single folds in a fixed order (lowest vertex, label, edge ids) until
-    folded.  Order does not matter for the result, by confluence."""
-    steps = []
-    cur = g
-    while True:
-        sites = fold_pairs(cur)
-        if not sites:
-            return cur, steps
-        _, _, ids = sites[0]
-        cur, step = single_fold(cur, ids[0], ids[1])
-        steps.append(step)
+    """Fold g until it is folded; returns ``(graph, [FoldStep, ...])``.
+
+    The engine drains its label collisions in queue order, so the steps and
+    the ids of the merged vertices follow that order, but by confluence the
+    folded graph is the same up to labeled isomorphism whatever the order.
+    """
+    return _fold(g)
 
 
 def is_basis(b, rank=DEFAULT_RANK):
     """Do the given rank-many words form a free basis?
 
-    Folds the wedge and compares the folded graph with the rose.  Words are
-    fed through ensure_foldable first; if no conjugation repairs
-    foldability, an exhaustive single-fold completion is used instead (the
-    folded image does not depend on fold order).
+    They are when they generate the free group (which is Hopfian), that is
+    when their wedge folds to the rose.  A folded graph with one vertex and
+    2·rank edges carries every letter once there, so it is the rose.
     """
     if len(b) != rank:
         raise DomainError("expected %d words, got %d" % (rank, len(b)))
     words = tuple(reduce(w, rank) for w in b)
-    if any(not w for w in words):
+    if not all(words):
         return False
-    try:
-        _, b2, _ = ensure_foldable(words, rank)
-        final = fold_to_rose(b2, rank).graphs[-1]
-    except FoldabilityError:
-        final, _ = fold_completely(wedge_graph(words, rank))
-    return labeled_isomorphic(final, rose(rank))
+    final, _ = _fold(wedge_graph(words, rank))
+    return len(final.vertices) == 1 and len(final.edges) == 2 * rank
 
 
 def subgroup_membership(w, g):
@@ -286,14 +314,9 @@ def subgroup_membership(w, g):
         raise DomainError("membership needs a folded graph")
     v = g.base
     for letter in reduce(w, g.rank):
-        nxt = None
-        for e in g.out_edges(v):
-            if e.label == letter:
-                nxt = e.dst
-                break
-        if nxt is None:
+        v = next((e.dst for e in g.out_edges(v) if e.label == letter), None)
+        if v is None:
             return False
-        v = nxt
     return v == g.base
 
 

@@ -5,13 +5,15 @@ A letter is a nonzero integer: ``i`` stands for the i-th generator ``x_i``
 empty tuple is the identity.  Functions returning words always return freely
 reduced tuples.
 
-Text encoding: ``a``..``z`` are x_1..x_26, ``A``..``Z`` their inverses, and
-the string ``"1"`` denotes the empty word.  So ``"abA"`` parses to
-``(1, 2, -1)``.
+Text encoding: ``a``..``z`` are x_1..x_26, ``A``..``Z`` their inverses,
+``x27``/``X27`` and so on the letters past z, and the string ``"1"`` denotes
+the empty word.  So ``"abA"`` parses to ``(1, 2, -1)``.
 
 The letter order used everywhere for tie-breaking is
 x_1 < x_1^-1 < x_2 < x_2^-1 < ... (generator before its inverse).
 """
+
+import re
 
 DEFAULT_RANK = 3
 
@@ -150,25 +152,29 @@ def find_conjugator(u, w):
 
 
 _ORIGIN = ord("a")
+# one letter: x/X and a number from 27 on, longest match first, or one character
+_LETTER = re.compile(r"[xX]([1-9][0-9]{2,}|[3-9][0-9]|2[7-9])|[a-zA-Z]")
 
 
 def parse_word(text, rank=DEFAULT_RANK):
     """Parse ``"abA"`` style text to a word; ``"1"`` is the empty word.
 
-    Raises ValueError on characters outside the alphabet or letters beyond
-    ``rank``.
+    Letters past z are read in their ``x27``/``X27`` form; letters up to z
+    have only their one-character spelling.  Raises ValueError on characters
+    outside the alphabet or letters beyond ``rank``.
     """
     text = text.strip()
     if text == "1" or text == "":
         return ()
     letters = []
-    for ch in text:
-        if "a" <= ch <= "z":
-            letters.append(ord(ch) - _ORIGIN + 1)
-        elif "A" <= ch <= "Z":
-            letters.append(-(ord(ch.lower()) - _ORIGIN + 1))
-        else:
-            raise ValueError("bad character %r in word %r" % (ch, text))
+    pos = 0
+    while pos < len(text):
+        m = _LETTER.match(text, pos)
+        if m is None:
+            raise ValueError("bad character %r in word %r" % (text[pos], text))
+        ch, pos = text[pos], m.end()
+        index = int(m.group(1)) if m.group(1) else ord(ch.lower()) - _ORIGIN + 1
+        letters.append(index if ch.islower() else -index)
     check_letters(letters, rank)
     return reduce(letters)
 

@@ -11,22 +11,43 @@ The free-bases oracles search every permutation and inversion pattern (for
 equivalence) and every element pair and sign (for adjacency), where the
 library lets class keys force the matching.  The recursive canonical code
 is the library's traversal before it moved to an explicit stack.
+
+The rebuild folders are the library's folding before it moved to one
+union-find engine: every single fold builds the whole quotient graph,
+``is_basis`` repairs foldability by conjugation (checking whole wedges) and
+compares the folded graph with the rose.  The engine must give the same
+answers, the same folding paths and isomorphic folded graphs.
 """
 
 import random
 from itertools import permutations, product
 
-from freebases.agraph import AGraph, Edge
+from freebases.agraph import (
+    AGraph,
+    Edge,
+    _chain_from,
+    fold_pairs,
+    is_foldable,
+    is_folded,
+    labeled_isomorphic,
+    natural_vertices,
+    rose,
+)
 from freebases.complexes import FBAdjacency
+from freebases.errors import DomainError, FoldabilityError
+from freebases.folding import FoldStep, FoldingPath
 from freebases.words import (
     concat,
+    concat_all,
     conjugate,
     cyclic_normal_form,
     cyclic_reduce,
     find_conjugator,
     invert,
     letter_key,
+    letter_str,
     power,
+    reduce,
 )
 
 
@@ -258,3 +279,155 @@ def recursive_canonical_code(g, base):
 
     process(0, {base: 0}, [base], [])
     return (len(g.vertices), len(g.edges)) + (best[0],)
+
+
+# -- folding by rebuilding the graph at every fold --------------------------
+
+
+def rebuild_wedge_graph(b, rank):
+    """Wedge of loops at vertex 0, subdivided by its own loop."""
+    words = [reduce(w, rank) for w in b]
+    if any(not w for w in words):
+        raise DomainError("cannot build a wedge over an empty word")
+    edges = {}
+    next_v = 1
+    next_e = 0
+    for w in words:
+        stops = [0] + list(range(next_v, next_v + len(w) - 1)) + [0]
+        next_v += len(w) - 1
+        for k, letter in enumerate(w):
+            a, bb = next_e, next_e + 1
+            edges[a] = Edge(a, bb, stops[k], stops[k + 1], letter)
+            edges[bb] = Edge(bb, a, stops[k + 1], stops[k], -letter)
+            next_e += 2
+    return AGraph(range(next_v), edges, base=0, rank=rank)
+
+
+def rebuild_ensure_foldable(b, rank):
+    """ensure_foldable by building and checking two whole wedges per power."""
+    words = tuple(reduce(w, rank) for w in b)
+    g = rebuild_wedge_graph(words, rank)
+    if is_foldable(g):
+        return 0, words, g
+    boundary = {abs(w[0]) for w in words} | {abs(w[-1]) for w in words}
+    if len(boundary) != 1:
+        raise FoldabilityError(
+            "wedge is not foldable and words have no common boundary letter"
+        )
+    c = boundary.pop()
+    limit = max(len(w) for w in words) // 2 + 2
+    for size in range(1, limit + 1):
+        for m in (-size, size):
+            b2 = tuple(
+                concat_all(power((c,), m), w, power((c,), -m)) for w in words
+            )
+            g2 = rebuild_wedge_graph(b2, rank)
+            if is_foldable(g2):
+                return m, b2, g2
+    raise FoldabilityError(
+        "conjugating by powers of %s does not make the wedge foldable"
+        % letter_str(c)
+    )
+
+
+def rebuild_single_fold(g, e1_id, e2_id):
+    """One fold, building the whole quotient graph."""
+    e1, e2 = g.edges[e1_id], g.edges[e2_id]
+    if e1.id == e2.id:
+        raise ValueError("cannot fold an edge with itself")
+    if e1.src != e2.src or e1.label != e2.label:
+        raise ValueError("edges %d, %d are not foldable together" % (e1_id, e2_id))
+    kept, gone = e1.dst, e2.dst
+    kind = "I" if kept != gone else "II"
+
+    def remap(v):
+        return kept if v == gone else v
+
+    edges = {}
+    for e in g.edges.values():
+        if e.id in (e2.id, e2.inv):
+            continue
+        edges[e.id] = Edge(e.id, e.inv, remap(e.src), remap(e.dst), e.label)
+    vertices = {remap(v) for v in g.vertices}
+    if kind == "I":
+        vertices.discard(gone)
+    base = g.base if g.base != gone else kept
+    merged = ((kept, gone),) if kind == "I" else ()
+    return (
+        AGraph(vertices, edges, base=base, rank=g.rank, check=False),
+        FoldStep(kind, (e1_id, e2_id), merged),
+    )
+
+
+def rebuild_maximal_fold(g):
+    """maximal_fold as a sequence of rebuilding single folds."""
+    if is_folded(g):
+        raise DomainError("graph is already folded")
+    natural = set(natural_vertices(g))
+    site = None
+    for v, label, ids in fold_pairs(g):
+        if v in natural:
+            site = (v, label, ids)
+            break
+    if site is None:
+        raise DomainError("no fold site at a natural vertex")
+    _, _, ids = site
+    chain1 = _chain_from(g, g.edges[ids[0]], natural)
+    chain2 = _chain_from(g, g.edges[ids[1]], natural)
+    cur = g
+    steps = []
+    for f, h in zip(chain1, chain2):
+        if f.id == h.id or f.label != h.label:
+            break
+        cur, step = rebuild_single_fold(cur, f.id, h.id)
+        steps.append(step)
+    return cur, steps
+
+
+def rebuild_fold_to_rose(b, rank):
+    """fold_to_rose with one rebuilt graph per single fold."""
+    g = rebuild_wedge_graph(b, rank)
+    graphs = [g]
+    steps = []
+    foldable = [is_foldable(g)]
+    cur = g
+    while not is_folded(cur):
+        try:
+            cur, group = rebuild_maximal_fold(cur)
+        except DomainError:
+            v, label, ids = fold_pairs(cur)[0]
+            cur, step = rebuild_single_fold(cur, ids[0], ids[1])
+            group = [step]
+        graphs.append(cur)
+        steps.append(group)
+        foldable.append(is_foldable(cur))
+    return FoldingPath(graphs, steps, foldable)
+
+
+def rebuild_fold_completely(g):
+    """Single folds at the lowest (vertex, label, edge ids) site until folded."""
+    steps = []
+    cur = g
+    while True:
+        sites = fold_pairs(cur)
+        if not sites:
+            return cur, steps
+        _, _, ids = sites[0]
+        cur, step = rebuild_single_fold(cur, ids[0], ids[1])
+        steps.append(step)
+
+
+def rebuild_is_basis(b, rank):
+    """is_basis by repairing foldability, folding maximally and comparing
+    the folded graph with the rose; single folds when no repair exists."""
+    if len(b) != rank:
+        raise DomainError("expected %d words, got %d" % (rank, len(b)))
+    words = tuple(reduce(w, rank) for w in b)
+    if any(not w for w in words):
+        return False
+    try:
+        _, b2, _ = rebuild_ensure_foldable(words, rank)
+        final = rebuild_fold_to_rose(b2, rank).graphs[-1]
+    except FoldabilityError:
+        final, _ = rebuild_fold_completely(rebuild_wedge_graph(words, rank))
+    return labeled_isomorphic(final, rose(rank))

@@ -1,6 +1,7 @@
 """Tests for labeled graphs: cores, natural edges, folding predicates,
 spanning trees and basis extraction, smoothing, isomorphism."""
 
+import json
 import random
 
 import pytest
@@ -76,6 +77,23 @@ def test_core_strips_hanging_edge():
         edges[e.id] = e
     hung = AGraph([0, 1], edges, base=0, rank=2)
     assert labeled_isomorphic(core(hung), g)
+    # a hair of several thousand vertices, stripped one vertex at a time
+    n = 5000
+    for k in range(n):
+        for e in edge_pair(4 + 2 * k, k, k + 1, 1 + k % 2):
+            edges[e.id] = e
+    long_hair = AGraph(range(n + 1), edges, base=0, rank=2)
+    assert labeled_isomorphic(core(long_hair), g)
+    assert labeled_isomorphic(core(long_hair.with_base(n)), long_hair.with_base(n))
+
+
+def test_core_keeps_a_cycle_that_carries_a_hair():
+    # triangle 0-1-2 with a hair 1-3: stripping 3 leaves 1 of degree 2
+    edges = (edge_pair(0, 0, 1, 1) + edge_pair(2, 1, 2, 2) + edge_pair(4, 2, 0, 3)
+             + edge_pair(6, 1, 3, 1))
+    g = core(AGraph(range(4), edges))
+    assert g.vertices == {0, 1, 2}
+    assert sorted(g.edges) == [0, 1, 2, 3, 4, 5]
 
 
 def test_core_of_unbased_tree_errors():
@@ -88,6 +106,19 @@ def test_core_of_unbased_tree_errors():
 def test_core_keeps_base():
     g = path_agraph([1, 2])
     assert core(g).vertices == {0}
+
+
+def test_json_round_trip_at_rank_thirty():
+    g = wedge_graph(parse_words("ab,b,c"), 30)
+    edges = dict(g.edges)
+    for e in edge_pair(len(edges), 0, 0, 30) + edge_pair(len(edges) + 2, 0, 0, -27):
+        edges[e.id] = e
+    g = AGraph(g.vertices, edges, base=0, rank=30)
+    data = json.loads(json.dumps(g.to_json_dict()))
+    back = AGraph.from_json_dict(data, rank=30)
+    assert back.to_json_dict() == data
+    assert back.edges == g.edges
+    assert AGraph.from_json_dict(data).rank == 30
 
 
 def test_natural_vertices_of_rose():

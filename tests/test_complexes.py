@@ -309,6 +309,18 @@ def test_witness_json_round_trip_above_rank_three():
         assert reread.to_json_dict() == data
 
 
+def test_witness_json_round_trip_past_z():
+    # at rank 27 the last letter is written x27
+    a = FBVertex(identity_basis(27))
+    b = FBVertex(((27, 1),) + identity_basis(27)[1:])
+    path = h_lipschitz_path(a, b)
+    data = json.loads(json.dumps(path.to_json_dict()))
+    assert "x27a" in data["vertices"][-1]["ambient"]
+    reread = witness_path_from_json(data)
+    assert reread == path
+    assert reread.to_json_dict() == data
+
+
 def test_witness_validate_catches_corruption():
     path = hq_path(ff("a,b,c", {2, 3}))
     data = path.to_json_dict()

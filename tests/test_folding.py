@@ -1,5 +1,9 @@
 """Tests for Stallings folds: wedges, fold steps, complete folding paths,
-basis recognition, and the naive-order confluence oracle."""
+basis recognition, the naive-order confluence oracle, and the rebuild
+oracles that the folding engine replaced."""
+
+import random
+from collections import Counter
 
 import pytest
 
@@ -24,9 +28,16 @@ from freebases.folding import (
     subgroup_membership,
     wedge_graph,
 )
-from freebases.words import parse_word, parse_words
+from freebases.words import conjugate, invert, parse_word, parse_words, power, reduce
 
-from oracles import naive_folded_graph
+from oracles import (
+    naive_folded_graph,
+    rebuild_ensure_foldable,
+    rebuild_fold_completely,
+    rebuild_fold_to_rose,
+    rebuild_is_basis,
+    rebuild_wedge_graph,
+)
 
 X = parse_words("a,b,c")
 
@@ -241,3 +252,112 @@ def test_loop_persists_when_first_word_is_a_letter():
         path = fold_to_rose(b)
         for g in path.graphs:
             assert has_loop_labeled(g, g.base, 1)
+
+
+def test_ensure_foldable_rejects_empty_word():
+    with pytest.raises(DomainError):
+        ensure_foldable(((1,), (2, -2), (3,)))
+
+
+def _outcome(fn, *args):
+    """What a call gives: ("ok", value) or ("error", type, message)."""
+    try:
+        return ("ok", fn(*args))
+    except (DomainError, ValueError, KeyError) as exc:
+        return ("error", type(exc).__name__, str(exc))
+
+
+def _as_json(outcome, convert):
+    return ("ok", convert(outcome[1])) if outcome[0] == "ok" else outcome
+
+
+def _repair_json(out):
+    m, b2, g = out
+    return m, b2, g.to_json_dict()
+
+
+def _wedge_class(b, rank):
+    """Which of the rebuild oracle's four basis-test paths b takes."""
+    try:
+        m, _, _ = rebuild_ensure_foldable(b, rank)
+    except FoldabilityError as exc:
+        return "mixed" if "no common boundary" in str(exc) else "unrepairable"
+    return "foldable" if m == 0 else "repaired"
+
+
+def _engine_inputs():
+    """Seeded (rank, words, seed) inputs at ranks 2-5: bases of every wedge
+    class, their squared-first-word variants, and random word tuples."""
+    rng = random.Random(20261018)
+    out = []
+    for rank in range(2, 6):
+        for k in range(12):
+            seed = 100 * rank + k
+            b = random_basis(seed, 5 + k % 6, rank)
+            c = rng.randrange(1, rank + 1) * rng.choice((1, -1))
+            d = rng.choice([x for x in range(1, rank + 1) if x != abs(c)])
+            bases = [
+                b,
+                # a common conjugator c^k: repaired by a power of c
+                tuple(conjugate(w, power((c,), 1 + k % 2)) for w in b),
+                # a common conjugator d.c: boundary letter c, no power helps
+                tuple(conjugate(w, (d, c)) for w in b),
+            ]
+            # (u, v) a rank-2 basis, extended by u.x_i.u^-1: the wedge point
+            # keeps the labels of (u, v), which involve two generators
+            u, v = random_basis(seed, 6 + k % 5, 2)
+            bases.append((u, v) + tuple(reduce(u + (i,) + invert(u)) for i in range(3, rank + 1)))
+            for basis in bases:
+                out.append((rank, basis, seed))
+                out.append((rank, (reduce(basis[0] + basis[0]),) + basis[1:], seed))
+            for _ in range(2):
+                words = tuple(
+                    reduce([rng.choice((1, -1)) * rng.randrange(1, rank + 1)
+                            for _ in range(rng.randrange(1, 7))])
+                    for _ in range(rank)
+                )
+                if all(words):
+                    out.append((rank, words, seed))
+    return out
+
+
+def test_fold_engine_agrees_with_rebuild_oracles():
+    inputs = _engine_inputs()
+    assert len(inputs) >= 300
+    classes = Counter()
+    kinds = Counter()
+    for rank, b, seed in inputs:
+        if rebuild_is_basis(b, rank):
+            classes[_wedge_class(b, rank)] += 1
+        assert is_basis(b, rank) == rebuild_is_basis(b, rank), (rank, b)
+        assert wedge_graph(b, rank).to_json_dict() == rebuild_wedge_graph(b, rank).to_json_dict()
+
+        final, steps = fold_completely(wedge_graph(b, rank))
+        ref, ref_steps = rebuild_fold_completely(rebuild_wedge_graph(b, rank))
+        assert labeled_isomorphic(final, ref), (rank, b)
+        assert labeled_isomorphic(final, naive_folded_graph(b, rank, seed)), (rank, b)
+        counts = Counter(step.kind for step in steps)
+        assert counts == Counter(step.kind for step in ref_steps), (rank, b)
+        kinds.update(counts)
+
+        path = _as_json(_outcome(fold_to_rose, b, rank), lambda p: p.to_json_dict())
+        ref_path = _as_json(_outcome(rebuild_fold_to_rose, b, rank), lambda p: p.to_json_dict())
+        assert path == ref_path, (rank, b)
+        assert _as_json(_outcome(ensure_foldable, b, rank), _repair_json) == _as_json(
+            _outcome(rebuild_ensure_foldable, b, rank), _repair_json
+        ), (rank, b)
+    assert min(classes[c] for c in ("foldable", "repaired", "unrepairable", "mixed")) >= 20, classes
+    assert kinds["II"] > 0, kinds
+
+
+def test_is_basis_on_ten_thousand_letters():
+    rng = random.Random(7)
+    b = [(1,), (2,), (3,)]
+    while sum(len(w) for w in b) < 10_000:
+        i, j = rng.sample(range(3), 2)
+        w = b[j] if rng.random() < 0.5 else invert(b[j])
+        b[i] = reduce(b[i] + w) if rng.random() < 0.5 else reduce(w + b[i])
+    b = tuple(b)
+    assert sum(len(w) for w in b) >= 10_000
+    assert is_basis(b, 3)
+    assert not is_basis((reduce(b[0] + b[0]),) + b[1:], 3)

@@ -151,3 +151,23 @@ def test_parse_word_rejects_garbage():
 @given(reduced_words)
 def test_word_str_round_trips(w):
     assert parse_word(word_str(w)) == w
+
+
+def test_letters_past_z_round_trip():
+    w = (27, -30, 1, -26, 100, 270)
+    assert word_str(w) == "x27X30aZx100x270"
+    assert parse_word(word_str(w), rank=270) == w
+    with pytest.raises(ValueError):
+        parse_word("x27", rank=26)
+
+
+def test_letters_up_to_z_have_one_spelling():
+    for text in ("x1", "x26", "X5", "x027"):
+        with pytest.raises(ValueError):
+            parse_word(text, rank=None)
+
+
+@given(st.lists(st.integers(1, 400).flatmap(lambda i: st.sampled_from([i, -i])),
+                max_size=12).map(reduce))
+def test_word_str_round_trips_at_any_rank(w):
+    assert parse_word(word_str(w), rank=None) == w
