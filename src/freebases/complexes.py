@@ -199,6 +199,12 @@ def fb_adjacent(a, b):
     """
     if fb_equivalent(a, b):
         raise DomainError("fb_adjacent called on equivalent vertices")
+    return _shared_key_cert(a, b)
+
+
+def _shared_key_cert(a, b):
+    """Certificate for the first element of b whose class key a shares, or
+    None; on inequivalent vertices this is exactly adjacency."""
     for key, (j, forward) in b.classes.items():
         if key in a.classes:
             i, a_forward = a.classes[key]
@@ -489,7 +495,7 @@ def _hop_between(a, u_ref, v_ref, u, v):
     through x_i -> a_i and re-validated on their images u, v."""
     if fb_equivalent(u_ref, v_ref):
         return ChainHop("equivalent")
-    cert = fb_adjacent(u_ref, v_ref)
+    cert = _shared_key_cert(u_ref, v_ref)
     if cert is None:
         return ChainHop("uncertified")
     cert = FBAdjacency(cert.i, cert.j, cert.sign, substitute(cert.conjugator, a.basis))

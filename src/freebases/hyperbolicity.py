@@ -5,6 +5,10 @@ Graphs are simple, undirected, connected, with unit-length edges.  Both
 hyperbolicity constants are exact exhaustive measurements, not estimates:
 ``delta_four_point`` scans vertex quadruples, ``delta_slim`` quantifies
 over every geodesic of every side of every vertex triple.
+
+Both deltas and the thin-triangles checker run on numpy arrays in blocks of
+about _BLOCK elements (see each docstring for the method); the per-pair and
+per-tuple scans they replaced are the test suite's oracles.
 """
 
 import random
@@ -13,10 +17,14 @@ from itertools import combinations
 
 import numpy as np
 
-from .complexes import fb_adjacent, fb_equivalent, folding_path_bases
+from .complexes import fb_equivalent, folding_path_bases
 from .errors import DomainError
 from .folding import random_basis
 from .words import words_str
+
+SLIM_BUDGET_BYTES = 256 * 2**20  # for delta_slim's n^3 int32 array
+_BLOCK = 1 << 15  # elements of one temporary in the blocked scans (128 KiB of int32)
+_SAMPLE_CHUNK = 1 << 10  # tuples drawn per gather in sampled thin checks
 
 
 class FiniteGraph:
@@ -166,47 +174,24 @@ def apsp(g):
 
 def delta_four_point(g):
     """Gromov 4-point constant: max over quadruples of half the gap between
-    the two largest of the three pairwise distance sums."""
-    d = g.distance_matrix().astype(np.int64)
+    the two largest of the three pairwise distance sums.  The gap is the
+    largest, over the three sums, of the sum minus the larger other one, so
+    each pair {i, j} takes d(i,j) + max d(k,l) - max(d(i,k) + d(j,l),
+    d(i,l) + d(j,k)) over (k, l), for a block of j rows at once, in int32.
+    """
+    d = g.distance_matrix()
     n = len(g)
+    step = max(1, _BLOCK // max(1, n * n))
     best = 0
     for i in range(n):
-        for j in range(i, n):
-            s1 = d[i, j] + d
-            s2 = d[i][:, None] + d[j][None, :]
-            s3 = d[j][:, None] + d[i][None, :]
-            mx = np.maximum(np.maximum(s1, s2), s3)
-            mn = np.minimum(np.minimum(s1, s2), s3)
-            mid = s1 + s2 + s3 - mx - mn
-            gap = int((mx - mid).max())
-            if gap > best:
-                best = gap
+        di = d[i]
+        for lo in range(i, n, step):
+            dj = d[lo : lo + step]
+            cross = di[None, :, None] + dj[:, None, :]
+            np.maximum(cross, dj[:, :, None] + di[None, None, :], out=cross)
+            np.subtract(d, cross, out=cross)
+            best = max(best, int((cross.max(axis=(1, 2)) + di[lo : lo + step]).max()))
     return best / 2
-
-
-def _geodesic_mask(d, i, j):
-    """Boolean vector of vertices lying on some i-j geodesic."""
-    return d[i] + d[j] == d[i, j]
-
-
-def _maxgeo_vector(d, adj_idx, p, q):
-    """For every vertex v, the largest over p-q geodesics gamma of
-    d(v, gamma), via a bottleneck max-min sweep of the geodesic dag."""
-    dpq = d[p, q]
-    on = np.where(_geodesic_mask(d, p, q))[0]
-    order = on[np.argsort(d[p, on], kind="stable")]
-    best = {}
-    for u in order:
-        du = d[p, u]
-        if du == 0:
-            best[u] = d[:, p].copy()
-            continue
-        preds = [w for w in adj_idx[u] if d[p, w] == du - 1 and d[w, q] == dpq - du + 1]
-        acc = best[preds[0]]
-        for w in preds[1:]:
-            acc = np.maximum(acc, best[w])
-        best[u] = np.minimum(d[:, u], acc)
-    return best[q]
 
 
 def delta_slim(g):
@@ -216,30 +201,53 @@ def delta_slim(g):
     side violates delta exactly when both opposite sides can be chosen to
     avoid its delta-ball, so the defect of v is the smaller of the two
     bottleneck values, and triples with repeated vertices come along for
-    free (they never dominate)."""
-    d = g.distance_matrix()
+    free (they never dominate).
+
+    maxgeo[p, q, v], the largest over p-q geodesics of d(v, geodesic), comes
+    from a max-min sweep of the geodesic dag from p.  If u lies on a p-q
+    geodesic, so does every neighbour w of u with d(p, w) = d(p, u) - 1, so
+    one sweep per source, in BFS order, best[u] = min(d[u], max of best[w])
+    gives maxgeo[p, q] = best[q] for all q.  The n^3 int32 maxgeo must fit
+    SLIM_BUDGET_BYTES (256 MiB, so n <= 406), else DomainError.
+    """
     n = len(g)
-    adj_idx = {
-        g.vindex[v]: [g.vindex[w] for w in g.neighbors(v)] for v in g.vertex_list
-    }
-    maxgeo = np.zeros((n, n, n), dtype=np.int32)
-    onmask = np.zeros((n, n, n), dtype=bool)
-    for p in range(n):
-        for q in range(p, n):
-            vec = _maxgeo_vector(d, adj_idx, p, q)
-            maxgeo[p, q] = maxgeo[q, p] = vec
-            onmask[p, q] = onmask[q, p] = _geodesic_mask(d, p, q)
+    if 4 * n**3 > SLIM_BUDGET_BYTES:
+        raise DomainError("delta_slim on %d vertices needs a %d-byte array, over "
+                          "the %d-byte budget" % (n, 4 * n**3, SLIM_BUDGET_BYTES))
+    d = g.distance_matrix()
+    ends = [(g.vindex[u], g.vindex[v]) for u, v in g.edges]
+    tail, head = np.array(ends + [e[::-1] for e in ends], dtype=np.intp).reshape(-1, 2).T
+    maxgeo = np.empty((n, n, n), dtype=np.int32)
+    rows = maxgeo.reshape(n * n, n)  # row p * n + u: best[u] of the sweep from p
+    rows[np.arange(n) * (n + 1)] = d
+    step = max(1, _BLOCK // max(1, len(tail) * n))
+    for lo in range(0, n, step):
+        # blocks of sources, one BFS level at a time: each edge w -> u one
+        # level down from a source, as the rows it reads and writes
+        src = np.arange(lo, min(lo + step, n))
+        down = d[src[:, None], head]
+        s, e = np.nonzero(d[src[:, None], tail] + 1 == down)
+        order = np.lexsort((head[e], s, down[s, e]))
+        level = down[s, e][order]
+        to_row = (src[s] * n + head[e])[order]
+        from_row = (src[s] * n + tail[e])[order]
+        bounds = np.searchsorted(level, np.arange(1, level.max(initial=0) + 2))
+        for a, b in zip(bounds[:-1], bounds[1:]):
+            k = to_row[a:b]
+            first = np.flatnonzero(np.r_[True, k[1:] != k[:-1]])
+            tops = k[first]
+            rows[tops] = np.minimum(d[tops % n], np.maximum.reduceat(rows[from_row[a:b]], first))
 
     delta = 0
-    for x in range(n):
-        for y in range(x + 1, n):
-            # rows: the third triple point z; columns: vertices on a side
-            # [x,y] geodesic; entries: distance to the farthest choice of
-            # the other two sides
-            defect = np.minimum(maxgeo[x], maxgeo[y])[:, onmask[x, y]]
-            val = int(defect.max())
-            if val > delta:
-                delta = val
+    xs, ys = np.triu_indices(n, 1)
+    step = max(1, _BLOCK // max(1, n * n))
+    for lo in range(0, len(xs), step):
+        x, y = xs[lo : lo + step], ys[lo : lo + step]
+        # (pair, v) for every v on some x-y geodesic; the defect of v is the
+        # largest over third points z of the smaller bottleneck value
+        k, v = np.nonzero(d[x] + d[y] == d[x, y][:, None])
+        defect = np.minimum(maxgeo[x[k], :, v], maxgeo[y[k], :, v]).max(axis=1)
+        delta = max(delta, int(defect.max()))
     return delta
 
 
@@ -253,7 +261,7 @@ def is_quasiconvex(g, s, c):
     to_s = d[:, idx].min(axis=1)
     for i in idx:
         for j in idx:
-            if (to_s[_geodesic_mask(d, i, j)] > c).any():
+            if (to_s[d[i] + d[j] == d[i, j]] > c).any():
                 return False
     return True
 
@@ -402,6 +410,29 @@ def condition3_value(g, paths, phi, a, b, c):
     return int(d[g.vindex[center], _path_indices(g, paths[a, b])].min())
 
 
+def _padded_paths(g, paths):
+    """Vertex indices of the stored (x, y) path in row x * n + y, padded to
+    the longest path by repeating its last vertex (which changes no minimum
+    or maximum over the path), and the path lengths."""
+    vlist = g.vertex_list
+    rows = [[g.vindex[v] for v in paths[x, y]] for x in vlist for y in vlist]
+    lens = np.array([len(r) for r in rows], dtype=np.intp)
+    width = int(lens.max())
+    return np.array([r + r[-1:] * (width - len(r)) for r in rows], dtype=np.intp), lens
+
+
+def _hausdorff_rows(d, p, q):
+    """Hausdorff distance between the vertex sets of rows p[k] and q[k] of
+    two index arrays, for every k, in blocks of rows."""
+    out = np.empty(len(p), dtype=d.dtype)
+    step = max(1, _BLOCK // (p.shape[1] * q.shape[1]))
+    for lo in range(0, len(p), step):
+        sub = d[p[lo : lo + step, :, None], q[lo : lo + step, None, :]]
+        out[lo : lo + step] = np.maximum(sub.min(axis=2).max(axis=1),
+                                         sub.min(axis=1).max(axis=1))
+    return out
+
+
 def check_thin_triangles(
     g, paths, phi, b1, tuple_threshold=1_000_000, sample_size=20_000, seed=0
 ):
@@ -412,102 +443,114 @@ def check_thin_triangles(
     points; when the full tuple count exceeds ``tuple_threshold`` a seeded
     subsample of ``sample_size`` tuples is measured instead.  The center
     map must be cyclically symmetric (checked on the triples examined) and
-    may be a callable or a mapping on ordered triples.
+    may be a callable or a mapping on ordered triples; it is called once
+    per ordered triple.  Each witness is the first tuple, in loop order,
+    attaining its condition's value.
+
+    A path's profile is every vertex's distance to it.  For each (x, y, s),
+    running minima over t of d(full[t], .) give the subsegment profiles,
+    running maxima of the (a, b) profiles at full[t] the other half of the
+    Hausdorff distances, and one gather reads all (t, a, b).  Sampled
+    tuples are measured in chunks.  Profiles and centers are n^3 int32 arrays.
     """
     check_path_family(g, paths)
     d = g.distance_matrix()
     vlist = g.vertex_list
-    pidx = {
-        pair: np.array([g.vindex[v] for v in p], dtype=np.intp)
-        for pair, p in paths.items()
-        if pair[0] in g.vindex and pair[1] in g.vindex
-    }
+    n = len(vlist)
+    pad, lens = _padded_paths(g, paths)
+    prof = d[pad[:, 0]]
+    for col in range(1, pad.shape[1]):
+        np.minimum(prof, d[pad[:, col]], out=prof)
 
-    def lookup(a, b, c):
-        return phi(a, b, c) if callable(phi) else phi[a, b, c]
+    lookup = phi if callable(phi) else lambda a, b, c: phi[a, b, c]
+    xs, ys = np.triu_indices(n)
+    vals = _hausdorff_rows(d, pad[xs * n + ys], pad[ys * n + xs])
+    k = int(np.argmax(vals))
+    b2_h, wit_h = int(vals[k]), (vlist[xs[k]], vlist[ys[k]])
 
-    def hdist(ia, ib):
-        sub = d[np.ix_(ia, ib)]
-        return int(max(sub.min(axis=1).max(), sub.min(axis=0).max()))
-
-    b2_h, wit_h = 0, (vlist[0], vlist[0])
-    for x in vlist:
-        for y in vlist:
-            if y < x:
-                continue
-            val = hdist(pidx[x, y], pidx[y, x])
-            if val > b2_h:
-                b2_h, wit_h = val, (x, y)
-
-    b2_c, wit_c = 0, (vlist[0], vlist[0], vlist[0])
-    for a in vlist:
-        for b in vlist:
-            for c in vlist:
+    centers = np.empty((n, n, n), dtype=np.int32)
+    for i, a in enumerate(vlist):
+        for j in range(i, n):
+            for k in range(i, n):
+                if (j, k, i) < (i, j, k) or (k, i, j) < (i, j, k):
+                    continue  # a rotation of a triple already checked
+                b, c = vlist[j], vlist[k]
                 center = lookup(a, b, c)
                 if center != lookup(b, c, a) or center != lookup(c, a, b):
                     raise ValueError(
                         "center map is not cyclically symmetric on (%r, %r, %r)"
                         % (a, b, c)
                     )
-                val = int(d[g.vindex[center], pidx[a, b]].min())
-                if val > b2_c:
-                    b2_c, wit_c = val, (a, b, c)
+                centers[i, j, k] = centers[j, k, i] = centers[k, i, j] = g.vindex[center]
+    vals = np.take_along_axis(prof, centers.reshape(n * n, n), axis=1)
+    k = int(np.argmax(vals))
+    b2_c = int(vals.flat[k])
+    wit_c = (vlist[k // (n * n)], vlist[k // n % n], vlist[k % n])
 
-    balls = {v: [w for w in vlist if d[g.vindex[v], g.vindex[w]] <= b1] for v in vlist}
-    total = 0
-    for x in vlist:
-        for y in vlist:
-            sizes = [len(balls[v]) for v in paths[x, y]]
-            for s in range(len(sizes)):
-                for t in range(s, len(sizes)):
-                    total += sizes[s] * sizes[t]
+    near = d <= b1
+    balls = [np.flatnonzero(row) for row in near]
+    sizes = near.sum(axis=1)
+    sz = np.where(np.arange(pad.shape[1]) < lens[:, None], sizes[pad], 0)
+    total = int(((sz.sum(axis=1) ** 2 + (sz**2).sum(axis=1)) // 2).sum())
 
     b2_s, wit_s = 0, None
     checked = 0
     if total <= tuple_threshold:
         mode = "exhaustive"
-        for x in vlist:
-            for y in vlist:
-                p = paths[x, y]
-                full = pidx[x, y]
-                for s in range(len(p)):
-                    for t in range(s, len(p)):
-                        sub = full[s : t + 1]
-                        for a in balls[p[s]]:
-                            for b in balls[p[t]]:
-                                val = hdist(pidx[a, b], sub)
-                                checked += 1
-                                if val > b2_s or wit_s is None:
-                                    b2_s, wit_s = val, (x, y, s, t, a, b)
+        prof = prof.reshape(n, n, n)
+        for r in range(n * n):
+            full = pad[r, : lens[r]]
+            cat = np.concatenate([balls[u] for u in full])
+            cat_t = np.repeat(np.arange(len(full)), sizes[full])
+            start = 0
+            for s in range(len(full)):
+                a_idx = balls[full[s]]
+                b_idx, t_off = cat[start:], cat_t[start:] - s
+                start += len(a_idx)
+                if not len(a_idx):
+                    continue
+                to_sub = np.minimum.accumulate(d[full[s:]], axis=0)
+                from_sub = prof[np.ix_(a_idx, np.arange(n), full[s:])]
+                np.maximum.accumulate(from_sub, axis=2, out=from_sub)
+                vals = np.maximum(
+                    to_sub[t_off[:, None], pad[(a_idx * n)[:, None] + b_idx]].max(axis=2),
+                    from_sub[:, b_idx, t_off],
+                )
+                checked += vals.size
+                top = int(vals.max())
+                if top > b2_s or wit_s is None:
+                    rows, cols = np.nonzero(vals == top)
+                    k = np.lexsort((cols, rows, t_off[cols]))[0]
+                    b2_s = top
+                    wit_s = (vlist[r // n], vlist[r % n], s, s + int(t_off[cols[k]]),
+                             vlist[a_idx[rows[k]]], vlist[b_idx[cols[k]]])
     else:
         mode = "sampled"
         rng = random.Random(seed)
-        for _ in range(sample_size):
-            x = rng.choice(vlist)
-            y = rng.choice(vlist)
-            p = paths[x, y]
-            s = rng.randrange(len(p))
-            t = rng.randrange(len(p))
-            if s > t:
-                s, t = t, s
-            a = rng.choice(balls[p[s]])
-            b = rng.choice(balls[p[t]])
-            val = hdist(pidx[a, b], pidx[x, y][s : t + 1])
-            checked += 1
-            if val > b2_s or wit_s is None:
-                b2_s, wit_s = val, (x, y, s, t, a, b)
+        ball_lists = [ball.tolist() for ball in balls]
+        indices = range(n)
+        pad_lists, len_list = pad.tolist(), lens.tolist()
+        for lo in range(0, sample_size, _SAMPLE_CHUNK):
+            drawn = []
+            for _ in range(min(_SAMPLE_CHUNK, sample_size - lo)):
+                r = rng.choice(indices) * n + rng.choice(indices)
+                s, t = sorted((rng.randrange(len_list[r]), rng.randrange(len_list[r])))
+                a = rng.choice(ball_lists[pad_lists[r][s]])
+                drawn.append((r, s, t, a * n + rng.choice(ball_lists[pad_lists[r][t]])))
+            r, s, t, ab = np.array(drawn, dtype=np.intp).T
+            sub = pad[r[:, None], np.minimum(s[:, None] + np.arange(pad.shape[1]), t[:, None])]
+            vals = _hausdorff_rows(d, pad[ab], sub)
+            checked += len(drawn)
+            k = int(np.argmax(vals))
+            if vals[k] > b2_s or wit_s is None:
+                b2_s = int(vals[k])
+                wit_s = (vlist[r[k] // n], vlist[r[k] % n], int(s[k]), int(t[k]),
+                         vlist[ab[k] // n], vlist[ab[k] % n])
 
     return ThinReport(
-        b1=b1,
-        b2_hausdorff=b2_h,
-        b2_subsegment=b2_s,
-        b2_center=b2_c,
-        witness_hausdorff=wit_h,
-        witness_subsegment=wit_s,
-        witness_center=wit_c,
-        mode=mode,
-        tuples_total=total,
-        tuples_checked=checked,
+        b1=b1, b2_hausdorff=b2_h, b2_subsegment=b2_s, b2_center=b2_c,
+        witness_hausdorff=wit_h, witness_subsegment=wit_s, witness_center=wit_c,
+        mode=mode, tuples_total=total, tuples_checked=checked,
     )
 
 
@@ -516,12 +559,13 @@ def sample_fb_ball(center, seeds, moves):
 
     Every seed starts a random walk of ``moves`` Nielsen moves from the
     center; each endpoint contributes its folding-path bases as well.
-    Vertices equal up to the free-bases equivalence are merged, edges come
-    from adjacency certificates, and the largest connected component is
-    returned together with one label per vertex (basis words plus
-    provenance of every merged copy).  Both relations go by class keys: the
-    elements of a basis map to a basis of the abelianization, so their keys
-    are distinct and fix the matching, and adjacency is a shared key.  A
+    Vertices equal up to the free-bases equivalence are merged, edges join
+    adjacent vertices, and the largest connected component is returned
+    together with one label per vertex (basis words plus provenance of
+    every merged copy).  Equivalent bases have equal sets of class keys
+    (see FBVertex.classes), so a candidate is compared by fb_equivalent
+    only with the representatives of its key set; these are pairwise
+    inequivalent, so two are adjacent exactly when they share a key.  A
     candidate repeating a key is no basis and raises NotABasisError.
     """
     candidates = [(center, "center")]
@@ -534,42 +578,34 @@ def sample_fb_ball(center, seeds, moves):
 
     reps = []
     labels = []
+    by_keys = {}  # key set -> representatives carrying it
     for vert, src in candidates:
-        for k, rep in enumerate(reps):
-            if fb_equivalent(rep, vert):
+        bucket = by_keys.setdefault(frozenset(vert.classes), [])
+        for k in bucket:
+            if fb_equivalent(reps[k], vert):
                 labels[k]["sources"].append(src)
                 break
         else:
+            bucket.append(len(reps))
             reps.append(vert)
             labels.append({"basis": words_str(vert.basis), "sources": [src]})
 
-    m = len(reps)
-    edges = []
-    adj = {i: [] for i in range(m)}
-    for i in range(m):
-        for j in range(i + 1, m):
-            if fb_adjacent(reps[i], reps[j]) is not None:
-                edges.append((i, j))
-                adj[i].append(j)
-                adj[j].append(i)
-
+    holders = {}  # class key -> representatives carrying it
+    for i, rep in enumerate(reps):
+        for key in rep.classes:
+            holders.setdefault(key, []).append(i)
     comps = []
-    unseen = set(range(m))
+    unseen = set(range(len(reps)))
     while unseen:
-        root = min(unseen)
-        comp = {root}
-        stack = [root]
-        while stack:
-            for w in adj[stack.pop()]:
-                if w not in comp:
-                    comp.add(w)
-                    stack.append(w)
-        unseen -= comp
+        comp = [min(unseen)]
+        unseen.remove(comp[0])
+        for i in comp:
+            for key in reps[i].classes:
+                comp += [j for j in holders[key] if j in unseen]
+                unseen.difference_update(holders[key])
         comps.append(sorted(comp))
     main = max(comps, key=len)
     renum = {old: new for new, old in enumerate(main)}
-    graph = FiniteGraph(
-        range(len(main)),
-        [(renum[u], renum[v]) for u, v in edges if u in renum and v in renum],
-    )
-    return graph, [labels[old] for old in main]
+    edges = {(renum[i], renum[j]) for group in holders.values()
+             for i, j in combinations(group, 2) if i in renum}
+    return FiniteGraph(range(len(main)), edges), [labels[old] for old in main]

@@ -17,10 +17,19 @@ union-find engine: every single fold builds the whole quotient graph,
 ``is_basis`` repairs foldability by conjugation (checking whole wedges) and
 compares the folded graph with the rose.  The engine must give the same
 answers, the same folding paths and isomorphic folded graphs.
+
+The per-pair and per-tuple hyperbolicity scans are the library's delta and
+thin-triangle measurements before they were vectorized: one numpy call per
+vertex pair (four-point), one geodesic-dag sweep per vertex pair (slim),
+and one Hausdorff distance per tuple (thin triangles), with the ball
+sampler that compares every candidate with every representative.  The
+vectorized code must return the same values, witnesses and graphs.
 """
 
 import random
 from itertools import permutations, product
+
+import numpy as np
 
 from freebases.agraph import (
     AGraph,
@@ -33,9 +42,15 @@ from freebases.agraph import (
     natural_vertices,
     rose,
 )
-from freebases.complexes import FBAdjacency
+from freebases.complexes import (
+    FBAdjacency,
+    fb_adjacent,
+    fb_equivalent,
+    folding_path_bases,
+)
 from freebases.errors import DomainError, FoldabilityError
-from freebases.folding import FoldStep, FoldingPath
+from freebases.folding import FoldStep, FoldingPath, random_basis
+from freebases.hyperbolicity import FiniteGraph, ThinReport, check_path_family
 from freebases.words import (
     concat,
     concat_all,
@@ -48,6 +63,7 @@ from freebases.words import (
     letter_str,
     power,
     reduce,
+    words_str,
 )
 
 
@@ -431,3 +447,233 @@ def rebuild_is_basis(b, rank):
     except FoldabilityError:
         final, _ = rebuild_fold_completely(rebuild_wedge_graph(words, rank))
     return labeled_isomorphic(final, rose(rank))
+
+
+# -- per-pair and per-tuple hyperbolicity scans ------------------------------
+
+
+def per_pair_delta_four_point(g):
+    """Gromov 4-point constant: max over quadruples of half the gap between
+    the two largest of the three pairwise distance sums."""
+    d = g.distance_matrix().astype(np.int64)
+    n = len(g)
+    best = 0
+    for i in range(n):
+        for j in range(i, n):
+            s1 = d[i, j] + d
+            s2 = d[i][:, None] + d[j][None, :]
+            s3 = d[j][:, None] + d[i][None, :]
+            mx = np.maximum(np.maximum(s1, s2), s3)
+            mn = np.minimum(np.minimum(s1, s2), s3)
+            mid = s1 + s2 + s3 - mx - mn
+            gap = int((mx - mid).max())
+            if gap > best:
+                best = gap
+    return best / 2
+
+
+def _geodesic_mask(d, i, j):
+    """Boolean vector of vertices lying on some i-j geodesic."""
+    return d[i] + d[j] == d[i, j]
+
+
+def _maxgeo_vector(d, adj_idx, p, q):
+    """For every vertex v, the largest over p-q geodesics gamma of
+    d(v, gamma), via a bottleneck max-min sweep of the geodesic dag."""
+    dpq = d[p, q]
+    on = np.where(_geodesic_mask(d, p, q))[0]
+    order = on[np.argsort(d[p, on], kind="stable")]
+    best = {}
+    for u in order:
+        du = d[p, u]
+        if du == 0:
+            best[u] = d[:, p].copy()
+            continue
+        preds = [w for w in adj_idx[u] if d[p, w] == du - 1 and d[w, q] == dpq - du + 1]
+        acc = best[preds[0]]
+        for w in preds[1:]:
+            acc = np.maximum(acc, best[w])
+        best[u] = np.minimum(d[:, u], acc)
+    return best[q]
+
+
+def per_pair_delta_slim(g):
+    """delta_slim with one geodesic-dag sweep per vertex pair and an n^3
+    on-geodesic mask."""
+    d = g.distance_matrix()
+    n = len(g)
+    adj_idx = {
+        g.vindex[v]: [g.vindex[w] for w in g.neighbors(v)] for v in g.vertex_list
+    }
+    maxgeo = np.zeros((n, n, n), dtype=np.int32)
+    onmask = np.zeros((n, n, n), dtype=bool)
+    for p in range(n):
+        for q in range(p, n):
+            vec = _maxgeo_vector(d, adj_idx, p, q)
+            maxgeo[p, q] = maxgeo[q, p] = vec
+            onmask[p, q] = onmask[q, p] = _geodesic_mask(d, p, q)
+
+    delta = 0
+    for x in range(n):
+        for y in range(x + 1, n):
+            defect = np.minimum(maxgeo[x], maxgeo[y])[:, onmask[x, y]]
+            val = int(defect.max())
+            if val > delta:
+                delta = val
+    return delta
+
+
+def per_tuple_check_thin_triangles(
+    g, paths, phi, b1, tuple_threshold=1_000_000, sample_size=20_000, seed=0
+):
+    """check_thin_triangles with one Hausdorff distance per examined tuple
+    and three center-map calls per ordered triple."""
+    check_path_family(g, paths)
+    d = g.distance_matrix()
+    vlist = g.vertex_list
+    pidx = {
+        pair: np.array([g.vindex[v] for v in p], dtype=np.intp)
+        for pair, p in paths.items()
+        if pair[0] in g.vindex and pair[1] in g.vindex
+    }
+
+    def lookup(a, b, c):
+        return phi(a, b, c) if callable(phi) else phi[a, b, c]
+
+    def hdist(ia, ib):
+        sub = d[np.ix_(ia, ib)]
+        return int(max(sub.min(axis=1).max(), sub.min(axis=0).max()))
+
+    b2_h, wit_h = 0, (vlist[0], vlist[0])
+    for x in vlist:
+        for y in vlist:
+            if y < x:
+                continue
+            val = hdist(pidx[x, y], pidx[y, x])
+            if val > b2_h:
+                b2_h, wit_h = val, (x, y)
+
+    b2_c, wit_c = 0, (vlist[0], vlist[0], vlist[0])
+    for a in vlist:
+        for b in vlist:
+            for c in vlist:
+                center = lookup(a, b, c)
+                if center != lookup(b, c, a) or center != lookup(c, a, b):
+                    raise ValueError(
+                        "center map is not cyclically symmetric on (%r, %r, %r)"
+                        % (a, b, c)
+                    )
+                val = int(d[g.vindex[center], pidx[a, b]].min())
+                if val > b2_c:
+                    b2_c, wit_c = val, (a, b, c)
+
+    balls = {v: [w for w in vlist if d[g.vindex[v], g.vindex[w]] <= b1] for v in vlist}
+    total = 0
+    for x in vlist:
+        for y in vlist:
+            sizes = [len(balls[v]) for v in paths[x, y]]
+            for s in range(len(sizes)):
+                for t in range(s, len(sizes)):
+                    total += sizes[s] * sizes[t]
+
+    b2_s, wit_s = 0, None
+    checked = 0
+    if total <= tuple_threshold:
+        mode = "exhaustive"
+        for x in vlist:
+            for y in vlist:
+                p = paths[x, y]
+                full = pidx[x, y]
+                for s in range(len(p)):
+                    for t in range(s, len(p)):
+                        sub = full[s : t + 1]
+                        for a in balls[p[s]]:
+                            for b in balls[p[t]]:
+                                val = hdist(pidx[a, b], sub)
+                                checked += 1
+                                if val > b2_s or wit_s is None:
+                                    b2_s, wit_s = val, (x, y, s, t, a, b)
+    else:
+        mode = "sampled"
+        rng = random.Random(seed)
+        for _ in range(sample_size):
+            x = rng.choice(vlist)
+            y = rng.choice(vlist)
+            p = paths[x, y]
+            s = rng.randrange(len(p))
+            t = rng.randrange(len(p))
+            if s > t:
+                s, t = t, s
+            a = rng.choice(balls[p[s]])
+            b = rng.choice(balls[p[t]])
+            val = hdist(pidx[a, b], pidx[x, y][s : t + 1])
+            checked += 1
+            if val > b2_s or wit_s is None:
+                b2_s, wit_s = val, (x, y, s, t, a, b)
+
+    return ThinReport(
+        b1=b1,
+        b2_hausdorff=b2_h,
+        b2_subsegment=b2_s,
+        b2_center=b2_c,
+        witness_hausdorff=wit_h,
+        witness_subsegment=wit_s,
+        witness_center=wit_c,
+        mode=mode,
+        tuples_total=total,
+        tuples_checked=checked,
+    )
+
+
+def scan_sample_fb_ball(center, seeds, moves):
+    """sample_fb_ball comparing every candidate with every representative
+    by fb_equivalent, and every pair of representatives by fb_adjacent."""
+    candidates = [(center, "center")]
+    for s in seeds:
+        walked = center.__class__(random_basis(s, moves, rank=center.rank,
+                                                start=center.basis))
+        candidates.append((walked, "seed %d" % s))
+        for k, v in enumerate(folding_path_bases(walked)):
+            candidates.append((v, "seed %d / fold %d" % (s, k)))
+
+    reps = []
+    labels = []
+    for vert, src in candidates:
+        for k, rep in enumerate(reps):
+            if fb_equivalent(rep, vert):
+                labels[k]["sources"].append(src)
+                break
+        else:
+            reps.append(vert)
+            labels.append({"basis": words_str(vert.basis), "sources": [src]})
+
+    m = len(reps)
+    edges = []
+    adj = {i: [] for i in range(m)}
+    for i in range(m):
+        for j in range(i + 1, m):
+            if fb_adjacent(reps[i], reps[j]) is not None:
+                edges.append((i, j))
+                adj[i].append(j)
+                adj[j].append(i)
+
+    comps = []
+    unseen = set(range(m))
+    while unseen:
+        root = min(unseen)
+        comp = {root}
+        stack = [root]
+        while stack:
+            for w in adj[stack.pop()]:
+                if w not in comp:
+                    comp.add(w)
+                    stack.append(w)
+        unseen -= comp
+        comps.append(sorted(comp))
+    main = max(comps, key=len)
+    renum = {old: new for new, old in enumerate(main)}
+    graph = FiniteGraph(
+        range(len(main)),
+        [(renum[u], renum[v]) for u, v in edges if u in renum and v in renum],
+    )
+    return graph, [labels[old] for old in main]

@@ -221,6 +221,13 @@ def test_delta_four_point_matches_library(tmp_path):
     assert load(out)["delta"] == hyperbolicity.delta_four_point(g)
 
 
+def test_delta_slim_over_memory_budget_exits_one(tmp_path):
+    infile = write_graph(tmp_path / "p407.json", hyperbolicity.path_graph(407))
+    rc = main(["delta", "--in", infile, "--method", "slim",
+               "--json", str(tmp_path / "d.json"), "--no-timings"])
+    assert rc == 1
+
+
 def test_delta_missing_file_exits_two(tmp_path):
     rc = main(["delta", "--in", str(tmp_path / "nope.json"),
                "--json", str(tmp_path / "d.json")])

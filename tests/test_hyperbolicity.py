@@ -1,11 +1,17 @@
 """Tests for the finite-graph toolkit: distances, delta constants,
 quasiconvexity, coning, and the thin-triangles checker."""
 
+import json
+import random
+from itertools import combinations
+
 import pytest
 
-from freebases.complexes import FBVertex
+from freebases.complexes import FBVertex, fb_adjacent, fb_equivalent, folding_path_bases
 from freebases.errors import DomainError
+from freebases.folding import random_basis
 from freebases.hyperbolicity import (
+    SLIM_BUDGET_BYTES,
     FiniteGraph,
     apsp,
     check_path_family,
@@ -29,7 +35,14 @@ from freebases.hyperbolicity import (
 )
 from freebases.words import parse_words
 
-from oracles import brute_four_point_delta, brute_slim_delta
+from oracles import (
+    brute_four_point_delta,
+    brute_slim_delta,
+    per_pair_delta_four_point,
+    per_pair_delta_slim,
+    per_tuple_check_thin_triangles,
+    scan_sample_fb_ball,
+)
 
 
 def test_apsp_examples():
@@ -300,3 +313,137 @@ def test_sample_fb_ball_merges_equivalent_vertices():
     bases = [l["basis"] for l in labels]
     assert len(bases) == len(set(bases))
     assert len(g.edges) >= len(g) - 1
+
+
+def test_sample_fb_ball_agrees_with_scan_oracle():
+    rng = random.Random(2024)
+    for rank in (2, 3, 4, 5):
+        for _ in range(12):
+            center = FBVertex(tuple((i,) for i in range(1, rank + 1)))
+            seeds = [rng.randrange(10**6) for _ in range(rng.randint(1, 6))]
+            moves = rng.randint(1, 4)
+            g, labels = sample_fb_ball(center, seeds, moves)
+            g_ref, labels_ref = scan_sample_fb_ball(center, seeds, moves)
+            assert (g.vertices, g.edges, labels) == (g_ref.vertices, g_ref.edges, labels_ref)
+
+            sources = {"center": center}
+            for s in seeds:
+                walked = FBVertex(random_basis(s, moves, rank=rank, start=center.basis))
+                sources["seed %d" % s] = walked
+                for k, v in enumerate(folding_path_bases(walked)):
+                    sources["seed %d / fold %d" % (s, k)] = v
+            reps = [FBVertex(parse_words(label["basis"], rank)) for label in labels]
+            for rep, label in zip(reps, labels):
+                assert all(fb_equivalent(sources[src], rep) for src in label["sources"])
+            for i, j in combinations(range(len(reps)), 2):
+                cert = fb_adjacent(reps[i], reps[j])
+                if (i, j) in g.edges:
+                    assert cert is not None and cert.holds_for(reps[i], reps[j])
+                else:
+                    assert cert is None
+
+
+def test_delta_slim_refuses_arrays_over_budget():
+    assert 4 * 406**3 <= SLIM_BUDGET_BYTES < 4 * 407**3
+    with pytest.raises(DomainError, match="budget"):
+        delta_slim(path_graph(407))
+
+
+def _random_graph(rng, family):
+    """A connected graph on 1-14 vertices of the given family."""
+    if family == "tree":
+        return random_tree(rng.randint(1, 14), rng.randrange(2**31))
+    if family == "cycle":
+        return cycle_graph(rng.randint(3, 14))
+    rows = rng.randint(1, 3)
+    g = grid_graph(rows, rng.randint(1, 14 // rows))
+    if family == "grid":
+        return g
+    if family == "coned grid":
+        vs = g.vertex_list
+        return cone_off(g, [rng.sample(vs, rng.randint(1, len(vs)))
+                            for _ in range(rng.randint(1, 3))])
+    t = random_tree(rng.randint(1, 14), rng.randrange(2**31))
+    extra = [tuple(rng.sample(t.vertex_list, 2)) for _ in range(rng.randint(0, 4) * (len(t) > 1))]
+    return FiniteGraph(t.vertices, list(t.edges) + extra)
+
+
+def _detour_family(g, rng):
+    """Edge paths that go through a random third vertex half the time, so
+    paths are not geodesics and revisit vertices."""
+    geo = geodesic_family(g)
+    fam = {}
+    for (x, y), p in geo.items():
+        if rng.random() < 0.5:
+            fam[x, y] = p
+        else:
+            z = rng.choice(g.vertex_list)
+            fam[x, y] = geo[x, z] + geo[z, y][1:]
+    return fam
+
+
+def _thin_reports(g, fam, phi, b1, threshold, samples, seed):
+    """Both checkers' JSON reports, or both errors."""
+    out = []
+    for check in (check_thin_triangles, per_tuple_check_thin_triangles):
+        try:
+            out.append(check(g, fam, phi, b1, threshold, samples, seed).to_json_dict())
+        except (ValueError, KeyError) as exc:
+            out.append((type(exc), exc.args))
+    return out
+
+
+def test_hyperbolicity_agrees_with_per_pair_oracles():
+    rng = random.Random(31337)
+    families = ["tree", "cycle", "grid", "coned grid", "sparse"]
+    seen = set()
+    for k in range(320):
+        g = _random_graph(rng, families[k % len(families)])
+        assert delta_four_point(g) == per_pair_delta_four_point(g)
+        assert delta_slim(g) == per_pair_delta_slim(g)
+
+        fam = geodesic_family(g) if k % 3 else _detour_family(g, rng)
+        vs = g.vertex_list
+        median = median_map(g)
+        table = {(a, b, c): median(a, b, c) for a in vs for b in vs for c in vs}
+        phi = table if k % 2 else lambda a, b, c: table[a, b, c]
+        b1 = k % 4
+        threshold = rng.choice([0, 300, 1500])
+        samples = rng.choice([0, 1, 2, 57, 300])
+        ours, ref = _thin_reports(g, fam, phi, b1, threshold, samples, k)
+        assert json.dumps(ours) == json.dumps(ref)
+        seen.add((ours["mode"], b1, samples if ours["mode"] == "sampled" else None))
+
+        if k % 8 == 1 and len(vs) > 1:
+            # a mapping that breaks symmetry, or misses a triple, or names a
+            # center outside the graph, fails on the same triple either way
+            broken = dict(table)
+            triple = rng.choice(sorted(broken))
+            kind = k // 8 % 3
+            if kind == 0:
+                broken[triple] = next(v for v in vs if v != broken[triple])
+            elif kind == 1:
+                del broken[triple]
+            else:
+                for rot in (triple, triple[1:] + triple[:1], triple[2:] + triple[:2]):
+                    broken[rot] = "outside"
+            ours, ref = _thin_reports(g, fam, broken, b1, threshold, samples, k)
+            assert ours == ref and isinstance(ours, tuple), (ours, ref)
+    modes = {mode for mode, _, _ in seen}
+    assert modes == {"exhaustive", "sampled"}
+    assert {b1 for mode, b1, _ in seen if mode == "exhaustive"} == {0, 1, 2, 3}
+    assert {0, 1} <= {samples for mode, _, samples in seen if mode == "sampled"}
+
+
+def test_subsegment_distance_reaches_interior_points():
+    # leaves 0 and 2 of the tree hang off 1, and the stored (0, 2) path
+    # makes an excursion to 4 on the way; with b1 = 0 the subsegment from 0
+    # to the second visit of 1 is 2 away from the (0, 1) path only at its
+    # interior point 4, and no tuple attains 2 otherwise
+    g = FiniteGraph(range(5), [(0, 1), (1, 2), (1, 3), (3, 4)])
+    fam = geodesic_family(g)
+    fam[0, 2] = (0, 1, 3, 4, 3, 1, 2)
+    report = check_thin_triangles(g, fam, median_map(g), 0)
+    ref = per_tuple_check_thin_triangles(g, fam, median_map(g), 0)
+    assert report.to_json_dict() == ref.to_json_dict()
+    assert (report.b2_subsegment, report.witness_subsegment) == (2, (0, 2, 0, 5, 0, 1))
