@@ -36,6 +36,23 @@ class Edge(NamedTuple):
     label: int
 
 
+def bfs(roots, step, reached=None):
+    """Breadth-first search from ``roots``: each vertex reached, mapped to the
+    ``via`` that first reached it (None for a root), in discovery order.
+    ``step(v)`` yields ``(via, w)`` pairs in scan order.  A ``reached`` dict
+    passed in is extended in place; only roots among its vertices are entered."""
+    reached = {} if reached is None else reached
+    queue = list(roots)
+    for v in queue:
+        reached.setdefault(v, None)
+    for v in queue:
+        for via, w in step(v):
+            if w not in reached:
+                reached[w] = via
+                queue.append(w)
+    return reached
+
+
 class _Graph:
     """Vertices, edges by id, and each vertex's outgoing edges in id order;
     the storage shared by letter-labeled and word-labeled graphs."""
@@ -103,15 +120,8 @@ class AGraph(_Graph):
         if self.base is not None and self.base not in self.vertices:
             problems.append("base %r is not a vertex" % (self.base,))
         if self.vertices and not problems:
-            seen = {min(self.vertices)}
-            stack = [min(self.vertices)]
-            while stack:
-                v = stack.pop()
-                for e in self._out[v]:
-                    if e.dst not in seen:
-                        seen.add(e.dst)
-                        stack.append(e.dst)
-            if seen != self.vertices:
+            reached = bfs([min(self.vertices)], lambda v: [(e, e.dst) for e in self._out[v]])
+            if reached.keys() != self.vertices:
                 problems.append("graph is not connected")
         if not self.vertices:
             problems.append("graph has no vertices")
@@ -119,9 +129,6 @@ class AGraph(_Graph):
 
     def degree(self, v):
         return len(self._out[v])
-
-    def edge(self, eid):
-        return self.edges[eid]
 
     def num_topological_edges(self):
         return len(self.edges) // 2
@@ -178,6 +185,12 @@ def rose(rank=DEFAULT_RANK):
         edges[a] = Edge(a, b, 0, 0, i)
         edges[b] = Edge(b, a, 0, 0, -i)
     return AGraph([0], edges, base=0, rank=rank)
+
+
+def is_rose(g):
+    """Is g the rose of its rank?  A folded graph with one vertex and
+    2·rank edges carries every letter once there, so it is."""
+    return len(g.vertices) == 1 and len(g.edges) == 2 * g.rank and is_folded(g)
 
 
 def core(g):
@@ -296,6 +309,12 @@ def fold_pairs(g):
     return found
 
 
+def _label_steps(g, v, tree=None):
+    """bfs step over v's edges (those in ``tree``, if given) by label, then id."""
+    edges = sorted(g.out_edges(v), key=lambda e: (letter_key(e.label), e.id))
+    return [(e, e.dst) for e in edges if tree is None or e.id in tree]
+
+
 def spanning_tree(g, root=None):
     """Deterministic BFS spanning tree, as a frozenset of edge ids.
 
@@ -305,19 +324,10 @@ def spanning_tree(g, root=None):
     """
     if root is None:
         root = g.base if g.base is not None else min(g.vertices)
-    seen = {root}
-    tree = set()
-    queue = [root]
-    for v in queue:
-        for e in sorted(g.out_edges(v), key=lambda e: (letter_key(e.label), e.id)):
-            if e.dst not in seen:
-                seen.add(e.dst)
-                tree.add(e.id)
-                tree.add(e.inv)
-                queue.append(e.dst)
-    if seen != g.vertices:
+    via = bfs([root], lambda v: _label_steps(g, v))
+    if len(via) != len(g.vertices):
         raise DomainError("graph is not connected")
-    return frozenset(tree)
+    return frozenset(i for e in via.values() if e is not None for i in (e.id, e.inv))
 
 
 def check_spanning_tree(g, tree):
@@ -337,15 +347,12 @@ def check_spanning_tree(g, tree):
 
 def tree_words(g, tree, root):
     """Label word of the unique tree path root -> v, for every vertex v."""
-    words = {root: ()}
-    queue = [root]
-    for v in queue:
-        for e in sorted(g.out_edges(v), key=lambda e: (letter_key(e.label), e.id)):
-            if e.id in tree and e.dst not in words:
-                words[e.dst] = words[v] + (e.label,)
-                queue.append(e.dst)
-    if len(words) != len(g.vertices):
+    via = bfs([root], lambda v: _label_steps(g, v, tree))
+    if len(via) != len(g.vertices):
         raise DomainError("tree does not span the graph")
+    words = {}
+    for v, e in via.items():
+        words[v] = () if e is None else words[e.src] + (e.label,)
     return words
 
 

@@ -16,6 +16,7 @@ import random
 import sys
 import time
 from concurrent.futures import ProcessPoolExecutor
+from itertools import combinations
 
 from . import agraph, complexes, folding, hyperbolicity, words
 from .complexes import FBVertex, FFVertex, SplittingVertex
@@ -48,7 +49,7 @@ def cmd_fold(args):
     b = words.parse_words(args.basis, args.rank)
     path = folding.fold_to_rose(b, args.rank)
     final = path.graphs[-1]
-    is_rose = agraph.labeled_isomorphic(final, agraph.rose(args.rank))
+    is_rose = agraph.is_rose(final)
     data = path.to_json_dict()
     data["final_is_rose"] = is_rose
     data["single_fold_count"] = path.single_fold_count()
@@ -235,7 +236,7 @@ def cmd_thin_check(args):
 def _exp_fold_soundness(rank, seed, moves):
     b = folding.random_basis(seed, moves, rank)
     path = folding.fold_to_rose(b, rank)
-    is_rose = agraph.labeled_isomorphic(path.graphs[-1], agraph.rose(rank))
+    is_rose = agraph.is_rose(path.graphs[-1])
     no_type2 = all(kind == "I" for kind in path.fold_kinds())
     exact_count = path.single_fold_count() == sum(len(w) for w in b) - rank
     return {
@@ -385,6 +386,16 @@ def _exp_thin_trees(rank, seed, moves):
     }
 
 
+def _ball_certified(g, labels, rank):
+    """No two labelled bases are equivalent (checked first: fb_adjacent refuses
+    equivalent vertices), and every edge's certificate re-validates."""
+    verts = [FBVertex(words.parse_words(label["basis"], rank)) for label in labels]
+    if any(complexes.fb_equivalent(a, b) for a, b in combinations(verts, 2)):
+        return False
+    certs = ((complexes.fb_adjacent(verts[i], verts[j]), verts[i], verts[j]) for i, j in g.edges)
+    return all(c is not None and c.holds_for(a, b) for c, a, b in certs)
+
+
 def _exp_fb_ball(rank, seed, moves):
     ball_seeds = [seed * 31 + i for i in range(8)]
     center = FBVertex(complexes.identity_basis(rank))
@@ -395,7 +406,7 @@ def _exp_fb_ball(rank, seed, moves):
         "delta_four_point": hyperbolicity.delta_four_point(g),
         "delta_slim": hyperbolicity.delta_slim(g),
         "center_label": labels[0]["basis"] if labels else None,
-        "ok": True,
+        "ok": _ball_certified(g, labels, rank),
     }
 
 

@@ -16,8 +16,7 @@ witness-path builders require rank >= 3.
 from dataclasses import dataclass, field
 from functools import cached_property
 
-from . import agraph
-from .agraph import MarkingGraph, labeled_isomorphic, rose, spanning_tree
+from .agraph import MarkingGraph, basis_from_tree, bfs, is_rose, spanning_tree
 from .errors import DomainError, FoldabilityError, NotABasisError, TrivialFactorError
 from .folding import ensure_foldable, fold_to_rose, is_basis
 from .words import (
@@ -425,15 +424,15 @@ def folding_chain(b):
     """
     n = b.rank
     try:
-        m, b2, _ = ensure_foldable(b.basis, n)
+        m, b2 = ensure_foldable(b.basis, n)
     except FoldabilityError:
         m, b2 = 0, b.basis
     path = fold_to_rose(b2, n)
     bases = [b]
     for g in path.graphs[1:]:
         tree = spanning_tree(g, g.base)
-        bases.append(FBVertex(tuple(agraph.basis_from_tree(g, tree, g.base))))
-    if len(bases) > 1 and labeled_isomorphic(path.graphs[-1], rose(n)):
+        bases.append(FBVertex(tuple(basis_from_tree(g, tree, g.base))))
+    if len(bases) > 1 and is_rose(path.graphs[-1]):
         bases[-1] = FBVertex(identity_basis(n))
     path.bases = [v.basis for v in bases]
     return m, path, bases
@@ -566,33 +565,16 @@ def tau(s):
     n = m.betti()
     drop = {e.id, e.inv}
 
-    comp = {e.src}
-    queue = [e.src]
-    while queue:
-        v = queue.pop(0)
-        for f in m.out_edges(v):
-            if f.id not in drop and f.dst not in comp:
-                comp.add(f.dst)
-                queue.append(f.dst)
-
-    # spanning tree: BFS inside the component first, then let the second
-    # pass (same traversal, chosen edge allowed) grow it over the rest
-    tree = set()
-    words = {e.src: ()}
-    order = [e.src]
-    for avoid in (drop, set()):
-        queue = list(order)
-        while queue:
-            v = queue.pop(0)
-            for f in m.out_edges(v):
-                if f.id in avoid or f.dst in words:
-                    continue
-                tree.update({f.id, f.inv})
-                words[f.dst] = concat(words[v], f.word)
-                queue.append(f.dst)
-                order.append(f.dst)
-    if len(words) != len(m.vertices):
+    # spanning tree: BFS inside the origin's component, then on across e from all of it
+    via = bfs([e.src], lambda v: ((f, f.dst) for f in m.out_edges(v) if f.id not in drop))
+    comp = set(via)
+    bfs(list(via), lambda v: ((f, f.dst) for f in m.out_edges(v)), via)
+    if len(via) != len(m.vertices):
         raise DomainError("marking graph is not connected")
+    tree = {i for f in via.values() if f is not None for i in (f.id, f.inv)}
+    words = {}
+    for v, f in via.items():
+        words[v] = () if f is None else concat(words[f.src], f.word)
 
     ambient = []
     subset = set()

@@ -27,6 +27,7 @@ from .agraph import (
     fold_pairs,
     is_foldable,
     is_folded,
+    is_rose,
     natural_vertices,
 )
 from .errors import DomainError, FoldabilityError
@@ -115,9 +116,9 @@ def wedge_graph(b, rank=DEFAULT_RANK):
 def ensure_foldable(b, rank=DEFAULT_RANK):
     """Conjugate b so that its wedge is foldable.
 
-    Returns ``(m, b2, g)`` with ``b2 = x_c^m . b . x_c^-m`` elementwise,
-    ``g = wedge_graph(b2)`` foldable, and |m| minimal (m = 0 when the wedge
-    of b is already foldable).  x_c is the common boundary letter: interior
+    Returns ``(m, b2)`` with ``b2 = x_c^m . b . x_c^-m`` elementwise, the
+    wedge of b2 foldable, and |m| minimal (m = 0 when the wedge of b is
+    already foldable).  x_c is the common boundary letter: interior
     vertices of a wedge of reduced words see two distinct labels, so only
     the wedge point can fail, when its labels {w[0]} and {-w[-1]} are fewer
     than min(3, degree); then the first and last letters of all words
@@ -132,7 +133,7 @@ def ensure_foldable(b, rank=DEFAULT_RANK):
         return len({w[0] for w in ws} | {-w[-1] for w in ws}) >= need
 
     if foldable(words):
-        return 0, words, wedge_graph(words, rank)
+        return 0, words
     boundary = {abs(w[0]) for w in words} | {abs(w[-1]) for w in words}
     if len(boundary) != 1:
         raise FoldabilityError(
@@ -144,7 +145,7 @@ def ensure_foldable(b, rank=DEFAULT_RANK):
         for m in (-size, size):
             b2 = tuple(conjugate(w, power((c,), -m)) for w in words)
             if foldable(b2):
-                return m, b2, wedge_graph(b2, rank)
+                return m, b2
     raise FoldabilityError(
         "conjugating by powers of %s does not make the wedge foldable"
         % letter_str(c)
@@ -291,16 +292,14 @@ def is_basis(b, rank=DEFAULT_RANK):
     """Do the given rank-many words form a free basis?
 
     They are when they generate the free group (which is Hopfian), that is
-    when their wedge folds to the rose.  A folded graph with one vertex and
-    2·rank edges carries every letter once there, so it is the rose.
+    when their wedge folds to the rose.
     """
     if len(b) != rank:
         raise DomainError("expected %d words, got %d" % (rank, len(b)))
     words = tuple(reduce(w, rank) for w in b)
     if not all(words):
         return False
-    final, _ = _fold(wedge_graph(words, rank))
-    return len(final.vertices) == 1 and len(final.edges) == 2 * rank
+    return is_rose(_fold(wedge_graph(words, rank))[0])
 
 
 def subgroup_membership(w, g):

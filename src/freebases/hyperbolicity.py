@@ -13,10 +13,11 @@ per-tuple scans they replaced are the test suite's oracles.
 
 import random
 from dataclasses import dataclass
-from itertools import combinations
+from itertools import combinations, islice
 
 import numpy as np
 
+from .agraph import bfs
 from .complexes import fb_equivalent, folding_path_bases
 from .errors import DomainError
 from .folding import random_basis
@@ -53,14 +54,8 @@ class FiniteGraph:
         if check:
             if not self.vertices:
                 raise ValueError("graph has no vertices")
-            seen = {self.vertex_list[0]}
-            stack = [self.vertex_list[0]]
-            while stack:
-                for w in self._adj[stack.pop()]:
-                    if w not in seen:
-                        seen.add(w)
-                        stack.append(w)
-            if seen != self.vertices:
+            reached = bfs(self.vertex_list[:1], lambda v: [(v, w) for w in self._adj[v]])
+            if reached.keys() != self.vertices:
                 raise ValueError("graph is not connected")
 
     def __len__(self):
@@ -153,20 +148,15 @@ def random_tree(n, seed):
 def apsp(g):
     """All-pairs shortest-path matrix by BFS, rows/columns in vertex order."""
     n = len(g)
+    steps = [[(u, g.vindex[w]) for w in g.neighbors(v)] for u, v in enumerate(g.vertex_list)]
     dist = np.full((n, n), -1, dtype=np.int32)
-    for i, src in enumerate(g.vertex_list):
-        dist[i, i] = 0
-        queue = [src]
-        while queue:
-            nxt = []
-            for u in queue:
-                du = dist[i, g.vindex[u]]
-                for w in g.neighbors(u):
-                    k = g.vindex[w]
-                    if dist[i, k] < 0:
-                        dist[i, k] = du + 1
-                        nxt.append(w)
-            queue = nxt
+    for i in range(n):
+        row = [-1] * n
+        row[i] = 0
+        # a parent is discovered before its children
+        for w, u in islice(bfs([i], steps.__getitem__).items(), 1, None):
+            row[w] = row[u] + 1
+        dist[i] = row
     if (dist < 0).any():
         raise DomainError("graph is not connected")
     return dist
@@ -304,17 +294,9 @@ def geodesic_family(g):
     """One deterministic geodesic per ordered vertex pair, from per-root
     breadth-first trees with sorted neighbor scans."""
     fam = {}
+    steps = {u: [(u, w) for w in g.neighbors(u)] for u in g.vertex_list}
     for x in g.vertex_list:
-        parent = {x: None}
-        queue = [x]
-        while queue:
-            nxt = []
-            for u in queue:
-                for w in g.neighbors(u):
-                    if w not in parent:
-                        parent[w] = u
-                        nxt.append(w)
-            queue = nxt
+        parent = bfs([x], steps.__getitem__)
         for y in g.vertex_list:
             path = [y]
             while parent[path[-1]] is not None:
@@ -594,16 +576,15 @@ def sample_fb_ball(center, seeds, moves):
     for i, rep in enumerate(reps):
         for key in rep.classes:
             holders.setdefault(key, []).append(i)
-    comps = []
-    unseen = set(range(len(reps)))
-    while unseen:
-        comp = [min(unseen)]
-        unseen.remove(comp[0])
-        for i in comp:
-            for key in reps[i].classes:
-                comp += [j for j in holders[key] if j in unseen]
-                unseen.difference_update(holders[key])
-        comps.append(sorted(comp))
+
+    def linked(i):  # bfs step: (shared key, representative holding it)
+        return ((key, j) for key in reps[i].classes for j in holders[key])
+
+    comps, seen = [], set()
+    for i in range(len(reps)):
+        if i not in seen:
+            comps.append(sorted(bfs([i], linked)))
+            seen.update(comps[-1])
     main = max(comps, key=len)
     renum = {old: new for new, old in enumerate(main)}
     edges = {(renum[i], renum[j]) for group in holders.values()

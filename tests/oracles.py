@@ -24,6 +24,12 @@ vertex pair (four-point), one geodesic-dag sweep per vertex pair (slim),
 and one Hausdorff distance per tuple (thin triangles), with the ball
 sampler that compares every candidate with every representative.  The
 vectorized code must return the same values, witnesses and graphs.
+
+The hand-rolled traversals are the library's graph searches before they
+all went through ``agraph.bfs``: the connectivity walks of ``AGraph`` and
+``FiniteGraph``, ``spanning_tree``, ``tree_words``, ``tau``'s component and
+two-pass tree, ``apsp``, ``geodesic_family`` and the ball sampler's
+components.  The one search must give the same answers in the same order.
 """
 
 import random
@@ -44,12 +50,13 @@ from freebases.agraph import (
 )
 from freebases.complexes import (
     FBAdjacency,
+    FFVertex,
     fb_adjacent,
     fb_equivalent,
     folding_path_bases,
 )
-from freebases.errors import DomainError, FoldabilityError
-from freebases.folding import FoldStep, FoldingPath, random_basis
+from freebases.errors import DomainError, FoldabilityError, TrivialFactorError
+from freebases.folding import FoldStep, FoldingPath, is_basis, random_basis
 from freebases.hyperbolicity import FiniteGraph, ThinReport, check_path_family
 from freebases.words import (
     concat,
@@ -625,9 +632,8 @@ def per_tuple_check_thin_triangles(
     )
 
 
-def scan_sample_fb_ball(center, seeds, moves):
-    """sample_fb_ball comparing every candidate with every representative
-    by fb_equivalent, and every pair of representatives by fb_adjacent."""
+def _ball_candidates(center, seeds, moves):
+    """The ball sampler's (vertex, provenance) candidates, in its order."""
     candidates = [(center, "center")]
     for s in seeds:
         walked = center.__class__(random_basis(s, moves, rank=center.rank,
@@ -635,7 +641,13 @@ def scan_sample_fb_ball(center, seeds, moves):
         candidates.append((walked, "seed %d" % s))
         for k, v in enumerate(folding_path_bases(walked)):
             candidates.append((v, "seed %d / fold %d" % (s, k)))
+    return candidates
 
+
+def scan_sample_fb_ball(center, seeds, moves):
+    """sample_fb_ball comparing every candidate with every representative
+    by fb_equivalent, and every pair of representatives by fb_adjacent."""
+    candidates = _ball_candidates(center, seeds, moves)
     reps = []
     labels = []
     for vert, src in candidates:
@@ -677,3 +689,197 @@ def scan_sample_fb_ball(center, seeds, moves):
         [(renum[u], renum[v]) for u, v in edges if u in renum and v in renum],
     )
     return graph, [labels[old] for old in main]
+
+
+# -- hand-rolled traversals ----------------------------------------------------
+
+
+def stack_agraph_connected(g):
+    """AGraph.validate's connectivity walk: a depth-first stack."""
+    seen = {min(g.vertices)}
+    stack = [min(g.vertices)]
+    while stack:
+        v = stack.pop()
+        for e in g.out_edges(v):
+            if e.dst not in seen:
+                seen.add(e.dst)
+                stack.append(e.dst)
+    return seen == g.vertices
+
+
+def stack_finite_graph_connected(g):
+    """FiniteGraph's connectivity check: a depth-first stack."""
+    seen = {g.vertex_list[0]}
+    stack = [g.vertex_list[0]]
+    while stack:
+        for w in g.neighbors(stack.pop()):
+            if w not in seen:
+                seen.add(w)
+                stack.append(w)
+    return seen == g.vertices
+
+
+def queue_spanning_tree(g, root=None):
+    if root is None:
+        root = g.base if g.base is not None else min(g.vertices)
+    seen = {root}
+    tree = set()
+    queue = [root]
+    for v in queue:
+        for e in sorted(g.out_edges(v), key=lambda e: (letter_key(e.label), e.id)):
+            if e.dst not in seen:
+                seen.add(e.dst)
+                tree.add(e.id)
+                tree.add(e.inv)
+                queue.append(e.dst)
+    if seen != g.vertices:
+        raise DomainError("graph is not connected")
+    return frozenset(tree)
+
+
+def queue_tree_words(g, tree, root):
+    words = {root: ()}
+    queue = [root]
+    for v in queue:
+        for e in sorted(g.out_edges(v), key=lambda e: (letter_key(e.label), e.id)):
+            if e.id in tree and e.dst not in words:
+                words[e.dst] = words[v] + (e.label,)
+                queue.append(e.dst)
+    if len(words) != len(g.vertices):
+        raise DomainError("tree does not span the graph")
+    return words
+
+
+def queue_tau(s):
+    """tau with its component search and its two-pass spanning tree as
+    list.pop(0) queues."""
+    m = s.marking
+    e = m.edges[s.edge]
+    n = m.betti()
+    drop = {e.id, e.inv}
+
+    comp = {e.src}
+    queue = [e.src]
+    while queue:
+        v = queue.pop(0)
+        for f in m.out_edges(v):
+            if f.id not in drop and f.dst not in comp:
+                comp.add(f.dst)
+                queue.append(f.dst)
+
+    tree = set()
+    words = {e.src: ()}
+    order = [e.src]
+    for avoid in (drop, set()):
+        queue = list(order)
+        while queue:
+            v = queue.pop(0)
+            for f in m.out_edges(v):
+                if f.id in avoid or f.dst in words:
+                    continue
+                tree.update({f.id, f.inv})
+                words[f.dst] = concat(words[v], f.word)
+                queue.append(f.dst)
+                order.append(f.dst)
+    if len(words) != len(m.vertices):
+        raise DomainError("marking graph is not connected")
+
+    ambient = []
+    subset = set()
+    for eid, inv_id in sorted(m.topological_edges()):
+        if eid in tree:
+            continue
+        f = m.edges[eid]
+        ambient.append(concat_all(words[f.src], f.word, invert(words[f.dst])))
+        if eid not in drop and f.src in comp and f.dst in comp:
+            subset.add(len(ambient))
+    if len(ambient) != n:
+        raise DomainError("marking has unexpected rank %d" % len(ambient))
+    if not subset:
+        raise TrivialFactorError("origin-side vertex group is trivial")
+    if len(subset) >= n:
+        raise TrivialFactorError("origin-side vertex group is improper")
+    if not is_basis(tuple(ambient), n):
+        raise DomainError("marking words do not present the free group")
+    return FFVertex(tuple(ambient), frozenset(subset))
+
+
+def level_apsp(g):
+    """apsp one BFS level at a time, with numpy scalar indexing."""
+    n = len(g)
+    dist = np.full((n, n), -1, dtype=np.int32)
+    for i, src in enumerate(g.vertex_list):
+        dist[i, i] = 0
+        queue = [src]
+        while queue:
+            nxt = []
+            for u in queue:
+                du = dist[i, g.vindex[u]]
+                for w in g.neighbors(u):
+                    k = g.vindex[w]
+                    if dist[i, k] < 0:
+                        dist[i, k] = du + 1
+                        nxt.append(w)
+            queue = nxt
+    if (dist < 0).any():
+        raise DomainError("graph is not connected")
+    return dist
+
+
+def level_geodesic_family(g):
+    fam = {}
+    for x in g.vertex_list:
+        parent = {x: None}
+        queue = [x]
+        while queue:
+            nxt = []
+            for u in queue:
+                for w in g.neighbors(u):
+                    if w not in parent:
+                        parent[w] = u
+                        nxt.append(w)
+            queue = nxt
+        for y in g.vertex_list:
+            path = [y]
+            while parent[path[-1]] is not None:
+                path.append(parent[path[-1]])
+            fam[x, y] = tuple(reversed(path))
+    return fam
+
+
+def holder_sample_fb_ball(center, seeds, moves):
+    """sample_fb_ball with its components grown through the class-key
+    holder lists by hand; also returns the number of components."""
+    reps = []
+    labels = []
+    by_keys = {}
+    for vert, src in _ball_candidates(center, seeds, moves):
+        bucket = by_keys.setdefault(frozenset(vert.classes), [])
+        for k in bucket:
+            if fb_equivalent(reps[k], vert):
+                labels[k]["sources"].append(src)
+                break
+        else:
+            bucket.append(len(reps))
+            reps.append(vert)
+            labels.append({"basis": words_str(vert.basis), "sources": [src]})
+
+    holders = {}
+    for i, rep in enumerate(reps):
+        for key in rep.classes:
+            holders.setdefault(key, []).append(i)
+    comps = []
+    unseen = set(range(len(reps)))
+    while unseen:
+        comp = [min(unseen)]
+        unseen.remove(comp[0])
+        for i in comp:
+            for key in reps[i].classes:
+                comp += [j for j in holders[key] if j in unseen]
+                unseen.difference_update(holders[key])
+        comps.append(sorted(comp))
+    main = max(comps, key=len)
+    renum = {old: new for new, old in enumerate(main)}
+    edges = {(renum[i], renum[j]) for group in holders.values()
+             for i in group for j in group if i < j and i in renum}
+    return FiniteGraph(range(len(main)), edges), [labels[old] for old in main], len(comps)

@@ -307,6 +307,34 @@ def test_experiment_fb_witnesses_at_rank_four(tmp_path):
     assert all(s["ok"] for s in load(out)["samples"])
 
 
+def _non_edge(g):
+    return next((u, v) for u in g.vertex_list for v in g.vertex_list
+                if u < v and (u, v) not in g.edges)
+
+
+@pytest.mark.parametrize("fault", ["non-edge", "merged copy"])
+def test_experiment_fb_ball_fails_on_a_corrupted_ball(tmp_path, monkeypatch, fault):
+    argv = ["experiment", "fb-ball", "--samples", "2", "--seed", "3", "--no-timings"]
+    assert main(argv + ["--json", str(tmp_path / "good.json")]) == 0
+    sample = hyperbolicity.sample_fb_ball
+
+    def corrupted(center, seeds, moves):
+        g, labels = sample(center, seeds, moves)
+        if fault == "non-edge":
+            g = hyperbolicity.FiniteGraph(g.vertices, set(g.edges) | {_non_edge(g)})
+        else:  # a second vertex labelled with an equivalent basis
+            labels[1] = dict(labels[1], basis=",".join(reversed(labels[0]["basis"].split(","))))
+        return g, labels
+
+    monkeypatch.setattr(hyperbolicity, "sample_fb_ball", corrupted)
+    out = tmp_path / "bad.json"
+    assert main(argv + ["--json", str(out)]) == 1
+    report = load(out)
+    assert report["summary"] == {"pass": 0, "fail": 2}
+    assert all(s["reproduce"].startswith("freebases experiment fb-ball --rank 3 --seed 3 --only")
+               for s in report["samples"])
+
+
 def test_experiment_negative_samples_exits_two(tmp_path):
     rc = main(["experiment", "fold-soundness", "--samples", "-1",
                "--json", str(tmp_path / "r.json")])

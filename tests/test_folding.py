@@ -58,20 +58,20 @@ def test_wedge_rejects_empty_word():
 
 
 def test_ensure_foldable_strips_one_conjugation():
-    m, b2, g = ensure_foldable(parse_words("a,abA,acA"))
+    m, b2 = ensure_foldable(parse_words("a,abA,acA"))
     assert m == -1
     assert b2 == X
-    assert is_foldable(g)
+    assert is_foldable(wedge_graph(b2))
 
 
 def test_ensure_foldable_noop_when_foldable():
-    m, b2, _ = ensure_foldable(parse_words("ab,b,c"))
+    m, b2 = ensure_foldable(parse_words("ab,b,c"))
     assert m == 0
     assert b2 == parse_words("ab,b,c")
 
 
 def test_ensure_foldable_strips_two():
-    m, b2, _ = ensure_foldable(parse_words("a,aabAA,aacAA"))
+    m, b2 = ensure_foldable(parse_words("a,aabAA,aacAA"))
     assert m == -2
     assert b2 == X
 
@@ -203,7 +203,7 @@ def test_fold_count_matches_length_excess():
     for seed in range(20):
         b = random_basis(seed, 9)
         try:
-            _, b2, _ = ensure_foldable(b)
+            _, b2 = ensure_foldable(b)
         except FoldabilityError:
             continue
         path = fold_to_rose(b2)
@@ -214,7 +214,7 @@ def test_no_type2_folds_on_bases():
     for seed in range(20):
         b = random_basis(seed, 9)
         try:
-            _, b2, _ = ensure_foldable(b)
+            _, b2 = ensure_foldable(b)
         except FoldabilityError:
             continue
         assert all(kind == "I" for kind in fold_to_rose(b2).fold_kinds())
@@ -224,7 +224,7 @@ def test_intermediates_stay_foldable():
     for seed in range(20):
         b = random_basis(seed, 9)
         try:
-            _, b2, _ = ensure_foldable(b)
+            _, b2 = ensure_foldable(b)
         except FoldabilityError:
             continue
         assert all(fold_to_rose(b2).foldable)
@@ -269,11 +269,6 @@ def _outcome(fn, *args):
 
 def _as_json(outcome, convert):
     return ("ok", convert(outcome[1])) if outcome[0] == "ok" else outcome
-
-
-def _repair_json(out):
-    m, b2, g = out
-    return m, b2, g.to_json_dict()
 
 
 def _wedge_class(b, rank):
@@ -343,9 +338,12 @@ def test_fold_engine_agrees_with_rebuild_oracles():
         path = _as_json(_outcome(fold_to_rose, b, rank), lambda p: p.to_json_dict())
         ref_path = _as_json(_outcome(rebuild_fold_to_rose, b, rank), lambda p: p.to_json_dict())
         assert path == ref_path, (rank, b)
-        assert _as_json(_outcome(ensure_foldable, b, rank), _repair_json) == _as_json(
-            _outcome(rebuild_ensure_foldable, b, rank), _repair_json
-        ), (rank, b)
+        # the library returns (m, b2); the oracle also returns its wedge
+        repair = _as_json(_outcome(ensure_foldable, b, rank),
+                          lambda r: (*r, wedge_graph(r[1], rank).to_json_dict()))
+        ref_repair = _as_json(_outcome(rebuild_ensure_foldable, b, rank),
+                              lambda r: (r[0], r[1], r[2].to_json_dict()))
+        assert repair == ref_repair, (rank, b)
     assert min(classes[c] for c in ("foldable", "repaired", "unrepairable", "mixed")) >= 20, classes
     assert kinds["II"] > 0, kinds
 

@@ -51,3 +51,14 @@ def test_no_function_imports_a_package_module():
             if isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef)):
                 for node in ast.walk(func):
                     assert not _imported(node), (name, func.name, ast.unparse(node))
+
+
+def test_no_list_is_popped_from_the_front():
+    """list.pop(0) shifts the whole list, so a queue read that way is
+    quadratic; breadth-first searches go through agraph.bfs instead."""
+    for name, tree in MODULES.items():
+        for node in ast.walk(tree):
+            if (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+                    and node.func.attr == "pop" and len(node.args) == 1
+                    and isinstance(node.args[0], ast.Constant) and node.args[0].value == 0):
+                raise AssertionError("%s:%d: %s" % (name, node.lineno, ast.unparse(node)))
