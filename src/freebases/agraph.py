@@ -383,6 +383,22 @@ def basis_from_tree(g, tree, base):
 # -- smoothing ------------------------------------------------------------
 
 
+def _subdivide(chains, next_v):
+    """Spell each ``(src, dst, word)`` chain one letter per edge pair, through
+    new interior vertices numbered on from ``next_v``; edge ids run from 0 in
+    chain order.  Returns ``(vertex count, edges)``."""
+    edges = {}
+    for src, dst, word in chains:
+        inner = range(next_v, next_v + len(word) - 1)
+        next_v += len(inner)
+        stops = [src, *inner, dst]
+        for k, letter in enumerate(word):
+            a = len(edges)
+            edges[a] = Edge(a, a + 1, stops[k], stops[k + 1], letter)
+            edges[a + 1] = Edge(a + 1, a, stops[k + 1], stops[k], -letter)
+    return next_v, edges
+
+
 class MarkingEdge(NamedTuple):
     id: int
     inv: int
@@ -429,22 +445,9 @@ class MarkingGraph(_Graph):
                 [DEFAULT_RANK] + [abs(l) for e in self.edges.values() for l in e.word]
             )
         vmap = {v: i for i, v in enumerate(sorted(self.vertices))}
-        next_v = len(vmap)
-        edges = {}
-        next_e = 0
-        for eid, inv_id in sorted(self.topological_edges()):
-            e = self.edges[eid]
-            stops = [vmap[e.src]]
-            for _ in range(len(e.word) - 1):
-                stops.append(next_v)
-                next_v += 1
-            stops.append(vmap[e.dst])
-            for k, letter in enumerate(e.word):
-                a, b = next_e, next_e + 1
-                edges[a] = Edge(a, b, stops[k], stops[k + 1], letter)
-                edges[b] = Edge(b, a, stops[k + 1], stops[k], -letter)
-                next_e += 2
-        return AGraph(range(next_v), edges, base=None, rank=rank)
+        tops = [self.edges[eid] for eid, _ in sorted(self.topological_edges())]
+        n, edges = _subdivide([(vmap[e.src], vmap[e.dst], e.word) for e in tops], len(vmap))
+        return AGraph(range(n), edges, base=None, rank=rank)
 
     def to_json_dict(self):
         return {

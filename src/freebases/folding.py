@@ -21,9 +21,8 @@ from dataclasses import dataclass, field
 from .agraph import (
     AGraph,
     Edge,
-    MarkingEdge,
-    MarkingGraph,
     _chain_from,
+    _subdivide,
     fold_pairs,
     is_foldable,
     is_folded,
@@ -104,13 +103,11 @@ def wedge_graph(b, rank=DEFAULT_RANK):
 
     The subdivision of a one-vertex marking graph: one edge per letter,
     interior vertices of degree 2.  Words must be nonempty and freely
-    reduced letters within the rank.
+    reduced letters within the rank.  The graph is built once, unchecked:
+    the words are checked here and the involution holds by construction.
     """
-    edges = {}
-    for k, w in enumerate(_wedge_words(b, rank)):
-        edges[2 * k] = MarkingEdge(2 * k, 2 * k + 1, 0, 0, w)
-        edges[2 * k + 1] = MarkingEdge(2 * k + 1, 2 * k, 0, 0, invert(w))
-    return MarkingGraph([0], edges, check=False).expand(rank).with_base(0)
+    n, edges = _subdivide([(0, 0, w) for w in _wedge_words(b, rank)], 1)
+    return AGraph(range(n), edges, base=0, rank=rank, check=False)
 
 
 def ensure_foldable(b, rank=DEFAULT_RANK):
@@ -305,15 +302,18 @@ def is_basis(b, rank=DEFAULT_RANK):
 def subgroup_membership(w, g):
     """Trace a word through a folded based graph; True iff it closes up.
 
-    Requires a folded graph with a base vertex.
+    Requires a folded graph with a base vertex.  The reduced word walks one
+    (vertex, label) -> target table, whose collisions mean "not folded", so
+    the cost is linear in the edge count plus the word length.
     """
     if g.base is None:
         raise DomainError("membership needs a based graph")
-    if not is_folded(g):
+    step = {(e.src, e.label): e.dst for e in g.edges.values()}
+    if len(step) != len(g.edges):
         raise DomainError("membership needs a folded graph")
     v = g.base
     for letter in reduce(w, g.rank):
-        v = next((e.dst for e in g.out_edges(v) if e.label == letter), None)
+        v = step.get((v, letter))
         if v is None:
             return False
     return v == g.base

@@ -14,6 +14,7 @@ x_1 < x_1^-1 < x_2 < x_2^-1 < ... (generator before its inverse).
 """
 
 import re
+from array import array
 
 DEFAULT_RANK = 3
 
@@ -110,16 +111,30 @@ def cyclic_normal_form(w):
 
     Cyclically reduces, then takes the rotation that is minimal under the
     letter order.  Two words are conjugate iff their normal forms coincide.
+    The least rotation comes from a two-pointer scan over the doubled core
+    (Booth 1980, Shiloach 1981), in time linear in the length of w.
     """
     core, _ = cyclic_reduce(w)
-    if len(core) <= 1:
+    n = len(core)
+    if n <= 1:
         return core
-    key = tuple(letter_key(letter) for letter in core)
-    best = min(
-        range(len(core)),
-        key=lambda r: key[r:] + key[:r],
-    )
-    return core[best:] + core[:best]
+    key = [2 * abs(letter) + (letter < 0) for letter in core] * 2  # letter_key order
+    i, j, k = 0, 1, 0
+    while j < n and k < n:
+        a, b = key[i + k], key[j + k]
+        if a == b:
+            k += 1
+            continue
+        if a > b:
+            i += k + 1
+        else:
+            j += k + 1
+        if i == j:
+            j += 1
+        elif i > j:
+            i, j = j, i
+        k = 0
+    return core[i:] + core[:i]
 
 
 def conjugate_related(u, w):
@@ -130,25 +145,27 @@ def conjugate_related(u, w):
 def find_conjugator(u, w):
     """A word g with g^-1 · u · g == w, or None if u, w are not conjugate.
 
-    Built from the cyclic decompositions u = p·u0·p^-1, w = q·w0·q^-1 and a
-    rotation offset k with rot_k(u0) == w0: then g = p · u0[:k] · q^-1.  The
-    witness is verified before being returned.
+    Built from the cyclic decompositions u = p·u0·p^-1, w = q·w0·q^-1 and the
+    least rotation offset k with rot_k(u0) == w0: then g = p · u0[:k] · q^-1.
+    k is found by one C-level substring search for w0 in the packed doubled
+    u0, skipping hits off the letter boundaries, so the cost is about linear
+    in the word lengths.  The witness is verified before being returned.
     """
     u0, p = cyclic_reduce(u)
     w0, q = cyclic_reduce(w)
     if len(u0) != len(w0):
         return None
-    n = len(u0)
-    if n == 0:
-        g = concat(p, invert(q))
-        assert conjugate(u, g) == tuple(w)
-        return g
-    for k in range(n):
-        if u0[k:] + u0[:k] == tuple(w0):
-            g = concat_all(p, u0[:k], invert(q))
-            assert conjugate(u, g) == reduce(w)
-            return g
-    return None
+    packed = array("i", u0)
+    needle = array("i", w0).tobytes()
+    hay = packed.tobytes() * 2
+    pos = hay.find(needle)
+    while pos > 0 and pos % packed.itemsize:
+        pos = hay.find(needle, pos + 1)
+    if pos < 0:
+        return None
+    g = concat_all(p, u0[: pos // packed.itemsize], invert(q))
+    assert conjugate(u, g) == reduce(w)
+    return g
 
 
 _ORIGIN = ord("a")

@@ -30,6 +30,13 @@ all went through ``agraph.bfs``: the connectivity walks of ``AGraph`` and
 ``FiniteGraph``, ``spanning_tree``, ``tree_words``, ``tau``'s component and
 two-pass tree, ``apsp``, ``geodesic_family`` and the ball sampler's
 components.  The one search must give the same answers in the same order.
+
+The quadratic read kernels are the library's word and membership reads
+before they went linear: the least rotation as the minimum over every
+rotation's key tuple, the conjugator as the first rotation of one core that
+equals the other, and membership as a scan of each vertex's out-edges per
+letter after a separate foldedness walk.  The linear kernels must return the
+same words, the same conjugators and the same answers or errors.
 """
 
 import random
@@ -883,3 +890,50 @@ def holder_sample_fb_ball(center, seeds, moves):
     edges = {(renum[i], renum[j]) for group in holders.values()
              for i in group for j in group if i < j and i in renum}
     return FiniteGraph(range(len(main)), edges), [labels[old] for old in main], len(comps)
+
+
+# -- quadratic read kernels -------------------------------------------------
+
+
+def slice_cyclic_normal_form(w):
+    """cyclic_normal_form as the minimum over all rotations' key tuples."""
+    core, _ = cyclic_reduce(w)
+    if len(core) <= 1:
+        return core
+    key = tuple(letter_key(letter) for letter in core)
+    best = min(range(len(core)), key=lambda r: key[r:] + key[:r])
+    return core[best:] + core[:best]
+
+
+def rotation_find_conjugator(u, w):
+    """find_conjugator trying the rotations of u's core one at a time."""
+    u0, p = cyclic_reduce(u)
+    w0, q = cyclic_reduce(w)
+    if len(u0) != len(w0):
+        return None
+    n = len(u0)
+    if n == 0:
+        g = concat(p, invert(q))
+        assert conjugate(u, g) == tuple(w)
+        return g
+    for k in range(n):
+        if u0[k:] + u0[:k] == tuple(w0):
+            g = concat_all(p, u0[:k], invert(q))
+            assert conjugate(u, g) == reduce(w)
+            return g
+    return None
+
+
+def scan_subgroup_membership(w, g):
+    """subgroup_membership after an is_folded walk, scanning the current
+    vertex's out-edges for every letter."""
+    if g.base is None:
+        raise DomainError("membership needs a based graph")
+    if not is_folded(g):
+        raise DomainError("membership needs a folded graph")
+    v = g.base
+    for letter in reduce(w, g.rank):
+        v = next((e.dst for e in g.out_edges(v) if e.label == letter), None)
+        if v is None:
+            return False
+    return v == g.base

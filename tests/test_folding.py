@@ -37,6 +37,7 @@ from oracles import (
     rebuild_fold_to_rose,
     rebuild_is_basis,
     rebuild_wedge_graph,
+    scan_subgroup_membership,
 )
 
 X = parse_words("a,b,c")
@@ -184,6 +185,57 @@ def test_subgroup_membership():
     assert subgroup_membership((), g)
     assert subgroup_membership(parse_word("aa"), g)
     assert not subgroup_membership(parse_word("a"), g)
+    # unreduced, the query would step along a b-edge that the a-vertex lacks
+    assert subgroup_membership((1, 2, -2, 1), g)
+
+
+def test_subgroup_membership_agrees_with_scan_oracle():
+    rng = random.Random(23)
+    graphs = [AGraph([0], {}, base=0, rank=2), wedge_graph(parse_words("ab,b,c"))]
+    graphs.append(graphs[-1].with_base(None))
+    gens = {}
+    for rank in (2, 3, 4, 28):
+        for seed in range(5):
+            b = random_basis(seed, 6, rank)
+            for words in (b, (reduce(b[0] + b[0]),) + b[1:], b[1:]):
+                g = fold_completely(wedge_graph(words, rank))[0]
+                graphs.append(g)
+                gens[id(g)] = words
+    answers = set()
+    for g in graphs:
+        words = gens.get(id(g), ((1,),))
+        letters = [s * i for i in range(1, g.rank + 1) for s in (1, -1)]
+        queries = [(), (g.rank + 1,), (1, -(g.rank + 1))]
+        for _ in range(12):
+            member = ()
+            for _ in range(rng.randrange(1, 6)):
+                w = rng.choice(words)
+                member += w if rng.random() < 0.5 else invert(w)
+            cut = rng.randrange(len(member) + 1)
+            x = rng.choice(letters)
+            queries += [member, member[:cut] + (x, -x) + member[cut:],
+                        member + (x,), tuple(rng.choice(letters) for _ in range(6))]
+        for q in queries:
+            outcome = _outcome(subgroup_membership, q, g)
+            assert outcome == _outcome(scan_subgroup_membership, q, g), (q, g.to_json_dict())
+            answers.add(outcome[:2])
+    assert answers == {("ok", True), ("ok", False), ("error", "DomainError"),
+                       ("error", "ValueError")}
+
+
+def test_subgroup_membership_on_a_hundred_thousand_letters():
+    b = random_basis(9, 12, 3)
+    g = fold_completely(wedge_graph((reduce(b[0] + b[0]),) + b[1:], 3))[0]
+    rng = random.Random(31)
+    pieces = [power(b[0], 2), b[1], b[2]]
+    pieces += [invert(w) for w in pieces]
+    letters = []
+    while len(letters) < 200_000:
+        letters += rng.choice(pieces)
+    query = reduce(letters)
+    assert len(query) >= 100_000
+    assert subgroup_membership(query, g)
+    assert not subgroup_membership(query + b[0], g)
 
 
 def test_random_basis_zero_steps():

@@ -1,5 +1,8 @@
 """Tests for free word arithmetic: reduction, inversion, conjugacy."""
 
+import random
+from itertools import product
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -12,6 +15,7 @@ from freebases.words import (
     cyclic_reduce,
     find_conjugator,
     invert,
+    letter_key,
     parse_word,
     parse_words,
     power,
@@ -19,6 +23,8 @@ from freebases.words import (
     word_str,
     words_str,
 )
+
+from oracles import rotation_find_conjugator, slice_cyclic_normal_form
 
 letters = st.sampled_from([1, -1, 2, -2, 3, -3])
 raw_seqs = st.lists(letters, max_size=12).map(tuple)
@@ -113,6 +119,7 @@ def test_find_conjugator_examples():
     assert find_conjugator((1,), (-2, 1, 2)) == (2,)
     assert find_conjugator((1, 2), (2, 1)) == (1,)
     assert find_conjugator((1,), (2,)) is None
+    assert find_conjugator((), (1, 2, -2, -1)) == ()
 
 
 @given(reduced_words, reduced_words)
@@ -122,6 +129,80 @@ def test_find_conjugator_witness_checks(u, w):
         assert not conjugate_related(u, w)
     else:
         assert reduce(concat_all(invert(g), u, g)) == w
+
+
+def _kernel_words():
+    """Seeded words for the read-kernel cross-checks: every letter sequence of
+    length up to 3 at rank 2 (unreduced ones included), powers and conjugates
+    of powers, random unreduced words up to rank 30 (letters past z), and
+    words over letters whose packed int32 bytes match across letter
+    boundaries (1, 256, 65536, 16777216 and inverses)."""
+    rng = random.Random(17)
+
+    def draw(letters, n):
+        return tuple(rng.choice(letters) for _ in range(n))
+
+    out = [w for n in range(4) for w in product((1, -1, 2, -2), repeat=n)]
+    for base in ((1,), (-2,), (1, 2), (1, -2), (2, 1, 1), (28, -27)):
+        for n in range(1, 9):
+            out.append(power(base, n))
+            out.append(conjugate(power(base, n), reduce(draw((1, -1, 2, -2, 3), 3))))
+    for rank in (2, 3, 30):
+        letters = [s * i for i in range(1, rank + 1) for s in (1, -1)]
+        out += [draw(letters, rng.randrange(13)) for _ in range(150)]
+    overlap = (1, 256, 65536, 16777216, -1, -256, -65536, -16777216)
+    out += [draw(overlap, rng.randrange(1, 7)) for _ in range(200)]
+    return out
+
+
+def test_read_kernels_agree_with_quadratic_oracles():
+    words = _kernel_words()
+    rng = random.Random(29)
+    answers = set()
+    for u in words:
+        assert cyclic_normal_form(u) == slice_cyclic_normal_form(u), u
+        core, _ = cyclic_reduce(u)
+        k = rng.randrange(len(core) + 1)
+        partners = [rng.choice(words), conjugate(u, rng.choice(words)),
+                    conjugate(core[k:] + core[:k], rng.choice(words))]
+        if core:
+            # same core length, one letter changed: mostly not conjugate
+            partners.append(core[:-1] + (rng.choice((1, -1, 2, -2)),))
+        for w in partners:
+            g = find_conjugator(u, w)
+            # the oracle's empty-core check fails on unreduced w, so it reads w reduced
+            assert g == rotation_find_conjugator(u, reduce(w)), (u, w)
+            answers.add(g is None)
+    assert answers == {True, False}
+
+
+def test_cyclic_normal_form_on_a_hundred_thousand_letters():
+    periodic = (1, -2) * 50_000
+    assert cyclic_normal_form(periodic) == periodic
+    assert cyclic_normal_form(periodic[1:] + periodic[:1]) == periodic
+    rng = random.Random(41)
+    letters = [1]
+    while len(letters) < 100_010:
+        letters.append(rng.choice([x for x in (1, -1, 2, -2, 3, -3) if x != -letters[-1]]))
+    core, _ = cyclic_reduce(letters)
+    assert len(core) >= 100_000
+    form = cyclic_normal_form(core)
+    k = (word_str(core) * 2).find(word_str(form))  # one character per letter
+    assert 0 <= k and form == core[k:] + core[:k]
+    key = [letter_key(x) for x in form]
+    assert all(key <= key[r:] + key[:r] for r in rng.sample(range(len(key)), 40))
+    assert cyclic_normal_form(conjugate(core, core[:7777])) == form
+    assert cyclic_normal_form(form[33_333:] + form[:33_333]) == form
+
+
+def test_find_conjugator_on_ten_thousand_letters():
+    u = (1, 2) * 5000
+    assert find_conjugator(u, u[:-1] + (3,)) is None
+    assert find_conjugator(u, u[1:] + u[:1]) == (1,)
+    rng = random.Random(43)
+    w = reduce([rng.choice((1, -1, 2, -2, 3, -3)) for _ in range(12_000)])
+    v = conjugate(w, reduce([rng.choice((1, -1, 2, -2)) for _ in range(40)]))
+    assert conjugate(w, find_conjugator(w, v)) == v
 
 
 @given(reduced_words, st.integers(min_value=-4, max_value=4))
