@@ -295,20 +295,6 @@ def is_foldable(g, report=False):
     return (ok, violations) if report else ok
 
 
-def fold_pairs(g):
-    """All (vertex, label, edge ids) triples witnessing non-foldedness."""
-    found = []
-    for v in sorted(g.vertices):
-        by_label = {}
-        for e in g.out_edges(v):
-            by_label.setdefault(e.label, []).append(e.id)
-        for label in sorted(by_label, key=letter_key):
-            ids = by_label[label]
-            if len(ids) > 1:
-                found.append((v, label, sorted(ids)))
-    return found
-
-
 def _label_steps(g, v, tree=None):
     """bfs step over v's edges (those in ``tree``, if given) by label, then id."""
     edges = sorted(g.out_edges(v), key=lambda e: (letter_key(e.label), e.id))
@@ -573,16 +559,55 @@ def canonical_code(g, base=None):
     )
 
 
+def _step_table(g):
+    """The (vertex, label) -> dst table, or None when g is not folded (two
+    out-edges share a key, so the table is short)."""
+    step = {(e.src, e.label): e.dst for e in g.edges.values()}
+    return step if len(step) == len(g.edges) else None
+
+
+def _folded_isomorphic(g1, g2, step2):
+    """Walk g1 from its base and g2 from its base together.  Folded graphs
+    admit at most one based labeled map, so each edge of g1 forces its image
+    through g2's table; a missing label, a clash or two vertices sent to one
+    refute it.  Equal counts and a connected g1 make the map a bijection."""
+    image = {g1.base: g2.base}
+    hit = {g2.base}
+    queue = [g1.base]
+    for v in queue:
+        w = image[v]
+        for e in g1.out_edges(v):
+            t = step2.get((w, e.label))
+            if t is None:
+                return False
+            s = image.get(e.dst)
+            if s is None:
+                if t in hit:
+                    return False
+                image[e.dst] = t
+                hit.add(t)
+                queue.append(e.dst)
+            elif s != t:
+                return False
+    return True
+
+
 def labeled_isomorphic(g1, g2):
     """Label- and base-preserving graph isomorphism.
 
     Graphs where exactly one side has a base are never isomorphic.  Storage
     orientation of edges is irrelevant since both orientations are encoded.
+    Two based folded graphs are compared by one simultaneous walk, linear in
+    their size; every other pair by canonical codes.
     """
     if (g1.base is None) != (g2.base is None):
         return False
     if len(g1.vertices) != len(g2.vertices) or len(g1.edges) != len(g2.edges):
         return False
+    if g1.base is not None:
+        step2 = _step_table(g2)
+        if step2 is not None and _step_table(g1) is not None:
+            return _folded_isomorphic(g1, g2, step2)
     if sorted(map(lambda e: letter_key(e.label), g1.edges.values())) != sorted(
         map(lambda e: letter_key(e.label), g2.edges.values())
     ):

@@ -1,13 +1,14 @@
 """Stallings folds over wedges of words, down to the rose.
 
-Every fold runs through one engine, ``_fold``: a union-find over vertices and
-one over edges, plus, when folding until folded, a label -> edge dict per
-vertex class whose collisions are the folds still to do.  ``single_fold`` and
-``maximal_fold`` hand it ordered edge pairs; ``fold_completely`` and
-``is_basis`` let it drain its collisions.  A tuple of rank-many words is a
-free basis exactly when its wedge folds to a graph with one vertex and
-2·rank edges, which is the rose.  ``fold_to_rose`` records the path in the
-paper's order, one maximal fold at a time.
+Two engines share the fold rule.  ``_fold`` is a union-find over vertices
+and one over edges, plus, when folding until folded, a label -> edge dict per
+vertex class whose collisions are the folds still to do; ``single_fold``,
+``fold_completely`` and ``is_basis`` run on it, and it replays a recorded
+maximal fold.  ``_LiveGraph`` folds one graph in place: ``fold_to_rose``
+keeps one for the whole path, doing one maximal fold per step in the paper's
+order, and ``maximal_fold`` is one step of it.  A tuple of rank-many words
+is a free basis exactly when its wedge folds to a graph with one vertex and
+2·rank edges, which is the rose.
 
 Folds come in two kinds: a fold identifying two edges whose endpoints were
 distinct ("I") is a homotopy equivalence; one whose endpoints already
@@ -16,25 +17,17 @@ over a basis only ever needs kind I.
 """
 
 import random
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 
-from .agraph import (
-    AGraph,
-    Edge,
-    _chain_from,
-    _subdivide,
-    fold_pairs,
-    is_foldable,
-    is_folded,
-    is_rose,
-    natural_vertices,
-)
+from .agraph import AGraph, Edge, _step_table, _subdivide, is_rose
 from .errors import DomainError, FoldabilityError
 from .words import (
     DEFAULT_RANK,
     concat,
     conjugate,
     invert,
+    letter_key,
     letter_str,
     power,
     reduce,
@@ -66,10 +59,12 @@ class FoldingPath:
     ``steps[i]`` lists the single folds of the i-th maximal fold, taking
     ``graphs[i]`` to ``graphs[i+1]``.  ``foldable[i]`` records whether
     ``graphs[i]`` satisfies the local foldability conditions.  ``bases`` may
-    later be filled with an extracted word basis per graph.
+    later be filled with an extracted word basis per graph.  ``graphs`` is
+    any sequence; ``fold_to_rose`` hands over a ``PathGraphs``, which builds
+    the intermediate graphs only when one is read.
     """
 
-    graphs: list
+    graphs: Sequence
     steps: list
     foldable: list
     bases: list = field(default=None)
@@ -89,6 +84,44 @@ class FoldingPath:
         if self.bases is not None:
             data["bases"] = [[word_str(w) for w in b] for b in self.bases]
         return data
+
+
+class PathGraphs(Sequence):
+    """Read-only ``graphs`` of a folding path: the wedge and the final graph
+    are at hand; reading any other index builds every intermediate graph in
+    one forward replay of the steps through ``_fold`` and keeps the list, so
+    walking the path costs one pass however it is indexed."""
+
+    __slots__ = ("_first", "_steps", "_last", "_all")
+
+    def __init__(self, first, steps, last):
+        self._first, self._steps, self._last = first, steps, last
+        self._all = None
+
+    def __len__(self):
+        return len(self._steps) + 1
+
+    def __getitem__(self, k):
+        if isinstance(k, int):
+            n = len(self._steps) + 1
+            if k == 0 or k == -n:
+                return self._first
+            if k == -1 or k == n - 1:
+                return self._last
+        return self._built()[k]
+
+    def __iter__(self):
+        return iter(self._built())
+
+    def _built(self):
+        if self._all is None:
+            graphs = [self._first]
+            for group in self._steps[:-1]:
+                graphs.append(_fold(graphs[-1], [s.edges for s in group])[0])
+            if self._steps:
+                graphs.append(self._last)
+            self._all = graphs
+        return self._all
 
 
 def _wedge_words(b, rank):
@@ -224,6 +257,118 @@ def single_fold(g, e1_id, e2_id):
     return folded, step
 
 
+class _LiveGraph:
+    """One graph folded in place, read by the maximal-fold site rule.
+
+    Each edge id maps to ``[inv, src, dst, label]`` and each vertex to its
+    out-edge ids in id order.  A fold drops the second edge and its inverse
+    and moves the gone vertex's out-edges to the kept one; an edge
+    union-find sends dropped ids to their survivors, as in ``_fold``.  Three
+    sets are updated at the vertices a fold touches (the common source, the
+    kept and the gone vertex): ``repeated`` (an out-label twice: the fold
+    sites), ``natural`` (degree >= 3) and ``bad`` (foldability violated).
+    """
+
+    __slots__ = ("edge", "out", "root", "base", "rank", "repeated", "natural", "bad")
+
+    def __init__(self, g):
+        self.edge = {e.id: [e.inv, e.src, e.dst, e.label] for e in g.edges.values()}
+        self.out = {v: [e.id for e in g.out_edges(v)] for v in g.vertices}
+        self.root = {eid: eid for eid in self.edge}
+        self.base, self.rank = g.base, g.rank
+        self.repeated, self.natural, self.bad = set(), set(), set()
+        self._classify(self.out)
+
+    def _classify(self, vertices):
+        edge, out = self.edge, self.out
+        repeated, natural, bad = self.repeated, self.natural, self.bad
+        for v in vertices:
+            repeated.discard(v)
+            natural.discard(v)
+            bad.discard(v)
+            ids = out.get(v)
+            if ids is None:
+                continue
+            degree = len(ids)
+            distinct = len({edge[x][3] for x in ids})
+            if distinct < degree:
+                repeated.add(v)
+            if degree >= 3:
+                natural.add(v)
+            if distinct < min(degree, 3) or degree <= 1:
+                bad.add(v)
+
+    def site(self, v):
+        """The two lowest edge ids of v's lowest repeated label."""
+        by_label = {}
+        for x in self.out[v]:
+            by_label.setdefault(self.edge[x][3], []).append(x)
+        label = min((l for l, ids in by_label.items() if len(ids) > 1), key=letter_key)
+        return tuple(by_label[label][:2])
+
+    def _chain(self, x):
+        """Edge ids from germ x through degree-2 vertices to a natural one."""
+        edge, out, natural = self.edge, self.out, self.natural
+        chain = [x]
+        for _ in range(len(edge) + 2):
+            inv, _, v, _ = edge[x]
+            if v in natural:
+                return chain
+            ids = out[v]
+            if len(ids) != 2:
+                raise DomainError("vertex %d is neither natural nor interior" % v)
+            x = ids[1] if ids[0] == inv else ids[0]
+            chain.append(x)
+        raise DomainError("edge chain does not reach a natural vertex")
+
+    def maximal_pairs(self):
+        """Edge pairs of the maximal fold at the lowest natural site, for
+        as long as the two chains from its edge pair agree in label."""
+        sites = self.repeated & self.natural
+        if not sites:
+            raise DomainError("no fold site at a natural vertex")
+        a, b = self.site(min(sites))
+        pairs = []
+        for f, h in zip(self._chain(a), self._chain(b)):
+            if f == h or self.edge[f][3] != self.edge[h][3]:
+                break
+            pairs.append((f, h))
+        return pairs
+
+    def fold(self, pairs):
+        """Fold the pairs in order, as ``_fold`` would; the FoldSteps."""
+        edge, out, root = self.edge, self.out, self.root
+        steps, touched = [], set()
+        for a, b in pairs:
+            a, b = _find(root, a), _find(root, b)
+            if a == b:
+                continue
+            (ainv, _, kept, _), (binv, src, gone, _) = edge[a], edge[b]
+            root[b], root[binv] = a, ainv
+            del edge[b], edge[binv]
+            out[src].remove(b)
+            out[gone].remove(binv)
+            touched.update((src, kept, gone))
+            if kept == gone:
+                steps.append(FoldStep("II", (a, b)))
+            else:
+                moved = out.pop(gone)
+                for x in moved:
+                    rec = edge[x]
+                    rec[1] = kept
+                    edge[rec[0]][2] = kept
+                out[kept] = sorted(out[kept] + moved)
+                if self.base == gone:
+                    self.base = kept
+                steps.append(FoldStep("I", (a, b), ((kept, gone),)))
+        self._classify(touched)
+        return steps
+
+    def graph(self):
+        edges = {eid: Edge(eid, *rec) for eid, rec in self.edge.items()}
+        return AGraph(self.out, edges, base=self.base, rank=self.rank, check=False)
+
+
 def maximal_fold(g):
     """Fold the maximal graphically-equal initial segments at one fold site.
 
@@ -231,22 +376,14 @@ def maximal_fold(g):
     id carrying two outgoing edges with equal label, the lowest such label in
     letter order, the two lowest edge ids.  The two chains through degree-2
     vertices starting there are folded together edge by edge for as long as
-    their labels agree.  Returns ``(graph, [FoldStep, ...])``.
+    their labels agree.  Returns ``(graph, [FoldStep, ...])``.  This is one
+    step of the engine that ``fold_to_rose`` runs along the whole path.
     """
-    if is_folded(g):
+    live = _LiveGraph(g)
+    if not live.repeated:
         raise DomainError("graph is already folded")
-    natural = set(natural_vertices(g))
-    ids = next((ids for v, _, ids in fold_pairs(g) if v in natural), None)
-    if ids is None:
-        raise DomainError("no fold site at a natural vertex")
-    chain1 = _chain_from(g, g.edges[ids[0]], natural)
-    chain2 = _chain_from(g, g.edges[ids[1]], natural)
-    pairs = []
-    for f, h in zip(chain1, chain2):
-        if f.id == h.id or f.label != h.label:
-            break
-        pairs.append((f.id, h.id))
-    return _fold(g, pairs)
+    steps = live.fold(live.maximal_pairs())
+    return live.graph(), steps
 
 
 def fold_to_rose(b, rank=DEFAULT_RANK):
@@ -254,25 +391,24 @@ def fold_to_rose(b, rank=DEFAULT_RANK):
 
     The wedge should be foldable (run ensure_foldable first); when an
     intermediate graph loses foldability, which only happens when b is not a
-    basis, the fold falls back to plain single folds so the path still
-    terminates.  The base vertex is tracked through every merge.  One graph
-    is built per maximal fold.
+    basis, the fold falls back to a single fold at the lowest fold site so
+    the path still terminates.  The base vertex is tracked through every
+    merge.  The whole path folds one live graph, each fold updating only the
+    vertices it touches; the final graph is built once, and the
+    intermediate ones only when ``path.graphs`` is read past its ends.
     """
     g = wedge_graph(b, rank)
-    graphs = [g]
+    live = _LiveGraph(g)
     steps = []
-    foldable = [is_foldable(g)]
-    cur = g
-    while not is_folded(cur):
+    foldable = [not live.bad]
+    while live.repeated:
         try:
-            cur, group = maximal_fold(cur)
+            pairs = live.maximal_pairs()
         except DomainError:
-            _, _, ids = fold_pairs(cur)[0]
-            cur, group = _fold(cur, [ids[:2]])
-        graphs.append(cur)
-        steps.append(group)
-        foldable.append(is_foldable(cur))
-    return FoldingPath(graphs, steps, foldable)
+            pairs = [live.site(min(live.repeated))]
+        steps.append(live.fold(pairs))
+        foldable.append(not live.bad)
+    return FoldingPath(PathGraphs(g, steps, live.graph() if steps else g), steps, foldable)
 
 
 def fold_completely(g):
@@ -308,8 +444,8 @@ def subgroup_membership(w, g):
     """
     if g.base is None:
         raise DomainError("membership needs a based graph")
-    step = {(e.src, e.label): e.dst for e in g.edges.values()}
-    if len(step) != len(g.edges):
+    step = _step_table(g)
+    if step is None:
         raise DomainError("membership needs a folded graph")
     v = g.base
     for letter in reduce(w, g.rank):

@@ -78,12 +78,10 @@ def concat_all(*ws):
 
 
 def power(w, k):
+    """w^k, reduced: one free reduction of k copies, linear in k·|w|."""
     if k < 0:
         w, k = invert(w), -k
-    out = ()
-    for _ in range(k):
-        out = concat(out, w)
-    return out
+    return reduce(tuple(w) * k)
 
 
 def conjugate(w, g):

@@ -16,7 +16,10 @@ The rebuild folders are the library's folding before it moved to one
 union-find engine: every single fold builds the whole quotient graph,
 ``is_basis`` repairs foldability by conjugation (checking whole wedges) and
 compares the folded graph with the rose.  The engine must give the same
-answers, the same folding paths and isomorphic folded graphs.
+answers, the same folding paths and isomorphic folded graphs.  Their site
+scan ``fold_pairs``, which rescans every vertex, is also the scan that
+``fold_to_rose`` ran before each maximal fold until it kept the fold sites
+as a set on one live graph.
 
 The per-pair and per-tuple hyperbolicity scans are the library's delta and
 thin-triangle measurements before they were vectorized: one numpy call per
@@ -48,7 +51,6 @@ from freebases.agraph import (
     AGraph,
     Edge,
     _chain_from,
-    fold_pairs,
     is_foldable,
     is_folded,
     labeled_isomorphic,
@@ -312,6 +314,21 @@ def recursive_canonical_code(g, base):
 
 
 # -- folding by rebuilding the graph at every fold --------------------------
+
+
+def fold_pairs(g):
+    """All (vertex, label, edge ids) triples witnessing non-foldedness, by
+    vertex, then label; the rebuild oracles fold at the first."""
+    found = []
+    for v in sorted(g.vertices):
+        by_label = {}
+        for e in g.out_edges(v):
+            by_label.setdefault(e.label, []).append(e.id)
+        for label in sorted(by_label, key=letter_key):
+            ids = by_label[label]
+            if len(ids) > 1:
+                found.append((v, label, sorted(ids)))
+    return found
 
 
 def rebuild_wedge_graph(b, rank):

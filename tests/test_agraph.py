@@ -3,9 +3,11 @@ spanning trees and basis extraction, smoothing, isomorphism."""
 
 import json
 import random
+from collections import Counter
 
 import pytest
 
+from freebases import agraph
 from freebases.agraph import (
     AGraph,
     Edge,
@@ -26,8 +28,8 @@ from freebases.agraph import (
     spanning_tree,
 )
 from freebases.errors import ContractibleGraphError, DomainError
-from freebases.folding import fold_to_rose, is_basis, random_basis, wedge_graph
-from freebases.words import parse_words
+from freebases.folding import fold_completely, fold_to_rose, is_basis, random_basis, wedge_graph
+from freebases.words import invert, parse_words, reduce
 from oracles import recursive_canonical_code
 
 
@@ -281,6 +283,93 @@ def test_labeled_isomorphic_on_deep_folded_graph():
     other = wedge_graph(words[:2] + [(3,) + words[2][-2:0:-1] + (3,)])
     assert len(other.vertices) == len(g.vertices)
     assert not labeled_isomorphic(g, other)
+
+
+def _shuffled(g, rng):
+    """Copy of g with its vertex ids and edge ids permuted at random."""
+    vs, es = sorted(g.vertices), sorted(g.edges)
+    v = dict(zip(vs, rng.sample(range(50, 50 + 2 * len(vs)), len(vs))))
+    e = dict(zip(es, rng.sample(range(len(es)), len(es))))
+    edges = {
+        e[x.id]: Edge(e[x.id], e[x.inv], v[x.src], v[x.dst], x.label)
+        for x in g.edges.values()
+    }
+    base = None if g.base is None else v[g.base]
+    return AGraph(v.values(), edges, base=base, rank=g.rank)
+
+
+def _one_label_changed(g, rng):
+    """g with the letter of one topological edge replaced."""
+    e = g.edges[rng.choice(sorted(g.edges))]
+    letter = rng.choice([x for x in range(-g.rank, g.rank + 1) if x not in (0, e.label)])
+    edges = dict(g.edges)
+    edges[e.id] = e._replace(label=letter)
+    edges[e.inv] = edges[e.inv]._replace(label=-letter)
+    return AGraph(g.vertices, edges, base=g.base, rank=g.rank)
+
+
+def test_labeled_isomorphic_agrees_with_canonical_codes(monkeypatch):
+    """Based folded pairs take the simultaneous walk, every other pair the
+    canonical codes; both answer as code equality does.  Subgroup graphs
+    of seeded generators at ranks 2-4 meet a shuffled copy, the graph of a
+    Nielsen-equivalent generating set, of the first word squared and a
+    one-label change; unfolded wedges and unbased graphs take the codes."""
+    rng = random.Random(20261020)
+    pairs = []
+    for rank in (2, 3, 4):
+        for _ in range(12):
+            gens = [
+                reduce([rng.choice((1, -1)) * rng.randrange(1, rank + 1)
+                        for _ in range(rng.randint(1, 12))])
+                for _ in range(rng.randint(1, 4))
+            ]
+            gens = tuple(w for w in gens if w) or ((1,),)
+            moved = gens[1:] + (invert(gens[0]),)
+            if len(gens) > 1:
+                moved = (reduce(moved[0] + moved[-1]),) + moved[1:]
+            squared = (reduce(gens[0] + gens[0]),) + gens[1:]
+            g = fold_completely(wedge_graph(gens, rank))[0]
+            others = [fold_completely(wedge_graph(w, rank))[0] for w in (moved, squared)]
+            folded = [_shuffled(g, rng), _one_label_changed(g, rng)] + others
+            pairs += [(g, h, True) for h in folded]
+            wedge = wedge_graph(gens + gens[:1], rank)
+            pairs.append((wedge, _shuffled(wedge, rng), False))
+            pairs.append((wedge, wedge_graph(squared + squared[:1], rank), False))
+            unbased = g.with_base(None)
+            pairs.append((unbased, _shuffled(unbased, rng), False))
+            pairs.append((unbased, others[0].with_base(None), False))
+    # the a-cycle of length 2 walks onto the a-loop two-to-one, and a-loops
+    # at both ends of a b-edge clash with that cycle plus a b-edge; counts
+    # (and, for the second pair, letters) agree
+    a_cycle = edge_pair(0, 0, 1, 1) + edge_pair(2, 1, 0, 1)
+    a_loop_b_edge = edge_pair(0, 0, 0, 1) + edge_pair(2, 0, 1, 2)
+    pairs.append((AGraph([0, 1], a_cycle, base=0), AGraph([0, 1], a_loop_b_edge, base=0), True))
+    pairs.append((AGraph([0, 1], a_loop_b_edge + edge_pair(4, 1, 1, 1), base=0),
+                  AGraph([0, 1], a_cycle + edge_pair(4, 0, 1, 2), base=0), True))
+
+    def code_equal(g1, g2):
+        if (g1.base is None) != (g2.base is None):
+            return False
+        if g1.base is None:
+            return canonical_code(g1) == canonical_code(g2)
+        return _canonical_code(g1, g1.base) == _canonical_code(g2, g2.base)
+
+    expected = [code_equal(g1, g2) for g1, g2, _ in pairs]
+    coded = []
+    real = agraph._canonical_code
+    monkeypatch.setattr(agraph, "_canonical_code", lambda g, base: coded.append(g) or real(g, base))
+    seen = Counter()
+    for (g1, g2, walk), answer in zip(pairs, expected):
+        del coded[:]
+        assert labeled_isomorphic(g1, g2) == answer, (g1.to_json_dict(), g2.to_json_dict())
+        assert labeled_isomorphic(g2, g1) == answer
+        if walk and is_folded(g1) and is_folded(g2):
+            assert not coded
+        elif answer:
+            assert coded
+        seen[walk, is_folded(g1) and is_folded(g2), answer] += 1
+    cases = [(walk, walk, answer) for walk in (True, False) for answer in (True, False)]
+    assert all(seen[case] >= 5 for case in cases), seen
 
 
 def test_canonical_code_matches_recursive_oracle():

@@ -400,6 +400,63 @@ def test_fold_engine_agrees_with_rebuild_oracles():
     assert kinds["II"] > 0, kinds
 
 
+def _grown_basis(rng, rank, target):
+    """A basis grown by Nielsen moves, each lengthening one word, until its
+    total length reaches ``target`` (it ends below twice that)."""
+    b = [(i,) for i in range(1, rank + 1)]
+    while sum(len(w) for w in b) < target:
+        i, j = rng.sample(range(rank), 2)
+        w = b[j] if rng.random() < 0.5 else invert(b[j])
+        grown = reduce(b[i] + w) if rng.random() < 0.5 else reduce(w + b[i])
+        if len(grown) > len(b[i]):
+            b[i] = grown
+    return tuple(b)
+
+
+def test_path_graphs_agree_with_rebuild_oracle():
+    """The lazily built graphs of a folding path, read in random index order
+    and by forward iteration, are the rebuild oracle's graphs; bases and
+    their squared-first-word variants at ranks 2-5, up to about 500
+    letters, some taking the single-fold fallback."""
+    rng = random.Random(20261019)
+    fallbacks = 0
+    longest = 0
+    for rank in range(2, 6):
+        for target in (5, 30, 120, 400):
+            b = _grown_basis(rng, rank, target)
+            longest = max(longest, sum(len(w) for w in b))
+            for words in (b, (reduce(b[0] + b[0]),) + b[1:]):
+                ref = rebuild_fold_to_rose(words, rank)
+                ref_graphs = [g.to_json_dict() for g in ref.graphs]
+                n = len(ref_graphs)
+                path = fold_to_rose(words, rank)
+                assert len(path.graphs) == len(path.steps) + 1 == n
+                assert path.graphs[-1].to_json_dict() == ref_graphs[-1]
+                assert path.graphs[0].to_json_dict() == ref_graphs[0]
+                order = list(range(-n, n))
+                rng.shuffle(order)
+                for k in order:
+                    assert path.graphs[k].to_json_dict() == ref_graphs[k], (rank, words, k)
+                with pytest.raises(IndexError):
+                    path.graphs[n]
+                forward = fold_to_rose(words, rank)
+                assert [g.to_json_dict() for g in forward.graphs] == ref_graphs
+                assert [g.to_json_dict() for g in forward.graphs[1:]] == ref_graphs[1:]
+                assert forward.to_json_dict() == ref.to_json_dict()
+                for k, ok in enumerate(path.foldable[:-1]):
+                    if ok:
+                        g, steps = maximal_fold(path.graphs[k])
+                        assert g.to_json_dict() == ref_graphs[k + 1], (rank, words, k)
+                        assert steps == path.steps[k]
+                    else:
+                        try:
+                            maximal_fold(path.graphs[k])
+                        except DomainError:
+                            fallbacks += 1
+    assert longest >= 400
+    assert fallbacks > 0
+
+
 def test_is_basis_on_ten_thousand_letters():
     rng = random.Random(7)
     b = [(1,), (2,), (3,)]

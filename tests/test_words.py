@@ -213,6 +213,20 @@ def test_power_matches_repeated_concat(w, k):
     assert power(w, k) == expected
 
 
+def test_power_is_the_reduced_repeat():
+    assert power((1, -2), 20_000) == reduce((1, -2) * 20_000)
+    # (1, 2, -1)^k cancels across every seam; (1, 2, 1, -2, -1) too
+    for w in ((1, -2), (2,), (1, 2, -1), (1, 2, 1, -2, -1), (3, -1, 2, 1, -3)):
+        for k in range(-5, 6):
+            expected = ()
+            for _ in range(abs(k)):
+                expected = concat(expected, w if k > 0 else invert(w))
+            assert power(w, k) == expected, (w, k)
+    assert power((1, 2, -1), 3) == (1, 2, 2, 2, -1)
+    assert power((1, 2, -1), -2) == (1, -2, -2, -1)
+    assert power((1, 2), 0) == ()
+
+
 def test_text_round_trip():
     assert parse_word("abA") == (1, 2, -1)
     assert parse_word("1") == ()
