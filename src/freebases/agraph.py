@@ -295,10 +295,18 @@ def is_foldable(g, report=False):
     return (ok, violations) if report else ok
 
 
-def _label_steps(g, v, tree=None):
-    """bfs step over v's edges (those in ``tree``, if given) by label, then id."""
-    edges = sorted(g.out_edges(v), key=lambda e: (letter_key(e.label), e.id))
-    return [(e, e.dst) for e in edges if tree is None or e.id in tree]
+def _label_tree(g, root):
+    """The BFS from ``root`` scanning each vertex's edges by label, then id:
+    ``(via, tree)``, via mapping each vertex to the edge that reached it
+    (None for the root) and tree the set of those edges and their inverses.
+    Raises DomainError unless root is a vertex and the search spans g."""
+    if root not in g.vertices:
+        raise DomainError("root %r is not a vertex" % (root,))
+    order = lambda e: (letter_key(e.label), e.id)
+    via = bfs([root], lambda v: [(e, e.dst) for e in sorted(g.out_edges(v), key=order)])
+    if len(via) != len(g.vertices):
+        raise DomainError("graph is not connected")
+    return via, frozenset(i for e in via.values() if e is not None for i in (e.id, e.inv))
 
 
 def spanning_tree(g, root=None):
@@ -310,10 +318,7 @@ def spanning_tree(g, root=None):
     """
     if root is None:
         root = g.base if g.base is not None else min(g.vertices)
-    via = bfs([root], lambda v: _label_steps(g, v))
-    if len(via) != len(g.vertices):
-        raise DomainError("graph is not connected")
-    return frozenset(i for e in via.values() if e is not None for i in (e.id, e.inv))
+    return _label_tree(g, root)[1]
 
 
 def check_spanning_tree(g, tree):
@@ -331,38 +336,37 @@ def check_spanning_tree(g, tree):
     return problems
 
 
-def tree_words(g, tree, root):
-    """Label word of the unique tree path root -> v, for every vertex v."""
-    via = bfs([root], lambda v: _label_steps(g, v, tree))
-    if len(via) != len(g.vertices):
-        raise DomainError("tree does not span the graph")
-    words = {}
-    for v, e in via.items():
-        words[v] = () if e is None else words[e.src] + (e.label,)
-    return words
-
-
-def basis_from_tree(g, tree, base):
+def basis_from_tree(g, base):
     """Words read around the non-tree edges, one per topological edge.
 
-    For each non-tree topological edge, take the orientation whose label has
+    The tree is ``spanning_tree(g, base)``, built by the same search.  For
+    each non-tree topological edge, take the orientation whose label has
     positive sign and read (tree path base -> origin) edge (tree path
-    terminus -> base).  For a core graph whose natural projection to the
-    rose is a homotopy equivalence this is a free basis.  Raises DomainError
-    when the Betti number differs from the graph's rank.
+    terminus -> base), each tree path read back along the search's parent
+    edges.  For a core graph whose natural projection to the rose is a
+    homotopy equivalence this is a free basis.  Raises DomainError when the
+    Betti number differs from the graph's rank or base is not a vertex.
     """
     if g.betti() != g.rank:
         raise DomainError(
             "Betti number %d differs from rank %d" % (g.betti(), g.rank)
         )
-    words = tree_words(g, tree, base)
+    via, tree = _label_tree(g, base)
+
+    def word_to(v):
+        letters = []
+        while via[v] is not None:
+            letters.append(via[v].label)
+            v = via[v].src
+        return tuple(reversed(letters))
+
     out = []
     for eid, inv_id in sorted(g.topological_edges()):
         if eid in tree:
             continue
         e = g.edges[eid]
         rep = e if e.label > 0 else g.edges[inv_id]
-        out.append(concat_all(words[rep.src], (rep.label,), invert(words[rep.dst])))
+        out.append(concat_all(word_to(rep.src), (rep.label,), invert(word_to(rep.dst))))
     return out
 
 

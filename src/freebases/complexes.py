@@ -16,7 +16,7 @@ witness-path builders require rank >= 3.
 from dataclasses import dataclass, field
 from functools import cached_property
 
-from .agraph import MarkingGraph, basis_from_tree, bfs, is_rose, spanning_tree
+from .agraph import MarkingGraph, basis_from_tree, bfs, is_rose
 from .errors import DomainError, FoldabilityError, NotABasisError, TrivialFactorError
 from .folding import ensure_foldable, fold_to_rose, is_basis
 from .words import (
@@ -414,8 +414,8 @@ def folding_chain(b):
     Returns ``(m, path, bases)``: the conjugation exponent from
     ensure_foldable, the FoldingPath of the conjugated words, and one
     FBVertex per path graph.  The first entry is b itself (conjugation does
-    not move the vertex), intermediate ones are read off a deterministic
-    spanning tree based at the tracked wedge vertex, and the last is the
+    not move the vertex), intermediate ones are read by ``basis_from_tree``
+    at the tracked wedge vertex, one search per graph, and the last is the
     standard basis whenever the path really ends at the rose.
 
     ensure_foldable only handles words wearing a common conjugator; folding
@@ -428,13 +428,9 @@ def folding_chain(b):
     except FoldabilityError:
         m, b2 = 0, b.basis
     path = fold_to_rose(b2, n)
-    bases = [b]
-    for g in path.graphs[1:]:
-        tree = spanning_tree(g, g.base)
-        bases.append(FBVertex(tuple(basis_from_tree(g, tree, g.base))))
+    bases = [b] + [FBVertex(tuple(basis_from_tree(g, g.base))) for g in path.graphs[1:]]
     if len(bases) > 1 and is_rose(path.graphs[-1]):
         bases[-1] = FBVertex(identity_basis(n))
-    path.bases = [v.basis for v in bases]
     return m, path, bases
 
 

@@ -18,7 +18,7 @@ over a basis only ever needs kind I.
 
 import random
 from collections.abc import Sequence
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .agraph import AGraph, Edge, _step_table, _subdivide, is_rose
 from .errors import DomainError, FoldabilityError
@@ -31,7 +31,6 @@ from .words import (
     letter_str,
     power,
     reduce,
-    word_str,
 )
 
 
@@ -58,16 +57,15 @@ class FoldingPath:
 
     ``steps[i]`` lists the single folds of the i-th maximal fold, taking
     ``graphs[i]`` to ``graphs[i+1]``.  ``foldable[i]`` records whether
-    ``graphs[i]`` satisfies the local foldability conditions.  ``bases`` may
-    later be filled with an extracted word basis per graph.  ``graphs`` is
+    ``graphs[i]`` satisfies the local foldability conditions.  ``graphs`` is
     any sequence; ``fold_to_rose`` hands over a ``PathGraphs``, which builds
-    the intermediate graphs only when one is read.
+    the intermediate graphs only when one is read.  The word basis of each
+    graph is ``complexes.folding_chain``'s to return, not the path's.
     """
 
     graphs: Sequence
     steps: list
     foldable: list
-    bases: list = field(default=None)
 
     def single_fold_count(self):
         return sum(len(group) for group in self.steps)
@@ -76,14 +74,11 @@ class FoldingPath:
         return [step.kind for group in self.steps for step in group]
 
     def to_json_dict(self):
-        data = {
+        return {
             "graphs": [g.to_json_dict() for g in self.graphs],
             "steps": [[s.to_json_dict() for s in group] for group in self.steps],
             "foldable": list(self.foldable),
         }
-        if self.bases is not None:
-            data["bases"] = [[word_str(w) for w in b] for b in self.bases]
-        return data
 
 
 class PathGraphs(Sequence):
@@ -152,17 +147,17 @@ def ensure_foldable(b, rank=DEFAULT_RANK):
     vertices of a wedge of reduced words see two distinct labels, so only
     the wedge point can fail, when its labels {w[0]} and {-w[-1]} are fewer
     than min(3, degree); then the first and last letters of all words
-    involve a single generator.  So each power is tested on that label set
-    alone.  Raises FoldabilityError when no such letter exists or no power
-    works.
+    involve a single generator.  Each word is split once as x_c^s . u . x_c^t,
+    u neither starting nor ending in x_c^±1, so its conjugate by x_c^m is
+    x_c^(s+m) . u . x_c^(t-m) and its end letters follow from the signs of
+    s+m and t-m; a power of x_c keeps its own.  So powers are tried in the
+    order -1, 1, -2, 2, ... on the wedge-point labels alone, and only the
+    returned b2 is built.  Raises FoldabilityError when no such letter
+    exists or no power works.
     """
     words = _wedge_words(b, rank)
     need = 2 if len(words) == 1 else 3
-
-    def foldable(ws):
-        return len({w[0] for w in ws} | {-w[-1] for w in ws}) >= need
-
-    if foldable(words):
+    if len({w[0] for w in words} | {-w[-1] for w in words}) >= need:
         return 0, words
     boundary = {abs(w[0]) for w in words} | {abs(w[-1]) for w in words}
     if len(boundary) != 1:
@@ -170,12 +165,28 @@ def ensure_foldable(b, rank=DEFAULT_RANK):
             "wedge is not foldable and words have no common boundary letter"
         )
     c = boundary.pop()
+    fixed, split = set(), []
+    for w in words:
+        head = next((k for k, x in enumerate(w) if abs(x) != c), None)
+        if head is None:
+            fixed.update((w[0], -w[-1]))
+            continue
+        tail = next(k for k, x in enumerate(reversed(w)) if abs(x) != c)
+        split.append((head if w[0] > 0 else -head, w[head], w[-1 - tail],
+                      tail if w[-1] > 0 else -tail))
+
+    def end(k, other):
+        """The end letter of a run x_c^k, or ``other`` past an empty run."""
+        return other if k == 0 else (c if k > 0 else -c)
+
     limit = max(len(w) for w in words) // 2 + 2
     for size in range(1, limit + 1):
         for m in (-size, size):
-            b2 = tuple(conjugate(w, power((c,), -m)) for w in words)
-            if foldable(b2):
-                return m, b2
+            labels = set(fixed)
+            for s, first, last, t in split:
+                labels.update((end(s + m, first), -end(t - m, last)))
+            if len(labels) >= need:
+                return m, tuple(conjugate(w, power((c,), -m)) for w in words)
     raise FoldabilityError(
         "conjugating by powers of %s does not make the wedge foldable"
         % letter_str(c)

@@ -30,9 +30,15 @@ vectorized code must return the same values, witnesses and graphs.
 
 The hand-rolled traversals are the library's graph searches before they
 all went through ``agraph.bfs``: the connectivity walks of ``AGraph`` and
-``FiniteGraph``, ``spanning_tree``, ``tree_words``, ``tau``'s component and
-two-pass tree, ``apsp``, ``geodesic_family`` and the ball sampler's
-components.  The one search must give the same answers in the same order.
+``FiniteGraph``, ``spanning_tree``, ``tau``'s component and two-pass tree,
+``apsp``, ``geodesic_family`` and the ball sampler's components.  The one
+search must give the same answers in the same order.
+
+The two-search basis reader is ``basis_from_tree`` before it read its words
+off the spanning tree's own search: one label-ordered BFS for the tree, a
+second one along the tree that spells the word of every vertex, and the
+words around the non-tree edges from those.  The one-search reader must
+return the same words.
 
 The quadratic read kernels are the library's word and membership reads
 before they went linear: the least rotation as the minimum over every
@@ -51,6 +57,7 @@ from freebases.agraph import (
     AGraph,
     Edge,
     _chain_from,
+    bfs,
     is_foldable,
     is_folded,
     labeled_isomorphic,
@@ -761,19 +768,6 @@ def queue_spanning_tree(g, root=None):
     return frozenset(tree)
 
 
-def queue_tree_words(g, tree, root):
-    words = {root: ()}
-    queue = [root]
-    for v in queue:
-        for e in sorted(g.out_edges(v), key=lambda e: (letter_key(e.label), e.id)):
-            if e.id in tree and e.dst not in words:
-                words[e.dst] = words[v] + (e.label,)
-                queue.append(e.dst)
-    if len(words) != len(g.vertices):
-        raise DomainError("tree does not span the graph")
-    return words
-
-
 def queue_tau(s):
     """tau with its component search and its two-pass spanning tree as
     list.pop(0) queues."""
@@ -954,3 +948,42 @@ def scan_subgroup_membership(w, g):
         if v is None:
             return False
     return v == g.base
+
+
+def _label_steps(g, v, tree=None):
+    """bfs step over v's edges (those in ``tree``, if given) by label, then id."""
+    edges = sorted(g.out_edges(v), key=lambda e: (letter_key(e.label), e.id))
+    return [(e, e.dst) for e in edges if tree is None or e.id in tree]
+
+
+def _tree_words(g, tree, root):
+    """Label word of the unique tree path root -> v, for every vertex v."""
+    via = bfs([root], lambda v: _label_steps(g, v, tree))
+    if len(via) != len(g.vertices):
+        raise DomainError("tree does not span the graph")
+    words = {}
+    for v, e in via.items():
+        words[v] = () if e is None else words[e.src] + (e.label,)
+    return words
+
+
+def two_search_basis_from_tree(g, base):
+    """The spanning tree from one search, every vertex's word from a second
+    search along it, and one word around each non-tree edge."""
+    via = bfs([base], lambda v: _label_steps(g, v))
+    if len(via) != len(g.vertices):
+        raise DomainError("graph is not connected")
+    tree = frozenset(i for e in via.values() if e is not None for i in (e.id, e.inv))
+    if g.betti() != g.rank:
+        raise DomainError(
+            "Betti number %d differs from rank %d" % (g.betti(), g.rank)
+        )
+    words = _tree_words(g, tree, base)
+    out = []
+    for eid, inv_id in sorted(g.topological_edges()):
+        if eid in tree:
+            continue
+        e = g.edges[eid]
+        rep = e if e.label > 0 else g.edges[inv_id]
+        out.append(concat_all(words[rep.src], (rep.label,), invert(words[rep.dst])))
+    return out

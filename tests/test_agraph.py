@@ -179,20 +179,29 @@ def test_spanning_tree_of_tree_graph_is_everything():
 
 def test_basis_from_tree_on_rose():
     g = rose(3)
-    assert basis_from_tree(g, spanning_tree(g), 0) == [(1,), (2,), (3,)]
+    assert basis_from_tree(g, 0) == [(1,), (2,), (3,)]
+
+
+def test_basis_from_tree_refuses_a_base_off_the_graph():
+    g = rose(3).with_base(None)
+    for base in (None, 1, "0"):
+        with pytest.raises(DomainError, match="not a vertex"):
+            basis_from_tree(g, base)
+    with pytest.raises(DomainError, match="not a vertex"):
+        spanning_tree(g, 1)
 
 
 def test_basis_extraction_survives_subdivision():
     g = wedge_graph(parse_words("ab,b,c"))
     sub = smooth(g).expand().with_base(0)
-    w1 = basis_from_tree(g, spanning_tree(g), g.base)
-    w2 = basis_from_tree(sub, spanning_tree(sub), 0)
+    w1 = basis_from_tree(g, g.base)
+    w2 = basis_from_tree(sub, 0)
     assert sorted(w1) == sorted(w2)
 
 
 def test_basis_from_tree_on_two_vertex_wedge():
     g = wedge_graph(parse_words("ab,b,c"))
-    words = basis_from_tree(g, spanning_tree(g), g.base)
+    words = basis_from_tree(g, g.base)
     assert (3,) in words
     assert is_basis(words)
 

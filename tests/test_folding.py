@@ -468,3 +468,34 @@ def test_is_basis_on_ten_thousand_letters():
     assert sum(len(w) for w in b) >= 10_000
     assert is_basis(b, 3)
     assert not is_basis((reduce(b[0] + b[0]),) + b[1:], 3)
+
+
+def test_ensure_foldable_agrees_with_rebuild_oracle_on_2000_letters():
+    """Forty words C^k.A.v.a.c^k (v from c to c), k = 10 or 11 in turn:
+    under every power of c the wedge point keeps fewer than three labels,
+    so the whole scan runs and both refuse.  A power of c among them keeps
+    its own end letters, c and C, which with A make m = 10 work."""
+    rng = random.Random(8)
+    words = []
+    for i in range(40):
+        middle = reduce([rng.choice((1, -1, 2, -2)) for _ in range(40)])
+        words.append(conjugate((3,) + middle + (3,), (1,) + power((2,), 10 + i % 2)))
+    assert 1800 < sum(len(w) for w in words) < 2400
+    outcomes = []
+    for b in (tuple(words), tuple(words) + ((2, 2, 2),)):
+        ours = _outcome(ensure_foldable, b, 3)
+        assert ours == _as_json(_outcome(rebuild_ensure_foldable, b, 3), lambda r: r[:2])
+        outcomes.append(ours[0] if ours[0] == "error" else ours[1][0])
+    assert outcomes == ["error", 10]
+
+
+def test_ensure_foldable_on_ten_thousand_letters():
+    """(a, b, c) conjugated by c^2500 comes back at m = 2500, every smaller
+    power leaving the wedge point two labels; a grown basis of 10^4 letters,
+    which no power repairs, is refused.  No timing assert."""
+    b = tuple(conjugate(w, power((3,), 2500)) for w in X)
+    assert sum(len(w) for w in b) > 10_000
+    assert ensure_foldable(b) == (2500, X)
+    grown = _grown_basis(random.Random(2), 3, 10_000)
+    with pytest.raises(FoldabilityError, match="does not make"):
+        ensure_foldable(grown)

@@ -1,6 +1,6 @@
 """The one breadth-first search, agraph.bfs, against the hand-rolled
-traversals it replaced, and the rose test against labeled isomorphism with
-the rose."""
+traversals it replaced, the one-search basis reader against the two-search
+one, and the rose test against labeled isomorphism with the rose."""
 
 import random
 from collections import Counter
@@ -14,13 +14,14 @@ from freebases.agraph import (
     Edge,
     MarkingEdge,
     MarkingGraph,
+    basis_from_tree,
     bfs,
+    is_folded,
     is_rose,
     labeled_isomorphic,
     rose,
     smooth,
     spanning_tree,
-    tree_words,
 )
 from freebases.complexes import FBVertex, SplittingVertex, identity_basis, tau
 from freebases.errors import DomainError
@@ -43,10 +44,11 @@ from oracles import (
     level_geodesic_family,
     queue_spanning_tree,
     queue_tau,
-    queue_tree_words,
     stack_agraph_connected,
     stack_finite_graph_connected,
+    two_search_basis_from_tree,
 )
+from test_folding import _grown_basis
 
 
 def _outcome(fn, *args):
@@ -128,14 +130,7 @@ def test_traversals_agree_with_hand_rolled_oracles():
     for k, g in enumerate(graphs):
         assert stack_agraph_connected(g) and "graph is not connected" not in g.validate()
         for root in (None, g.base, max(g.vertices)):
-            ours = _outcome(spanning_tree, g, root)
-            assert ours == _outcome(queue_spanning_tree, g, root)
-            tree = ours[1]
-            start = g.base if root is None else root
-            assert _outcome(tree_words, g, tree, start) == _outcome(queue_tree_words, g, tree, start)
-            # a tree missing one edge spans nothing; both refuse it
-            cut = tree - {min(tree), g.edges[min(tree)].inv} if tree else tree
-            assert _outcome(tree_words, g, cut, start) == _outcome(queue_tree_words, g, cut, start)
+            assert _outcome(spanning_tree, g, root) == _outcome(queue_spanning_tree, g, root)
         split = _disjoint_union(g, graphs[k - 1])
         assert not stack_agraph_connected(split)
         assert "graph is not connected" in split.validate()
@@ -159,6 +154,21 @@ def test_traversals_agree_with_hand_rolled_oracles():
         else:
             with pytest.raises(ValueError, match="not connected"):
                 FiniteGraph(g.vertices, edges)
+
+
+def test_basis_from_tree_agrees_with_two_search_oracle():
+    """One search reads the same words as a spanning-tree search followed
+    by a tree-words search, on every graph of the path corpus (unfolded
+    intermediate graphs and graphs whose Betti number dropped included)
+    and of a 3000-letter path."""
+    long_path = fold_to_rose(_grown_basis(random.Random(2), 3, 3000), 3).graphs
+    assert len(long_path[0].edges) > 6000 and len(long_path) > 50
+    outcomes = Counter()
+    for g in [*_path_graphs(20261018, range(2, 6), 8), *long_path]:
+        ours = _outcome(basis_from_tree, g, g.base)
+        assert ours == _outcome(two_search_basis_from_tree, g, g.base)
+        outcomes[ours[0], is_folded(g)] += 1
+    assert min(outcomes[k] for k in [("ok", False), ("ok", True), ("error", False)]) > 0, outcomes
 
 
 def _loops(ends, words):
