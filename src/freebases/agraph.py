@@ -260,13 +260,7 @@ def natural_edges(g):
 
 def is_folded(g):
     """No vertex has two distinct outgoing edges with the same label."""
-    for v in g.vertices:
-        seen = set()
-        for e in g.out_edges(v):
-            if e.label in seen:
-                return False
-            seen.add(e.label)
-    return True
+    return _step_table(g) is not None
 
 
 def is_foldable(g, report=False):

@@ -1,14 +1,15 @@
 """Stallings folds over wedges of words, down to the rose.
 
-Two engines share the fold rule.  ``_fold`` is a union-find over vertices
-and one over edges, plus, when folding until folded, a label -> edge dict per
-vertex class whose collisions are the folds still to do; ``single_fold``,
-``fold_completely`` and ``is_basis`` run on it, and it replays a recorded
-maximal fold.  ``_LiveGraph`` folds one graph in place: ``fold_to_rose``
-keeps one for the whole path, doing one maximal fold per step in the paper's
-order, and ``maximal_fold`` is one step of it.  A tuple of rank-many words
-is a free basis exactly when its wedge folds to a graph with one vertex and
-2·rank edges, which is the rose.
+One engine runs every fold: ``_LiveGraph`` folds one graph in place, from
+flat per-edge records, and builds an ``AGraph`` only when a result is read.
+It folds a given list of edge pairs (``single_fold``, and the replay of a
+recorded folding path), the maximal folds of the paper's order
+(``fold_to_rose`` keeps one live graph for the whole path, and
+``maximal_fold`` is one step of it), or every label collision until the
+graph is folded (``fold_completely``, ``is_basis``).  A tuple of rank-many
+words is a free basis exactly when its wedge folds to a graph with one
+vertex and 2·rank edges, which is the rose; ``is_basis`` reads that off
+the folded records of the wedge without building a graph.
 
 Folds come in two kinds: a fold identifying two edges whose endpoints were
 distinct ("I") is a homotopy equivalence; one whose endpoints already
@@ -20,7 +21,7 @@ import random
 from collections.abc import Sequence
 from dataclasses import dataclass
 
-from .agraph import AGraph, Edge, _step_table, _subdivide, is_rose
+from .agraph import AGraph, Edge, _step_table, _subdivide
 from .errors import DomainError, FoldabilityError
 from .words import (
     DEFAULT_RANK,
@@ -83,9 +84,9 @@ class FoldingPath:
 
 class PathGraphs(Sequence):
     """Read-only ``graphs`` of a folding path: the wedge and the final graph
-    are at hand; reading any other index builds every intermediate graph in
-    one forward replay of the steps through ``_fold`` and keeps the list, so
-    walking the path costs one pass however it is indexed."""
+    are at hand; reading any other index replays the recorded edge pairs on
+    one live graph, building the graph after each maximal fold, and keeps
+    the list, so walking the path costs one pass however it is indexed."""
 
     __slots__ = ("_first", "_steps", "_last", "_all")
 
@@ -111,8 +112,10 @@ class PathGraphs(Sequence):
     def _built(self):
         if self._all is None:
             graphs = [self._first]
+            live = _LiveGraph.of(self._first)
             for group in self._steps[:-1]:
-                graphs.append(_fold(graphs[-1], [s.edges for s in group])[0])
+                live.fold([s.edges for s in group])
+                graphs.append(live.graph())
             if self._steps:
                 graphs.append(self._last)
             self._all = graphs
@@ -200,95 +203,69 @@ def _find(root, x):
     return x
 
 
-def _fold(g, pairs=None):
-    """Fold g along ``pairs`` in order, or until folded; ``(graph, steps)``.
-
-    Folding (e1, e2) sends e2, e2.inv to e1, e1.inv in an edge union-find
-    and e2.dst to the kept root e1.dst in a vertex union-find, so the graph
-    built at the end has the ids of folding the pairs one at a time.  With
-    no pairs, each vertex root keeps a label -> edge dict; a kind I fold
-    merges the smaller dict into the larger and queues its collisions,
-    whose ids are read through the edge union-find when their turn comes.
-    """
-    vroot = {v: v for v in g.vertices}
-    eroot = {eid: eid for eid in g.edges}
-    out = None
-    if pairs is None:
-        out = {v: {} for v in g.vertices}
-        pairs = []
-        for e in g.edges.values():
-            if e.label in out[e.src]:
-                pairs.append((out[e.src][e.label], e.id))
-            else:
-                out[e.src][e.label] = e.id
-    steps = []
-    for a, b in pairs:  # without given pairs, the queue grows as it is read
-        e1, e2 = g.edges[_find(eroot, a)], g.edges[_find(eroot, b)]
-        if e1.id == e2.id:
-            continue
-        kept, gone = _find(vroot, e1.dst), _find(vroot, e2.dst)
-        eroot[e2.id], eroot[e2.inv] = e1.id, e1.inv
-        if kept == gone:
-            steps.append(FoldStep("II", (e1.id, e2.id)))
-            continue
-        vroot[gone] = kept
-        steps.append(FoldStep("I", (e1.id, e2.id), ((kept, gone),)))
-        if out is not None:
-            big, small = out[kept], out.pop(gone)
-            if len(big) < len(small):
-                big, small = small, big
-            for label, eid in small.items():
-                if label in big:
-                    pairs.append((big[label], eid))
-                else:
-                    big[label] = eid
-            out[kept] = big
-    edges = {
-        eid: Edge(eid, e.inv, _find(vroot, e.src), _find(vroot, e.dst), e.label)
-        for eid, e in g.edges.items()
-        if eroot[eid] == eid
-    }
-    vertices = [v for v in g.vertices if vroot[v] == v]
-    base = None if g.base is None else _find(vroot, g.base)
-    return AGraph(vertices, edges, base=base, rank=g.rank, check=False), steps
-
-
 def single_fold(g, e1_id, e2_id):
     """Identify two outgoing edges with equal label at a common vertex.
 
     Returns ``(graph, FoldStep)``.  Kind I merges the two endpoints; kind II
     (endpoints already equal) just deletes the duplicate edge.
     """
+    for eid in (e1_id, e2_id):
+        if eid not in g.edges:
+            raise ValueError("edge %r not in graph" % (eid,))
     e1, e2 = g.edges[e1_id], g.edges[e2_id]
     if e1.id == e2.id:
         raise ValueError("cannot fold an edge with itself")
     if e1.src != e2.src or e1.label != e2.label:
         raise ValueError("edges %d, %d are not foldable together" % (e1_id, e2_id))
-    folded, (step,) = _fold(g, [(e1_id, e2_id)])
-    return folded, step
+    live = _LiveGraph.of(g)
+    (step,) = live.fold([(e1_id, e2_id)])
+    return live.graph(), step
 
 
 class _LiveGraph:
-    """One graph folded in place, read by the maximal-fold site rule.
+    """One graph folded in place: the fold engine.
 
     Each edge id maps to ``[inv, src, dst, label]`` and each vertex to its
-    out-edge ids in id order.  A fold drops the second edge and its inverse
-    and moves the gone vertex's out-edges to the kept one; an edge
-    union-find sends dropped ids to their survivors, as in ``_fold``.  Three
-    sets are updated at the vertices a fold touches (the common source, the
-    kept and the gone vertex): ``repeated`` (an out-label twice: the fold
-    sites), ``natural`` (degree >= 3) and ``bad`` (foldability violated).
+    out-edge ids, in no set order.  Folding (a, b) drops b and its inverse,
+    moves the gone vertex's out-edges to the kept one, and sends the dropped
+    ids to a and its inverse in an edge union-find, so a recorded pair may
+    name either.  After ``watch_sites``, each fold updates three sets at the
+    vertices it touches (the common source, the kept and the gone vertex):
+    ``repeated`` (an out-label twice: the fold sites), ``natural`` (degree
+    >= 3) and ``bad`` (foldability violated); the maximal-fold path reads them.
     """
 
     __slots__ = ("edge", "out", "root", "base", "rank", "repeated", "natural", "bad")
 
-    def __init__(self, g):
-        self.edge = {e.id: [e.inv, e.src, e.dst, e.label] for e in g.edges.values()}
-        self.out = {v: [e.id for e in g.out_edges(v)] for v in g.vertices}
-        self.root = {eid: eid for eid in self.edge}
-        self.base, self.rank = g.base, g.rank
+    def __init__(self, edge, vertices, base, rank):
+        self.edge, self.base, self.rank = edge, base, rank
+        self.out = {v: [] for v in vertices}
+        for x, rec in edge.items():
+            self.out[rec[1]].append(x)
+        self.root = {x: x for x in edge}
+        self.repeated = self.natural = self.bad = None
+
+    @classmethod
+    def of(cls, g):
+        edge = {x: [inv, src, dst, label] for x, inv, src, dst, label in g.edges.values()}
+        return cls(edge, g.vertices, g.base, g.rank)
+
+    @classmethod
+    def wedge(cls, words, rank):
+        """The wedge of checked words, numbered as in ``wedge_graph``."""
+        edge, n = {}, 1
+        for w in words:
+            stops = [0, *range(n, n + len(w) - 1), 0]
+            n += len(w) - 1
+            for src, dst, letter in zip(stops, stops[1:], w):
+                a = len(edge)
+                edge[a], edge[a + 1] = [a + 1, src, dst, letter], [a, dst, src, -letter]
+        return cls(edge, range(n), 0, rank)
+
+    def watch_sites(self):
         self.repeated, self.natural, self.bad = set(), set(), set()
         self._classify(self.out)
+        return self
 
     def _classify(self, vertices):
         edge, out = self.edge, self.out
@@ -315,7 +292,7 @@ class _LiveGraph:
         for x in self.out[v]:
             by_label.setdefault(self.edge[x][3], []).append(x)
         label = min((l for l, ids in by_label.items() if len(ids) > 1), key=letter_key)
-        return tuple(by_label[label][:2])
+        return tuple(sorted(by_label[label])[:2])
 
     def _chain(self, x):
         """Edge ids from germ x through degree-2 vertices to a natural one."""
@@ -346,11 +323,21 @@ class _LiveGraph:
             pairs.append((f, h))
         return pairs
 
-    def fold(self, pairs):
-        """Fold the pairs in order, as ``_fold`` would; the FoldSteps."""
+    def fold(self, pairs=None):
+        """Fold the pairs in order or, with none given, until folded; the
+        FoldSteps.  Until folded, each vertex keeps a label -> edge dict, and
+        a kind I fold merges the smaller dict into the larger and queues its
+        collisions; an entry naming a dropped edge reads as its survivor."""
         edge, out, root = self.edge, self.out, self.root
-        steps, touched = [], set()
-        for a, b in pairs:
+        steps, touched, watch = [], set(), self.repeated is not None
+        index = None
+        if pairs is None:
+            index, pairs = {v: {} for v in out}, []
+            for x, (_, src, _, label) in edge.items():
+                y = index[src].setdefault(label, x)
+                if y != x:
+                    pairs.append((y, x))
+        for a, b in pairs:  # without given pairs, the queue grows as it is read
             a, b = _find(root, a), _find(root, b)
             if a == b:
                 continue
@@ -359,20 +346,31 @@ class _LiveGraph:
             del edge[b], edge[binv]
             out[src].remove(b)
             out[gone].remove(binv)
-            touched.update((src, kept, gone))
+            if watch:
+                touched.update((src, kept, gone))
             if kept == gone:
                 steps.append(FoldStep("II", (a, b)))
-            else:
-                moved = out.pop(gone)
-                for x in moved:
-                    rec = edge[x]
-                    rec[1] = kept
-                    edge[rec[0]][2] = kept
-                out[kept] = sorted(out[kept] + moved)
-                if self.base == gone:
-                    self.base = kept
-                steps.append(FoldStep("I", (a, b), ((kept, gone),)))
-        self._classify(touched)
+                continue
+            moved = out.pop(gone)
+            for x in moved:
+                rec = edge[x]
+                rec[1] = kept
+                edge[rec[0]][2] = kept
+            out[kept] += moved
+            if self.base == gone:
+                self.base = kept
+            steps.append(FoldStep("I", (a, b), ((kept, gone),)))
+            if index is not None:
+                big, small = index[kept], index.pop(gone)
+                if len(big) < len(small):
+                    big, small = small, big
+                for label, x in small.items():
+                    y = big.setdefault(label, x)
+                    if y != x:
+                        pairs.append((y, x))
+                index[kept] = big
+        if watch:
+            self._classify(touched)
         return steps
 
     def graph(self):
@@ -390,7 +388,7 @@ def maximal_fold(g):
     their labels agree.  Returns ``(graph, [FoldStep, ...])``.  This is one
     step of the engine that ``fold_to_rose`` runs along the whole path.
     """
-    live = _LiveGraph(g)
+    live = _LiveGraph.of(g).watch_sites()
     if not live.repeated:
         raise DomainError("graph is already folded")
     steps = live.fold(live.maximal_pairs())
@@ -409,7 +407,7 @@ def fold_to_rose(b, rank=DEFAULT_RANK):
     intermediate ones only when ``path.graphs`` is read past its ends.
     """
     g = wedge_graph(b, rank)
-    live = _LiveGraph(g)
+    live = _LiveGraph.of(g).watch_sites()
     steps = []
     foldable = [not live.bad]
     while live.repeated:
@@ -425,25 +423,31 @@ def fold_to_rose(b, rank=DEFAULT_RANK):
 def fold_completely(g):
     """Fold g until it is folded; returns ``(graph, [FoldStep, ...])``.
 
-    The engine drains its label collisions in queue order, so the steps and
-    the ids of the merged vertices follow that order, but by confluence the
-    folded graph is the same up to labeled isomorphism whatever the order.
+    The live graph queues the label collisions of g, then those each merge
+    makes, and folds them in queue order, so the steps and the ids of the
+    merged vertices follow that order, but by confluence the folded graph
+    is the same up to labeled isomorphism whatever the order.
     """
-    return _fold(g)
+    live = _LiveGraph.of(g)
+    steps = live.fold()
+    return live.graph(), steps
 
 
 def is_basis(b, rank=DEFAULT_RANK):
     """Do the given rank-many words form a free basis?
 
     They are when they generate the free group (which is Hopfian), that is
-    when their wedge folds to the rose.
+    when their wedge folds to the rose: a folded graph with one vertex and
+    2·rank edges.  The wedge is folded as edge records; no graph is built.
     """
     if len(b) != rank:
         raise DomainError("expected %d words, got %d" % (rank, len(b)))
     words = tuple(reduce(w, rank) for w in b)
     if not all(words):
         return False
-    return is_rose(_fold(wedge_graph(words, rank))[0])
+    live = _LiveGraph.wedge(words, rank)
+    live.fold()
+    return len(live.out) == 1 and len(live.edge) == 2 * rank
 
 
 def subgroup_membership(w, g):

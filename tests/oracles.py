@@ -21,6 +21,12 @@ scan ``fold_pairs``, which rescans every vertex, is also the scan that
 ``fold_to_rose`` ran before each maximal fold until it kept the fold sites
 as a set on one live graph.
 
+The union-find folder is the library's whole-graph fold engine before one
+live graph ran every fold: a union-find over vertices and one over edges,
+folding given edge pairs or, with a label -> edge dict per vertex class,
+every collision until folded, and building the quotient graph at the end.
+The live graph must give the same graphs and the same steps.
+
 The per-pair and per-tuple hyperbolicity scans are the library's delta and
 thin-triangle measurements before they were vectorized: one numpy call per
 vertex pair (four-point), one geodesic-dag sweep per vertex pair (slim),
@@ -72,7 +78,7 @@ from freebases.complexes import (
     folding_path_bases,
 )
 from freebases.errors import DomainError, FoldabilityError, TrivialFactorError
-from freebases.folding import FoldStep, FoldingPath, is_basis, random_basis
+from freebases.folding import FoldStep, FoldingPath, _find, is_basis, random_basis
 from freebases.hyperbolicity import FiniteGraph, ThinReport, check_path_family
 from freebases.words import (
     concat,
@@ -485,6 +491,59 @@ def rebuild_is_basis(b, rank):
     except FoldabilityError:
         final, _ = rebuild_fold_completely(rebuild_wedge_graph(words, rank))
     return labeled_isomorphic(final, rose(rank))
+
+
+def union_find_fold(g, pairs=None):
+    """Fold g along ``pairs`` in order, or until folded; ``(graph, steps)``.
+
+    Folding (e1, e2) sends e2, e2.inv to e1, e1.inv in an edge union-find
+    and e2.dst to the kept root e1.dst in a vertex union-find, so the graph
+    built at the end has the ids of folding the pairs one at a time.  With
+    no pairs, each vertex root keeps a label -> edge dict; a kind I fold
+    merges the smaller dict into the larger and queues its collisions,
+    whose ids are read through the edge union-find when their turn comes.
+    """
+    vroot = {v: v for v in g.vertices}
+    eroot = {eid: eid for eid in g.edges}
+    out = None
+    if pairs is None:
+        out = {v: {} for v in g.vertices}
+        pairs = []
+        for e in g.edges.values():
+            if e.label in out[e.src]:
+                pairs.append((out[e.src][e.label], e.id))
+            else:
+                out[e.src][e.label] = e.id
+    steps = []
+    for a, b in pairs:  # without given pairs, the queue grows as it is read
+        e1, e2 = g.edges[_find(eroot, a)], g.edges[_find(eroot, b)]
+        if e1.id == e2.id:
+            continue
+        kept, gone = _find(vroot, e1.dst), _find(vroot, e2.dst)
+        eroot[e2.id], eroot[e2.inv] = e1.id, e1.inv
+        if kept == gone:
+            steps.append(FoldStep("II", (e1.id, e2.id)))
+            continue
+        vroot[gone] = kept
+        steps.append(FoldStep("I", (e1.id, e2.id), ((kept, gone),)))
+        if out is not None:
+            big, small = out[kept], out.pop(gone)
+            if len(big) < len(small):
+                big, small = small, big
+            for label, eid in small.items():
+                if label in big:
+                    pairs.append((big[label], eid))
+                else:
+                    big[label] = eid
+            out[kept] = big
+    edges = {
+        eid: Edge(eid, e.inv, _find(vroot, e.src), _find(vroot, e.dst), e.label)
+        for eid, e in g.edges.items()
+        if eroot[eid] == eid
+    }
+    vertices = [v for v in g.vertices if vroot[v] == v]
+    base = None if g.base is None else _find(vroot, g.base)
+    return AGraph(vertices, edges, base=base, rank=g.rank, check=False), steps
 
 
 # -- per-pair and per-tuple hyperbolicity scans ------------------------------

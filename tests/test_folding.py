@@ -1,6 +1,6 @@
 """Tests for Stallings folds: wedges, fold steps, complete folding paths,
 basis recognition, the naive-order confluence oracle, and the rebuild
-oracles that the folding engine replaced."""
+oracles and the union-find folder that the fold engine replaced."""
 
 import random
 from collections import Counter
@@ -13,11 +13,13 @@ from freebases.agraph import (
     has_loop_labeled,
     is_folded,
     is_foldable,
+    is_rose,
     labeled_isomorphic,
     rose,
 )
 from freebases.errors import DomainError, FoldabilityError
 from freebases.folding import (
+    _LiveGraph,
     ensure_foldable,
     fold_completely,
     fold_to_rose,
@@ -38,6 +40,7 @@ from oracles import (
     rebuild_is_basis,
     rebuild_wedge_graph,
     scan_subgroup_membership,
+    union_find_fold,
 )
 
 X = parse_words("a,b,c")
@@ -114,6 +117,13 @@ def test_single_fold_requires_shared_origin_and_label():
     g = rose(3)
     with pytest.raises(ValueError):
         single_fold(g, 0, 2)
+
+
+def test_single_fold_refuses_an_edge_not_in_the_graph():
+    g = wedge_graph(parse_words("ab,b,c"))
+    for pair in ((0, 99), (99, 0), (-1, -1), (None, 2)):
+        with pytest.raises(ValueError, match="not in graph"):
+            single_fold(g, *pair)
 
 
 def test_single_fold_of_wedge_reaches_rose():
@@ -499,3 +509,75 @@ def test_ensure_foldable_on_ten_thousand_letters():
     grown = _grown_basis(random.Random(2), 3, 10_000)
     with pytest.raises(FoldabilityError, match="does not make"):
         ensure_foldable(grown)
+
+
+def _ten_thousand_letter_basis():
+    """The basis of ``test_is_basis_on_ten_thousand_letters``."""
+    rng = random.Random(7)
+    b = [(1,), (2,), (3,)]
+    while sum(len(w) for w in b) < 10_000:
+        i, j = rng.sample(range(3), 2)
+        w = b[j] if rng.random() < 0.5 else invert(b[j])
+        b[i] = reduce(b[i] + w) if rng.random() < 0.5 else reduce(w + b[i])
+    return tuple(b)
+
+
+def test_fold_engine_agrees_with_union_find_oracle():
+    """The live graph against the whole-graph union-find folder it replaced:
+    single folds on every legal pair of small wedges and of the graphs
+    along their paths, the replay of recorded folding paths, and folding
+    until folded (the engine inputs, the graphs along the replayed paths,
+    and a 10^4-letter basis with its squared variant) give equal JSON and
+    equal steps; ``is_basis`` gives the oracle's rose test's answers."""
+    small = [parse_words(s) for s in ("ab,b,c", "a,a,b", "aBab,bab,c", "abcA,aBcA,acA",
+                                      "aa,ab,ba", "abab,ab,c")]
+    singles = Counter()
+    for words in small:
+        for g in fold_to_rose(words).graphs:
+            for v in sorted(g.vertices):
+                for e1 in g.out_edges(v):
+                    for e2 in g.out_edges(v):
+                        if e1.id == e2.id or e1.label != e2.label:
+                            continue
+                        folded, step = single_fold(g, e1.id, e2.id)
+                        ref, ref_steps = union_find_fold(g, [(e1.id, e2.id)])
+                        assert [step] == ref_steps, (words, e1, e2)
+                        assert folded.to_json_dict() == ref.to_json_dict(), (words, e1, e2)
+                        singles[step.kind] += 1
+    assert singles["I"] > 20 and singles["II"] > 0, singles
+
+    rng = random.Random(20261020)
+    replayed = []
+    for rank in range(2, 6):
+        for target in (5, 30, 120, 400):
+            b = _grown_basis(rng, rank, target)
+            for words in (b, (reduce(b[0] + b[0]),) + b[1:]):
+                path = fold_to_rose(words, rank)
+                ref = [path.graphs[0]]
+                for group in path.steps:
+                    g, steps = union_find_fold(ref[-1], [s.edges for s in group])
+                    assert steps == group, (rank, words)
+                    ref.append(g)
+                assert [g.to_json_dict() for g in path.graphs] == [g.to_json_dict() for g in ref]
+                replayed += ref
+    assert len(replayed) > 300
+
+    inputs = [(rank, b) for rank, b, _ in _engine_inputs()]
+    big = _ten_thousand_letter_basis()
+    inputs += [(3, big), (3, (reduce(big[0] + big[0]),) + big[1:])]
+    wedges = [wedge_graph(b, rank) for rank, b in inputs]
+    kinds = Counter()
+    for g in wedges + replayed:
+        final, steps = fold_completely(g)
+        ref, ref_steps = union_find_fold(g)
+        assert steps == ref_steps, g.to_json_dict()
+        assert final.to_json_dict() == ref.to_json_dict(), g.to_json_dict()
+        kinds.update(step.kind for step in steps)
+    assert kinds["II"] > 0, kinds
+    answers = Counter()
+    for (rank, b), g in zip(inputs, wedges):
+        assert _LiveGraph.wedge(b, rank).graph().to_json_dict() == g.to_json_dict()
+        answer = is_basis(b, rank)
+        assert answer == is_rose(union_find_fold(g)[0]), (rank, b)
+        answers[answer] += 1
+    assert answers[True] >= 100 and answers[False] >= 100, answers
