@@ -16,7 +16,6 @@ import random
 import sys
 import time
 from concurrent.futures import ProcessPoolExecutor
-from itertools import combinations
 
 from . import agraph, complexes, folding, hyperbolicity, words
 from .complexes import FBVertex, FFVertex, SplittingVertex
@@ -77,7 +76,7 @@ def cmd_path_bases(args):
     b = FBVertex(words.parse_words(args.b, args.rank))
     m, path, bases = complexes.folding_chain(b)
     standard = FBVertex(complexes.identity_basis(args.rank))
-    reaches = bases[-1] == standard or complexes.fb_equivalent(bases[-1], standard)
+    reaches = complexes.fb_equivalent(bases[-1], standard)
     data = {
         "conjugation_exponent": m,
         "bases": [words.words_str(v.basis) for v in bases],
@@ -387,10 +386,11 @@ def _exp_thin_trees(rank, seed, moves):
 
 
 def _ball_certified(g, labels, rank):
-    """No two labelled bases are equivalent (checked first: fb_adjacent refuses
-    equivalent vertices), and every edge's certificate re-validates."""
+    """No two labelled bases are equivalent, that is their keys are distinct
+    (checked first: fb_adjacent refuses equivalent vertices), and every
+    edge's certificate re-validates."""
     verts = [FBVertex(words.parse_words(label["basis"], rank)) for label in labels]
-    if any(complexes.fb_equivalent(a, b) for a, b in combinations(verts, 2)):
+    if len({v.key for v in verts}) < len(verts):
         return False
     certs = ((complexes.fb_adjacent(verts[i], verts[j]), verts[i], verts[j]) for i, j in g.edges)
     return all(c is not None and c.holds_for(a, b) for c, a, b in certs)

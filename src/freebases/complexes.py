@@ -24,7 +24,6 @@ from .words import (
     concat_all,
     conjugate,
     cyclic_normal_form,
-    cyclic_reduce,
     find_conjugator,
     invert,
     is_reduced,
@@ -72,11 +71,12 @@ class FBVertex:
     def classes(self):
         """Class key -> (0-based position, orientation) of each element.
 
-        The key is the conjugacy class up to inversion, the lesser cyclic
-        normal form of the element and its inverse; the orientation says
-        whether it is the element's own.  The elements of a basis map to a
-        basis of the abelianization, so their keys are distinct; a tuple
-        repeating a key is no basis and raises NotABasisError.
+        The class key is the conjugacy class up to inversion, the lesser
+        cyclic normal form of the element and its inverse; the orientation
+        says whether it is the element's own.  The elements of a basis map
+        to a basis of the abelianization, so their keys are distinct; a
+        tuple repeating a key is no basis and raises NotABasisError.  Two
+        vertices are adjacent exactly when their class keys meet.
         """
         index = {}
         for pos, w in enumerate(self.basis):
@@ -89,6 +89,39 @@ class FBVertex:
                 )
             index[key] = (pos, key == forward)
         return index
+
+    @cached_property
+    def key(self):
+        """Normal form of the vertex: two bases are the same free-bases
+        vertex exactly when their keys are equal.
+
+        The elements are put in class-key order, each oriented so that its
+        cyclic normal form is its class key, and all are conjugated by one
+        word taking the first to its cyclic normal form c.  The conjugators
+        fixing c are the powers of c, since a primitive element is
+        root-free, so what is left is c^k; k makes the second element
+        shortest, then least.  That k is unique, because two elements of a
+        basis share no power.  The shortest conjugate lies within
+        |k| <= |w|/|c| + 1 of the second element w: past that, c^-k w c^k
+        only grows.  Raises NotABasisError when the tuple repeats a class
+        key.
+        """
+        order = sorted(self.classes.items())
+        c = order[0][0]
+        if len(order) == 1:
+            return (c,)
+        elems = [self.basis[i] if forward else invert(self.basis[i])
+                 for _, (i, forward) in order]
+        g = find_conjugator(elems[0], c)
+        w = conjugate(elems[1], g)
+        bound = len(w) // len(c) + 1
+        w = conjugate(w, power(c, -bound))
+        best = (len(w), w, -bound)
+        for k in range(1 - bound, bound + 1):
+            w = conjugate(w, c)
+            best = min(best, (len(w), w, k))
+        g = concat(g, power(c, best[2]))
+        return (c, best[1]) + tuple(conjugate(x, g) for x in elems[2:])
 
     def to_json_dict(self):
         return {"basis": [word_str(w) for w in self.basis]}
@@ -129,35 +162,13 @@ class FFVertex:
 def fb_equivalent(a, b):
     """Are two stored bases the same free-bases vertex?
 
-    No two elements of a basis are conjugate, even up to inversion, since
-    they map to a basis of the abelianization.  So the class keys force the
-    permutation and inversions taking a to b (see FBVertex.classes), and
-    only one simultaneous conjugator is left to find.  Those taking the
-    first matched pair to each other form the coset {u^k g0} of the
-    centralizer of the (primitive, hence root-free) first element, and |k|
-    admits a length bound beyond which conjugates are longer than the
-    target.  Raises NotABasisError when either tuple repeats a class key.
+    They are exactly when their keys agree (see FBVertex.key); the answer
+    is exact whenever either tuple is a basis.  Raises NotABasisError when either tuple
+    repeats a class key.
     """
     if a.rank != b.rank:
         raise ValueError("bases of different rank")
-    if a.classes.keys() != b.classes.keys():
-        return False
-    u = []
-    for key, (_, forward) in b.classes.items():
-        i, a_forward = a.classes[key]
-        u.append(a.basis[i] if a_forward == forward else invert(a.basis[i]))
-    targets = b.basis
-    g0 = find_conjugator(u[0], targets[0])
-    root_len = len(cyclic_reduce(u[0])[0])
-    bound = max(
-        (len(u[k]) + len(targets[k]) + 2 * len(g0)) // root_len + 1
-        for k in range(a.rank)
-    )
-    for k in range(-bound, bound + 1):
-        g = concat(power(u[0], k), g0)
-        if all(conjugate(u[i], g) == targets[i] for i in range(a.rank)):
-            return True
-    return False
+    return a.key == b.key
 
 
 @dataclass(frozen=True)

@@ -18,7 +18,7 @@ from itertools import combinations, islice
 import numpy as np
 
 from .agraph import bfs
-from .complexes import fb_equivalent, folding_path_bases
+from .complexes import folding_path_bases
 from .errors import DomainError
 from .folding import random_basis
 from .words import words_str
@@ -541,14 +541,12 @@ def sample_fb_ball(center, seeds, moves):
 
     Every seed starts a random walk of ``moves`` Nielsen moves from the
     center; each endpoint contributes its folding-path bases as well.
-    Vertices equal up to the free-bases equivalence are merged, edges join
-    adjacent vertices, and the largest connected component is returned
-    together with one label per vertex (basis words plus provenance of
-    every merged copy).  Equivalent bases have equal sets of class keys
-    (see FBVertex.classes), so a candidate is compared by fb_equivalent
-    only with the representatives of its key set; these are pairwise
-    inequivalent, so two are adjacent exactly when they share a key.  A
-    candidate repeating a key is no basis and raises NotABasisError.
+    Candidates with equal keys (see FBVertex.key) are one vertex and are
+    merged through one dict; edges join representatives sharing a class
+    key, which on distinct vertices is exactly adjacency.  The largest
+    connected component is returned together with one label per vertex
+    (basis words plus provenance of every merged copy).  A candidate
+    repeating a class key is no basis and raises NotABasisError.
     """
     candidates = [(center, "center")]
     for s in seeds:
@@ -560,17 +558,13 @@ def sample_fb_ball(center, seeds, moves):
 
     reps = []
     labels = []
-    by_keys = {}  # key set -> representatives carrying it
+    index = {}  # vertex key -> representative
     for vert, src in candidates:
-        bucket = by_keys.setdefault(frozenset(vert.classes), [])
-        for k in bucket:
-            if fb_equivalent(reps[k], vert):
-                labels[k]["sources"].append(src)
-                break
-        else:
-            bucket.append(len(reps))
+        k = index.setdefault(vert.key, len(reps))
+        if k == len(reps):
             reps.append(vert)
-            labels.append({"basis": words_str(vert.basis), "sources": [src]})
+            labels.append({"basis": words_str(vert.basis), "sources": []})
+        labels[k]["sources"].append(src)
 
     holders = {}  # class key -> representatives carrying it
     for i, rep in enumerate(reps):

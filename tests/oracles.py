@@ -9,7 +9,10 @@ confluence oracle for fold_to_rose.
 
 The free-bases oracles search every permutation and inversion pattern (for
 equivalence) and every element pair and sign (for adjacency), where the
-library lets class keys force the matching.  The recursive canonical code
+library lets class keys force the matching.  The coset search is the
+library's equivalence before every vertex got a key: the class keys match
+the elements, and the common conjugator is searched over a bounded coset
+of the first element's centralizer; the key comparison must agree with it.  The recursive canonical code
 is the library's traversal before it moved to an explicit stack.
 
 The rebuild folders are the library's folding before it moved to one
@@ -74,7 +77,6 @@ from freebases.complexes import (
     FBAdjacency,
     FFVertex,
     fb_adjacent,
-    fb_equivalent,
     folding_path_bases,
 )
 from freebases.errors import DomainError, FoldabilityError, TrivialFactorError
@@ -256,6 +258,40 @@ def search_fb_equivalent(a, b):
                 g = concat(power(u[0], k), g0)
                 if all(conjugate(u[i], g) == targets[i] for i in range(n)):
                     return True
+    return False
+
+
+def coset_fb_equivalent(a, b):
+    """Are two stored bases the same free-bases vertex?
+
+    No two elements of a basis are conjugate, even up to inversion, since
+    they map to a basis of the abelianization.  So the class keys force the
+    permutation and inversions taking a to b (see FBVertex.classes), and
+    only one simultaneous conjugator is left to find.  Those taking the
+    first matched pair to each other form the coset {u^k g0} of the
+    centralizer of the (primitive, hence root-free) first element, and |k|
+    admits a length bound beyond which conjugates are longer than the
+    target.  Raises NotABasisError when either tuple repeats a class key.
+    """
+    if a.rank != b.rank:
+        raise ValueError("bases of different rank")
+    if a.classes.keys() != b.classes.keys():
+        return False
+    u = []
+    for key, (_, forward) in b.classes.items():
+        i, a_forward = a.classes[key]
+        u.append(a.basis[i] if a_forward == forward else invert(a.basis[i]))
+    targets = b.basis
+    g0 = find_conjugator(u[0], targets[0])
+    root_len = len(cyclic_reduce(u[0])[0])
+    bound = max(
+        (len(u[k]) + len(targets[k]) + 2 * len(g0)) // root_len + 1
+        for k in range(a.rank)
+    )
+    for k in range(-bound, bound + 1):
+        g = concat(power(u[0], k), g0)
+        if all(conjugate(u[i], g) == targets[i] for i in range(a.rank)):
+            return True
     return False
 
 
@@ -736,13 +772,14 @@ def _ball_candidates(center, seeds, moves):
 
 def scan_sample_fb_ball(center, seeds, moves):
     """sample_fb_ball comparing every candidate with every representative
-    by fb_equivalent, and every pair of representatives by fb_adjacent."""
+    by coset_fb_equivalent, and every pair of representatives by
+    fb_adjacent."""
     candidates = _ball_candidates(center, seeds, moves)
     reps = []
     labels = []
     for vert, src in candidates:
         for k, rep in enumerate(reps):
-            if fb_equivalent(rep, vert):
+            if coset_fb_equivalent(rep, vert):
                 labels[k]["sources"].append(src)
                 break
         else:
@@ -925,15 +962,17 @@ def level_geodesic_family(g):
 
 
 def holder_sample_fb_ball(center, seeds, moves):
-    """sample_fb_ball with its components grown through the class-key
-    holder lists by hand; also returns the number of components."""
+    """sample_fb_ball merging candidates by coset_fb_equivalent within
+    buckets of equal class-key sets, with its components grown through the
+    class-key holder lists by hand; also returns the number of
+    components."""
     reps = []
     labels = []
     by_keys = {}
     for vert, src in _ball_candidates(center, seeds, moves):
         bucket = by_keys.setdefault(frozenset(vert.classes), [])
         for k in bucket:
-            if fb_equivalent(reps[k], vert):
+            if coset_fb_equivalent(reps[k], vert):
                 labels[k]["sources"].append(src)
                 break
         else:

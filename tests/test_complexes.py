@@ -30,10 +30,19 @@ from freebases.complexes import (
     tau,
     witness_path_from_json,
 )
-from freebases.errors import DomainError, TrivialFactorError
+from freebases.errors import DomainError, NotABasisError, TrivialFactorError
 from freebases.folding import fold_to_rose, random_basis
-from freebases.words import conjugate, invert, parse_word, parse_words, reduce
-from oracles import scan_fb_adjacent, search_fb_equivalent
+from freebases.words import (
+    concat,
+    conjugate,
+    find_conjugator,
+    invert,
+    parse_word,
+    parse_words,
+    power,
+    reduce,
+)
+from oracles import coset_fb_equivalent, scan_fb_adjacent, search_fb_equivalent
 
 X = FBVertex(parse_words("a,b,c"))
 
@@ -136,6 +145,7 @@ def test_fb_relations_agree_with_search_oracles():
         u, v = FBVertex(a), FBVertex(b)
         eq = fb_equivalent(u, v)
         assert eq == search_fb_equivalent(u, v), (kind, a, b)
+        assert eq == coset_fb_equivalent(u, v), (kind, a, b)
         if not eq:
             assert fb_adjacent(u, v) == scan_fb_adjacent(u, v), (kind, a, b)
             assert fb_adjacent(v, u) == scan_fb_adjacent(v, u), (kind, a, b)
@@ -143,6 +153,53 @@ def test_fb_relations_agree_with_search_oracles():
     assert kinds["disguised"] == {True}
     assert False in kinds["same-key"]
     assert sum(1 for _ in _oracle_pairs(26)) >= 400
+
+
+def _wide_key(v, widen):
+    """FBVertex.key with its power of c searched over a window ``widen``
+    times wider, each conjugate built from power(c, k)."""
+    order = sorted(v.classes.items())
+    elems = [v.basis[i] if forward else invert(v.basis[i]) for _, (i, forward) in order]
+    c = order[0][0]
+    g = find_conjugator(elems[0], c)
+    bound = widen * (len(conjugate(elems[1], g)) // len(c) + 1)
+    tries = (concat(g, power(c, k)) for k in range(-bound, bound + 1))
+    _, _, g = min((len(w), w, h) for h in tries for w in [conjugate(elems[1], h)])
+    return tuple(conjugate(w, g) for w in elems)
+
+
+def test_key_is_invariant_and_its_window_suffices():
+    """Over 2000 seeded bases at ranks 2-6: permuting, inverting elements
+    and conjugating by words of up to 12 letters leaves the key alone, and
+    a five times wider power window finds the same key."""
+    rng = random.Random(10)
+    for trial in range(2000):
+        rank = 2 + trial % 5
+        basis = list(random_basis(rng.randrange(10**6), rng.randrange(1, 10), rank))
+        if rng.random() < 0.5:  # second element disguised by a power of the first
+            i, j = rng.sample(range(rank), 2)
+            basis[j] = conjugate(basis[j], power(basis[i], rng.randrange(-5, 6)))
+        v = FBVertex(tuple(basis))
+        letters = [s * k for k in range(1, rank + 1) for s in (1, -1)]
+        g = reduce(tuple(rng.choice(letters) for _ in range(rng.randrange(13))))
+        rng.shuffle(basis)
+        moved = FBVertex(tuple(
+            conjugate(w if rng.random() < 0.5 else invert(w), g) for w in basis
+        ))
+        assert moved.key == v.key, (v.basis, moved.basis)
+        assert _wide_key(v, 5) == v.key, v.basis
+
+
+def test_key_at_rank_one():
+    assert fb("Bab").key == fb("A").key
+    assert fb_equivalent(fb("Bab"), fb("A"))
+    assert not fb_equivalent(fb("a"), fb("aa"))
+
+
+def test_key_refuses_repeated_class_keys():
+    for bad in ("a,A,c", "a,bAB,c", "ab,c,BA"):
+        with pytest.raises(NotABasisError):
+            fb(bad).key
 
 
 def test_repeated_class_keys_are_refused():

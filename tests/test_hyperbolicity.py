@@ -7,7 +7,7 @@ from itertools import combinations
 
 import pytest
 
-from freebases.complexes import FBVertex, fb_adjacent, fb_equivalent, folding_path_bases
+from freebases.complexes import FBVertex, fb_adjacent, folding_path_bases
 from freebases.errors import DomainError
 from freebases.folding import random_basis
 from freebases.hyperbolicity import (
@@ -38,6 +38,7 @@ from freebases.words import parse_words
 from oracles import (
     brute_four_point_delta,
     brute_slim_delta,
+    coset_fb_equivalent,
     per_pair_delta_four_point,
     per_pair_delta_slim,
     per_tuple_check_thin_triangles,
@@ -334,7 +335,7 @@ def test_sample_fb_ball_agrees_with_scan_oracle():
                     sources["seed %d / fold %d" % (s, k)] = v
             reps = [FBVertex(parse_words(label["basis"], rank)) for label in labels]
             for rep, label in zip(reps, labels):
-                assert all(fb_equivalent(sources[src], rep) for src in label["sources"])
+                assert all(coset_fb_equivalent(sources[src], rep) for src in label["sources"])
             for i, j in combinations(range(len(reps)), 2):
                 cert = fb_adjacent(reps[i], reps[j])
                 if (i, j) in g.edges:
