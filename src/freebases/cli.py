@@ -33,9 +33,24 @@ def _emit(args, default_name, data):
     return path
 
 
-def _load_json(path):
+def _load_json(path, parse=lambda data: data):
+    """parse(the JSON document at path).  A document of the wrong shape is
+    malformed input: the TypeError or AttributeError raised while reading
+    it becomes a ValueError."""
     with open(path) as fh:
-        return json.load(fh)
+        data = json.load(fh)
+    try:
+        return parse(data)
+    except (TypeError, AttributeError) as exc:
+        raise ValueError("malformed %s: %s" % (path, exc)) from exc
+
+
+def _verified(vertex, text):
+    """The vertex, refused unless its (ambient) basis is a free basis: the
+    commands below, and the key's uniqueness, assume one."""
+    if not vertex.verify():
+        raise NotABasisError("not a basis: %s" % text)
+    return vertex
 
 
 def _maybe_time(args, data, t0):
@@ -92,8 +107,8 @@ def cmd_path_bases(args):
 
 
 def cmd_fb(args):
-    a = FBVertex(words.parse_words(args.a, args.rank))
-    b = FBVertex(words.parse_words(args.b, args.rank))
+    a = _verified(FBVertex(words.parse_words(args.a, args.rank)), args.a)
+    b = _verified(FBVertex(words.parse_words(args.b, args.rank)), args.b)
     cert = complexes.fb_adjacent(a, b)
     data = {"adjacent": cert is not None}
     if cert is not None:
@@ -108,7 +123,9 @@ def cmd_fb(args):
 
 def cmd_witness(args):
     if args.verify:
-        wp = complexes.witness_path_from_json(_load_json(args.verify))
+        wp = _load_json(args.verify, complexes.witness_path_from_json)
+        for v in wp.vertices:
+            _verified(v, words.words_str(v.ambient))
         bound = complexes.WITNESS_BOUNDS.get(wp.kind)
         if bound is None:
             raise ValueError("unknown witness kind %r" % wp.kind)
@@ -124,8 +141,8 @@ def cmd_witness(args):
     if args.kind == "h-lipschitz":
         if not (args.a and args.b):
             raise ValueError("--kind h-lipschitz needs --a and --b")
-        a = FBVertex(words.parse_words(args.a, args.rank))
-        b = FBVertex(words.parse_words(args.b, args.rank))
+        a = _verified(FBVertex(words.parse_words(args.a, args.rank)), args.a)
+        b = _verified(FBVertex(words.parse_words(args.b, args.rank)), args.b)
         path = complexes.h_lipschitz_path(a, b)
     else:
         if not (args.ambient and args.subset):
@@ -134,6 +151,7 @@ def cmd_witness(args):
             words.parse_words(args.ambient, args.rank),
             frozenset(int(k) for k in args.subset.split(",")),
         )
+        _verified(u, args.ambient)
         path = complexes.hq_path(u) if args.kind == "hq" else complexes.density_path(u)
     data = path.to_json_dict()
     reread = complexes.witness_path_from_json(json.loads(json.dumps(data)))
@@ -145,7 +163,7 @@ def cmd_witness(args):
 
 
 def cmd_tau(args):
-    m = agraph.MarkingGraph.from_json_dict(_load_json(args.marking))
+    m = _load_json(args.marking, agraph.MarkingGraph.from_json_dict)
     u = complexes.tau(SplittingVertex(m, args.edge))
     data = u.to_json_dict()
     out = _emit(args, "tau.json", data)
@@ -158,7 +176,7 @@ def cmd_tau(args):
 
 def cmd_delta(args):
     t0 = time.time()
-    g = hyperbolicity.FiniteGraph.from_json_dict(_load_json(args.infile))
+    g = _load_json(args.infile, hyperbolicity.FiniteGraph.from_json_dict)
     if args.method == "four-point":
         value = hyperbolicity.delta_four_point(g)
     else:
@@ -176,7 +194,7 @@ def cmd_delta(args):
 
 
 def cmd_cone_off(args):
-    g = hyperbolicity.FiniteGraph.from_json_dict(_load_json(args.infile))
+    g = _load_json(args.infile, hyperbolicity.FiniteGraph.from_json_dict)
     subsets = _load_json(args.subsets)
     coned = hyperbolicity.cone_off(g, subsets)
     data = coned.to_json_dict()
@@ -192,17 +210,16 @@ def cmd_cone_off(args):
 
 def cmd_thin_check(args):
     t0 = time.time()
-    g = hyperbolicity.FiniteGraph.from_json_dict(_load_json(args.infile))
-    paths = {
-        (entry["from"], entry["to"]): tuple(entry["path"])
-        for entry in _load_json(args.paths)
-    }
+    g = _load_json(args.infile, hyperbolicity.FiniteGraph.from_json_dict)
+    paths = _load_json(args.paths, lambda data: {
+        (entry["from"], entry["to"]): tuple(entry["path"]) for entry in data
+    })
     if args.phi == "median":
         phi = hyperbolicity.median_map(g)
     else:
-        phi = {
-            tuple(entry["triple"]): entry["center"] for entry in _load_json(args.phi)
-        }
+        phi = _load_json(args.phi, lambda data: {
+            tuple(entry["triple"]): entry["center"] for entry in data
+        })
     report = hyperbolicity.check_thin_triangles(
         g,
         paths,

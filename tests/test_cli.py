@@ -123,7 +123,64 @@ def test_fb_adjacent_repeated_class_key_exits_one(tmp_path):
     assert rc == 1
 
 
+def error_type(capsys):
+    return json.loads(capsys.readouterr().err)["error"]["type"]
+
+
+def test_fb_adjacent_refuses_a_non_basis(tmp_path, capsys):
+    out = tmp_path / "adj.json"
+    rc = main(["fb-adjacent", "--a", "aa,b,c", "--b", "a,b,c", "--json", str(out)])
+    assert (rc, error_type(capsys)) == (1, "NotABasisError")
+    assert not out.exists()
+
+
 # -- witness ------------------------------------------------------------------
+
+
+def test_witness_h_lipschitz_refuses_a_non_basis(tmp_path, capsys):
+    out = tmp_path / "w.json"
+    rc = main(["witness", "--kind", "h-lipschitz", "--a", "aa,b,c", "--b", "a,b,c",
+               "--json", str(out)])
+    assert (rc, error_type(capsys)) == (1, "NotABasisError")
+    assert not out.exists()
+
+
+def test_witness_hq_refuses_a_non_basis_ambient(tmp_path, capsys):
+    out = tmp_path / "w.json"
+    rc = main(["witness", "--kind", "hq", "--ambient", "aa,b,c", "--subset", "2",
+               "--json", str(out)])
+    assert (rc, error_type(capsys)) == (1, "NotABasisError")
+    assert not out.exists()
+
+
+def test_witness_verify_refuses_non_basis_ambients(tmp_path, capsys):
+    out = tmp_path / "w.json"
+    assert main(["witness", "--kind", "hq", "--ambient", "a,b,c",
+                 "--subset", "2", "--json", str(out)]) == 0
+    data = load(out)
+    for vertex in data["vertices"]:
+        vertex["ambient"] = ["aa", "b", "c"]  # the nested steps still certify
+    out.write_text(json.dumps(data))
+    capsys.readouterr()
+    rc = main(["witness", "--verify", str(out)])
+    assert (rc, error_type(capsys)) == (1, "NotABasisError")
+
+
+def test_witness_verify_refuses_json_of_the_wrong_shape(tmp_path, capsys):
+    listed = tmp_path / "list.json"
+    listed.write_text("[1, 2]")
+    assert main(["witness", "--verify", str(listed)]) == 2
+    assert error_type(capsys) == "ValueError"
+    out = tmp_path / "w.json"
+    assert main(["witness", "--kind", "hq", "--ambient", "a,b,c",
+                 "--subset", "2", "--json", str(out)]) == 0
+    data = load(out)
+    data["vertices"][0]["subset"] = ["x"]
+    out.write_text(json.dumps(data))
+    capsys.readouterr()
+    assert main(["witness", "--verify", str(out)]) == 2
+    assert error_type(capsys) == "ValueError"
+
 
 
 @pytest.mark.parametrize("rank", [3, 4, 5, 6])
@@ -196,6 +253,16 @@ def test_tau_picks_the_near_side_factor(tmp_path):
     report = load(out)
     assert report["subset"] == [1]
     assert report["ambient"] == ["a", "abA"]
+
+
+def test_tau_refuses_a_marking_of_the_wrong_shape(tmp_path, capsys):
+    marking = tmp_path / "marking.json"
+    marking.write_text(json.dumps(
+        {"vertices": [0], "edges": [{"id": 0, "inv": 1, "from": 0, "to": 0, "word": 5}]}
+    ))
+    rc = main(["tau", "--marking", str(marking), "--edge", "0",
+               "--json", str(tmp_path / "tau.json")])
+    assert (rc, error_type(capsys)) == (2, "ValueError")
 
 
 # -- delta / cone-off ---------------------------------------------------------
