@@ -296,7 +296,7 @@ def _label_tree(g, root):
     Raises DomainError unless root is a vertex and the search spans g."""
     if root not in g.vertices:
         raise DomainError("root %r is not a vertex" % (root,))
-    order = lambda e: (letter_key(e.label), e.id)
+    order = lambda e: 2 * abs(e.label) + (e.label < 0)  # letter_key; out-edges are in id order
     via = bfs([root], lambda v: [(e, e.dst) for e in sorted(g.out_edges(v), key=order)])
     if len(via) != len(g.vertices):
         raise DomainError("graph is not connected")

@@ -20,6 +20,7 @@ over a basis only ever needs kind I.
 import random
 from collections.abc import Sequence
 from dataclasses import dataclass
+from typing import NamedTuple
 
 from .agraph import AGraph, Edge, _step_table, _subdivide
 from .errors import DomainError, FoldabilityError
@@ -35,10 +36,10 @@ from .words import (
 )
 
 
-@dataclass(frozen=True)
-class FoldStep:
+class FoldStep(NamedTuple):
     """A single fold: which edge pair was identified, and which vertex (if
-    any) was merged away.  ``merged`` holds (kept, gone) pairs."""
+    any) was merged away.  ``merged`` holds (kept, gone) pairs.  A named
+    tuple, since the fold engine makes one per single fold."""
 
     kind: str  # "I" or "II"
     edges: tuple
