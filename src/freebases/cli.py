@@ -403,9 +403,8 @@ def _exp_thin_trees(rank, seed, moves):
 
 
 def _ball_certified(g, labels, rank):
-    """No two labelled bases are equivalent, that is their keys are distinct
-    (checked first: fb_adjacent refuses equivalent vertices), and every
-    edge's certificate re-validates."""
+    """The labelled bases have distinct keys (fb_adjacent refuses equivalent
+    vertices), and every edge's certificate re-validates."""
     verts = [FBVertex(words.parse_words(label["basis"], rank)) for label in labels]
     if len({v.key for v in verts}) < len(verts):
         return False

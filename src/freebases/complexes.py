@@ -71,12 +71,11 @@ class FBVertex:
     def classes(self):
         """Class key -> (0-based position, orientation) of each element.
 
-        The class key is the conjugacy class up to inversion, the lesser
-        cyclic normal form of the element and its inverse; the orientation
-        says whether it is the element's own.  The elements of a basis map
-        to a basis of the abelianization, so their keys are distinct; a
-        tuple repeating a key is no basis and raises NotABasisError.  Two
-        vertices are adjacent exactly when their class keys meet.
+        An element's class key is its conjugacy class up to inversion, the
+        lesser cyclic normal form of it and its inverse; the orientation
+        says whether it is the element's own.  A basis maps to a basis of
+        the abelianization, so its class keys are distinct; a tuple
+        repeating one is no basis and raises NotABasisError.
         """
         index = {}
         for pos, w in enumerate(self.basis):
@@ -92,19 +91,16 @@ class FBVertex:
 
     @cached_property
     def key(self):
-        """Normal form of the vertex: two bases are the same free-bases
-        vertex exactly when their keys are equal.
+        """Normal form: two bases are one free-bases vertex exactly when
+        their keys are equal.
 
-        The elements are put in class-key order, each oriented so that its
-        cyclic normal form is its class key, and all are conjugated by one
-        word taking the first to its cyclic normal form c.  The conjugators
-        fixing c are the powers of c, since a primitive element is
-        root-free, so what is left is c^k; k makes the second element
-        shortest, then least.  That k is unique, because two elements of a
-        basis share no power.  The shortest conjugate lies within
-        |k| <= |w|/|c| + 1 of the second element w: past that, c^-k w c^k
-        only grows.  Raises NotABasisError when the tuple repeats a class
-        key.
+        The elements, in class-key order and each oriented to its class
+        key, are conjugated by one word taking the first to its cyclic
+        normal form c, then by the power c^k (a primitive c is root-free,
+        so these are all the conjugators fixing it) that makes the second
+        element w shortest, then least; k is unique, since two basis
+        elements share no power.  Past |k| = |w|/|c| + 1, c^-k w c^k only
+        grows.  Raises NotABasisError when the tuple repeats a class key.
         """
         order = sorted(self.classes.items())
         c = order[0][0]
@@ -160,12 +156,9 @@ class FFVertex:
 
 
 def fb_equivalent(a, b):
-    """Are two stored bases the same free-bases vertex?
-
-    They are exactly when their keys agree (see FBVertex.key); the answer
-    is exact whenever either tuple is a basis.  Raises NotABasisError when either tuple
-    repeats a class key.
-    """
+    """Are two stored bases the same free-bases vertex?  Exactly when their
+    keys agree (see FBVertex.key), if either is a basis.  Raises
+    NotABasisError when either tuple repeats a class key."""
     if a.rank != b.rank:
         raise ValueError("bases of different rank")
     return a.key == b.key

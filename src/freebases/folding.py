@@ -38,8 +38,7 @@ from .words import (
 
 class FoldStep(NamedTuple):
     """A single fold: which edge pair was identified, and which vertex (if
-    any) was merged away.  ``merged`` holds (kept, gone) pairs.  A named
-    tuple, since the fold engine makes one per single fold."""
+    any) was merged away.  ``merged`` holds (kept, gone) pairs."""
 
     kind: str  # "I" or "II"
     edges: tuple
