@@ -12,8 +12,9 @@ equivalence) and every element pair and sign (for adjacency), where the
 library lets class keys force the matching.  The coset search is the
 library's equivalence before every vertex got a key: the class keys match
 the elements, and the common conjugator is searched over a bounded coset
-of the first element's centralizer; the key comparison must agree with it.  The recursive canonical code
-is the library's traversal before it moved to an explicit stack.
+of the first element's centralizer; the key comparison must agree with
+it.  The recursive canonical code is the library's traversal before it
+moved to an explicit stack.
 
 The rebuild folders are the library's folding before it moved to one
 union-find engine: every single fold builds the whole quotient graph,
