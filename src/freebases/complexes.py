@@ -15,6 +15,7 @@ witness-path builders require rank >= 3.
 
 from dataclasses import dataclass, field
 from functools import cached_property
+from itertools import chain
 
 from .agraph import MarkingGraph, basis_from_tree, bfs, is_rose
 from .errors import DomainError, FoldabilityError, NotABasisError, TrivialFactorError
@@ -29,6 +30,7 @@ from .words import (
     is_reduced,
     parse_word,
     power,
+    reduce,
     word_str,
 )
 
@@ -38,12 +40,11 @@ def identity_basis(rank):
 
 
 def substitute(w, basis):
-    """Image of w under the endomorphism x_i -> basis[i-1]."""
-    out = ()
-    for letter in w:
-        piece = basis[letter - 1] if letter > 0 else invert(basis[-letter - 1])
-        out = concat(out, piece)
-    return out
+    """Image of w under the endomorphism x_i -> basis[i-1]: one free
+    reduction of the joined images, linear in their total length."""
+    return reduce(tuple(chain.from_iterable(
+        basis[letter - 1] if letter > 0 else invert(basis[-letter - 1]) for letter in w
+    )))
 
 
 @dataclass(frozen=True)

@@ -6,9 +6,13 @@ hyperbolicity constants are exact exhaustive measurements, not estimates:
 ``delta_four_point`` scans vertex quadruples, ``delta_slim`` quantifies
 over every geodesic of every side of every vertex triple.
 
-Both deltas and the thin-triangles checker run on numpy arrays in blocks of
-about _BLOCK elements (see each docstring for the method); the per-pair and
-per-tuple scans they replaced are the test suite's oracles.
+Both deltas, the median map's center table and the thin-triangles checker
+run on numpy arrays in blocks of about _BLOCK elements (see each docstring
+for the method); Python loops run per block, and in the checker per
+sampled draw and per center-map read, never per distance computed.  Their
+whole-graph arrays are n x n distances and, for the checker, n^3 int32
+profiles and centers.  The per-pair and per-tuple scans
+and the per-call median map they replaced are the test suite's oracles.
 """
 
 import random
@@ -25,7 +29,6 @@ from .words import words_str
 
 SLIM_BUDGET_BYTES = 256 * 2**20  # for delta_slim's n^3 int32 array
 _BLOCK = 1 << 15  # elements of one temporary in the blocked scans (128 KiB of int32)
-_SAMPLE_CHUNK = 1 << 10  # tuples drawn per gather in sampled thin checks
 
 
 class FiniteGraph:
@@ -308,12 +311,29 @@ def geodesic_family(g):
 def median_map(g):
     """The center map sending a triple to the vertex minimizing the sum of
     distances to it (lowest vertex in the order on ties); exactly
-    symmetric under all permutations of the triple."""
+    symmetric under all permutations of the triple.
+
+    All n^3 centers are computed up front in int32, as the argmin over
+    vertices of d[a] + d[b] + d[c] for a block of (a, b) rows and every c
+    at once (each temporary about _BLOCK elements), and kept as nested
+    lists of vertices (8 bytes per triple), so the returned map is a lookup
+    of about 0.2 us a call."""
     d = g.distance_matrix()
+    n = len(g)
+    table = np.empty((n * n, n), dtype=np.int32)
+    step = max(1, _BLOCK // max(1, n * n))
+    for lo in range(0, n * n, step):
+        rows = np.arange(lo, min(lo + step, n * n))
+        pair = d[rows // n] + d[rows % n]
+        table[rows] = (pair[:, None, :] + d).argmin(axis=2)
+    verts = np.empty(n, dtype=object)
+    for i, v in enumerate(g.vertex_list):
+        verts[i] = v
+    centers = [verts[plane].tolist() for plane in table.reshape(n, n, n)]
+    vindex = g.vindex
 
     def phi(a, b, c):
-        tot = d[:, g.vindex[a]] + d[:, g.vindex[b]] + d[:, g.vindex[c]]
-        return g.vertex_list[int(np.argmin(tot))]
+        return centers[vindex[a]][vindex[b]][vindex[c]]
 
     return phi
 
@@ -415,6 +435,48 @@ def _hausdorff_rows(d, p, q):
     return out
 
 
+def _randbelow(bits, m):
+    """A draw from range(m), m >= 1, off the stream of ``bits``, a bound
+    Random.getrandbits: m.bit_length() bits, drawn again while m or more.
+    Random.choice and Random.randrange(m) draw exactly so."""
+    k = m.bit_length()
+    r = bits(k)
+    while r >= m:
+        r = bits(k)
+    return r
+
+
+def _segments(d, pad, r, s):
+    """Subpath tables for the pairs (r[k], s[k]) of a path row and a start
+    on it.  Subpath c = k * W + j (W the padded width) is p[s .. s + j] of
+    path r, its last vertex repeated past the path's end: sub[i, c] is
+    p[s + min(i, j)], so column c lists the subpath padded to W, and
+    seg[c * n + u], flat, is u's distance to the subpath, one running
+    minimum per pair."""
+    width = pad.shape[1]
+    walk = pad[r[:, None], np.minimum(s[:, None] + np.arange(width), width - 1)]
+    seg = d[walk]
+    np.minimum.accumulate(seg, axis=1, out=seg)
+    steps = np.arange(width)
+    sub = walk[:, np.minimum(steps, steps[:, None])].reshape(-1, width)
+    return sub.T.copy(), seg.ravel()
+
+
+def _subsegment_values(prof, pad_t, sub, seg, c, ab):
+    """Hausdorff distance between subpath c[q] of ``_segments`` and the
+    stored path in row ab[q], for every q: the larger of the farthest
+    vertex of path ab from the subpath (seg at path ab) and the farthest
+    vertex of the subpath from path ab (the ab profile at the subpath).
+    Each is one gather of W entries per q, laid out W by q so that the
+    maxima run along rows."""
+    at = pad_t[:, ab]
+    at += c * prof.shape[1]
+    to_sub = seg.take(at).max(axis=0)
+    at = sub[:, c]
+    at += ab * prof.shape[1]
+    return np.maximum(to_sub, prof.take(at).max(axis=0))
+
+
 def check_thin_triangles(
     g, paths, phi, b1, tuple_threshold=1_000_000, sample_size=20_000, seed=0
 ):
@@ -423,111 +485,133 @@ def check_thin_triangles(
     Condition (2) ranges over tuples (x, y, s, t, a, b) with s <= t
     positions on the stored (x,y) path and a, b within b1 of the s/t
     points; when the full tuple count exceeds ``tuple_threshold`` a seeded
-    subsample of ``sample_size`` tuples is measured instead.  The center
-    map must be cyclically symmetric (checked on the triples examined) and
-    may be a callable or a mapping on ordered triples; it is called once
-    per ordered triple.  Each witness is the first tuple, in loop order,
-    attaining its condition's value.
+    subsample of ``sample_size`` tuples is measured instead, drawn as
+    Random(seed).choice and randrange would draw them.  The center map must
+    be cyclically symmetric (checked on the triples examined) and may be a
+    callable or a mapping on ordered triples; it is read once per ordered
+    triple.  Each witness is the first tuple, in loop order (or draw order),
+    attaining its condition's value.  A negative b1, threshold or sample
+    size raises ValueError.
 
-    A path's profile is every vertex's distance to it.  For each (x, y, s),
-    running minima over t of d(full[t], .) give the subsegment profiles,
-    running maxima of the (a, b) profiles at full[t] the other half of the
-    Hausdorff distances, and one gather reads all (t, a, b).  Sampled
-    tuples are measured in chunks.  Profiles and centers are n^3 int32 arrays.
+    A path's profile is every vertex's distance to it; profiles and centers
+    are n^3 int32 arrays.  A tuple's condition (2) value is the larger of
+    two maxima of a path width W each: over u on the (a, b) path, of u's
+    distance to p[s .. t], read from a running-minimum table seg[(r, s), t,
+    u] built for a block of (path, start) pairs at once; and over p[s .. t],
+    of the (a, b) profile.  Exhaustive checks enumerate the tuples of a
+    block in loop order as index arrays; sampled checks feed each chunk of
+    draws, one table row per draw, to the same kernel.  Every temporary,
+    the table and the tuple arrays included, holds about _BLOCK elements
+    (unblocked, the table alone would hold n^3 W^2 entries, about 113 MB for
+    the 40-cycle).
     """
+    for name, value in (("b1", b1), ("tuple_threshold", tuple_threshold),
+                        ("sample_size", sample_size)):
+        if value < 0:
+            raise ValueError("%s must be nonnegative, got %r" % (name, value))
     check_path_family(g, paths)
     d = g.distance_matrix()
     vlist = g.vertex_list
     n = len(vlist)
     pad, lens = _padded_paths(g, paths)
+    width = pad.shape[1]
     prof = d[pad[:, 0]]
-    for col in range(1, pad.shape[1]):
+    for col in range(1, width):
         np.minimum(prof, d[pad[:, col]], out=prof)
 
-    lookup = phi if callable(phi) else lambda a, b, c: phi[a, b, c]
     xs, ys = np.triu_indices(n)
     vals = _hausdorff_rows(d, pad[xs * n + ys], pad[ys * n + xs])
     k = int(np.argmax(vals))
     b2_h, wit_h = int(vals[k]), (vlist[xs[k]], vlist[ys[k]])
 
+    lookup = phi if callable(phi) else lambda a, b, c: phi[a, b, c]
     centers = np.empty((n, n, n), dtype=np.int32)
+    later = np.arange(n)
     for i, a in enumerate(vlist):
-        for j in range(i, n):
-            for k in range(i, n):
-                if (j, k, i) < (i, j, k) or (k, i, j) < (i, j, k):
-                    continue  # a rotation of a triple already checked
-                b, c = vlist[j], vlist[k]
-                center = lookup(a, b, c)
-                if center != lookup(b, c, a) or center != lookup(c, a, b):
-                    raise ValueError(
-                        "center map is not cyclically symmetric on (%r, %r, %r)"
-                        % (a, b, c)
-                    )
-                centers[i, j, k] = centers[j, k, i] = centers[k, i, j] = g.vindex[center]
+        # the (i, j, k) least among their rotations, in loop order
+        j, k = np.nonzero((later[:, None] >= i) & (later > i)
+                          | (later[:, None] == i) & (later >= i))
+        found = []
+        for b, c in zip(j.tolist(), k.tolist()):
+            b, c = vlist[b], vlist[c]
+            center = lookup(a, b, c)
+            if center != lookup(b, c, a) or center != lookup(c, a, b):
+                raise ValueError(
+                    "center map is not cyclically symmetric on (%r, %r, %r)" % (a, b, c)
+                )
+            found.append(g.vindex[center])
+        centers[i, j, k] = centers[j, k, i] = centers[k, i, j] = found
     vals = np.take_along_axis(prof, centers.reshape(n * n, n), axis=1)
     k = int(np.argmax(vals))
     b2_c = int(vals.flat[k])
     wit_c = (vlist[k // (n * n)], vlist[k // n % n], vlist[k % n])
 
     near = d <= b1
-    balls = [np.flatnonzero(row) for row in near]
     sizes = near.sum(axis=1)
-    sz = np.where(np.arange(pad.shape[1]) < lens[:, None], sizes[pad], 0)
+    ball_flat = np.nonzero(near)[1]
+    ball_start = np.cumsum(sizes) - sizes
+    sz = np.where(np.arange(width) < lens[:, None], sizes[pad], 0)
     total = int(((sz.sum(axis=1) ** 2 + (sz**2).sum(axis=1)) // 2).sum())
 
     b2_s, wit_s = 0, None
     checked = 0
+    step = max(1, _BLOCK // (width * n))  # (path, start) pairs per seg table
+    pad_t = pad.T.copy()
+
+    def record(vals, r, s, t, a, b):
+        nonlocal b2_s, wit_s, checked
+        checked += len(vals)
+        m = int(np.argmax(vals))
+        if vals[m] > b2_s or wit_s is None:
+            b2_s = int(vals[m])
+            wit_s = (vlist[r[m] // n], vlist[r[m] % n], int(s[m]), int(t[m]),
+                     vlist[a[m]], vlist[b[m]])
+
     if total <= tuple_threshold:
         mode = "exhaustive"
-        prof = prof.reshape(n, n, n)
-        for r in range(n * n):
-            full = pad[r, : lens[r]]
-            cat = np.concatenate([balls[u] for u in full])
-            cat_t = np.repeat(np.arange(len(full)), sizes[full])
-            start = 0
-            for s in range(len(full)):
-                a_idx = balls[full[s]]
-                b_idx, t_off = cat[start:], cat_t[start:] - s
-                start += len(a_idx)
-                if not len(a_idx):
-                    continue
-                to_sub = np.minimum.accumulate(d[full[s:]], axis=0)
-                from_sub = prof[np.ix_(a_idx, np.arange(n), full[s:])]
-                np.maximum.accumulate(from_sub, axis=2, out=from_sub)
-                vals = np.maximum(
-                    to_sub[t_off[:, None], pad[(a_idx * n)[:, None] + b_idx]].max(axis=2),
-                    from_sub[:, b_idx, t_off],
-                )
-                checked += vals.size
-                top = int(vals.max())
-                if top > b2_s or wit_s is None:
-                    rows, cols = np.nonzero(vals == top)
-                    k = np.lexsort((cols, rows, t_off[cols]))[0]
-                    b2_s = top
-                    wit_s = (vlist[r // n], vlist[r % n], s, s + int(t_off[cols[k]]),
-                             vlist[a_idx[rows[k]]], vlist[b_idx[cols[k]]])
+        pairs_r, pairs_s = np.nonzero(np.arange(width) < lens[:, None])
+        chunk = max(1, _BLOCK // width)
+        for lo in range(0, len(pairs_r), step):
+            r, s = pairs_r[lo : lo + step], pairs_s[lo : lo + step]
+            sub, seg = _segments(d, pad, r, s)
+            # the (x, y, s, t) of the block in loop order, then each tuple's
+            # (a, b) from its offset among the block's tuples
+            pair, off = np.nonzero(np.arange(width) < (lens[r] - s)[:, None])
+            cols = pair * width + off
+            first, last = sub[0, cols], sub[-1, cols]
+            count = sizes[first] * sizes[last]
+            end = np.cumsum(count)
+            for q in range(0, int(end[-1]), chunk):
+                q = np.arange(q, min(q + chunk, int(end[-1])))
+                e = np.searchsorted(end, q, side="right")
+                ia, ib = np.divmod(q - (end[e] - count[e]), sizes[last[e]])
+                a = ball_flat[ball_start[first[e]] + ia]
+                b = ball_flat[ball_start[last[e]] + ib]
+                vals = _subsegment_values(prof, pad_t, sub, seg, cols[e], a * n + b)
+                pe = pair[e]
+                record(vals, r[pe], s[pe], s[pe] + off[e], a, b)
     else:
         mode = "sampled"
-        rng = random.Random(seed)
-        ball_lists = [ball.tolist() for ball in balls]
-        indices = range(n)
+        bits = random.Random(seed).getrandbits
+        ball_lists = [ball.tolist() for ball in np.split(ball_flat, ball_start[1:])]
         pad_lists, len_list = pad.tolist(), lens.tolist()
-        for lo in range(0, sample_size, _SAMPLE_CHUNK):
+        for lo in range(0, sample_size, step):
             drawn = []
-            for _ in range(min(_SAMPLE_CHUNK, sample_size - lo)):
-                r = rng.choice(indices) * n + rng.choice(indices)
-                s, t = sorted((rng.randrange(len_list[r]), rng.randrange(len_list[r])))
-                a = rng.choice(ball_lists[pad_lists[r][s]])
-                drawn.append((r, s, t, a * n + rng.choice(ball_lists[pad_lists[r][t]])))
-            r, s, t, ab = np.array(drawn, dtype=np.intp).T
-            sub = pad[r[:, None], np.minimum(s[:, None] + np.arange(pad.shape[1]), t[:, None])]
-            vals = _hausdorff_rows(d, pad[ab], sub)
-            checked += len(drawn)
-            k = int(np.argmax(vals))
-            if vals[k] > b2_s or wit_s is None:
-                b2_s = int(vals[k])
-                wit_s = (vlist[r[k] // n], vlist[r[k] % n], int(s[k]), int(t[k]),
-                         vlist[ab[k] // n], vlist[ab[k] % n])
+            for _ in range(min(step, sample_size - lo)):
+                r = _randbelow(bits, n) * n + _randbelow(bits, n)
+                s = _randbelow(bits, len_list[r])
+                t = _randbelow(bits, len_list[r])
+                if s > t:
+                    s, t = t, s
+                near_s = ball_lists[pad_lists[r][s]]
+                near_t = ball_lists[pad_lists[r][t]]
+                drawn.append((r, s, t, near_s[_randbelow(bits, len(near_s))],
+                              near_t[_randbelow(bits, len(near_t))]))
+            r, s, t, a, b = np.array(drawn, dtype=np.intp).T
+            sub, seg = _segments(d, pad, r, s)
+            vals = _subsegment_values(prof, pad_t, sub, seg,
+                                      np.arange(len(r)) * width + t - s, a * n + b)
+            record(vals, r, s, t, a, b)
 
     return ThinReport(
         b1=b1, b2_hausdorff=b2_h, b2_subsegment=b2_s, b2_center=b2_c,

@@ -36,7 +36,14 @@ thin-triangle measurements before they were vectorized: one numpy call per
 vertex pair (four-point), one geodesic-dag sweep per vertex pair (slim),
 and one Hausdorff distance per tuple (thin triangles), with the ball
 sampler that compares every candidate with every representative.  The
-vectorized code must return the same values, witnesses and graphs.
+vectorized code must return the same values, witnesses and graphs.  The
+per-call median map is ``median_map`` before it tabled its centers: three
+distance columns and one argmin per call.  The table must name the same
+center for every ordered triple.
+
+The piecewise substitution is ``substitute`` before it reduced once: it
+appends one basis image at a time with ``concat``.  The single reduction
+must give the same word.
 
 The hand-rolled traversals are the library's graph searches before they
 all went through ``agraph.bfs``: the connectivity walks of ``AGraph`` and
@@ -586,6 +593,18 @@ def union_find_fold(g, pairs=None):
 # -- per-pair and per-tuple hyperbolicity scans ------------------------------
 
 
+def argmin_median_map(g):
+    """The median center map with one argmin of three distance columns per
+    call, lowest vertex in the order on ties."""
+    d = g.distance_matrix()
+
+    def phi(a, b, c):
+        tot = d[:, g.vindex[a]] + d[:, g.vindex[b]] + d[:, g.vindex[c]]
+        return g.vertex_list[int(np.argmin(tot))]
+
+    return phi
+
+
 def per_pair_delta_four_point(g):
     """Gromov 4-point constant: max over quadruples of half the gap between
     the two largest of the three pairwise distance sums."""
@@ -1085,4 +1104,16 @@ def two_search_basis_from_tree(g, base):
         e = g.edges[eid]
         rep = e if e.label > 0 else g.edges[inv_id]
         out.append(concat_all(words[rep.src], (rep.label,), invert(words[rep.dst])))
+    return out
+
+
+# -- piecewise substitution ---------------------------------------------------
+
+
+def concat_substitute(w, basis):
+    """Image of w under x_i -> basis[i-1], one ``concat`` per letter."""
+    out = ()
+    for letter in w:
+        piece = basis[letter - 1] if letter > 0 else invert(basis[-letter - 1])
+        out = concat(out, piece)
     return out

@@ -335,6 +335,22 @@ def test_thin_check_median_on_tree(tmp_path):
     assert report["b2"] <= 2
 
 
+@pytest.mark.parametrize("flag", ["--b1", "--sample-size", "--tuple-threshold"])
+def test_thin_check_refuses_negative_arguments(tmp_path, capsys, flag):
+    g = hyperbolicity.path_graph(4)
+    infile = write_graph(tmp_path / "path.json", g)
+    paths = tmp_path / "paths.json"
+    paths.write_text(json.dumps([{"from": x, "to": y, "path": list(p)}
+                                 for (x, y), p in hyperbolicity.geodesic_family(g).items()]))
+    numbers = {"--b1": "1", "--sample-size": "5", "--tuple-threshold": "5", flag: "-1"}
+    out = tmp_path / "thin.json"
+    rc = main(["thin-check", "--in", infile, "--paths", str(paths), "--phi", "median",
+               "--json", str(out)] + [x for pair in numbers.items() for x in pair])
+    assert rc == 2
+    assert "must be nonnegative" in capsys.readouterr().err
+    assert not out.exists()
+
+
 # -- experiment ---------------------------------------------------------------
 
 

@@ -42,7 +42,12 @@ from freebases.words import (
     power,
     reduce,
 )
-from oracles import coset_fb_equivalent, scan_fb_adjacent, search_fb_equivalent
+from oracles import (
+    concat_substitute,
+    coset_fb_equivalent,
+    scan_fb_adjacent,
+    search_fb_equivalent,
+)
 
 X = FBVertex(parse_words("a,b,c"))
 
@@ -62,6 +67,20 @@ def test_identity_basis():
 def test_substitute_rewrites_letters():
     basis = parse_words("ab,b,c")
     assert substitute(parse_word("aC"), basis) == (1, 2, -3)
+
+
+def test_substitute_agrees_with_concat_oracle():
+    # seeded bases at ranks 2-6 and words of up to 400 letters, unreduced
+    # ones and words w + w^-1 that cancel to the identity among them
+    rng = random.Random(11)
+    for k in range(200):
+        rank = 2 + k % 5
+        basis = random_basis(rng.randrange(10**6), rng.randint(0, 12), rank)
+        letters = [x for i in range(1, rank + 1) for x in (i, -i)]
+        w = tuple(rng.choice(letters) for _ in range(rng.choice([0, 1, 7, 60, 400])))
+        if k % 7 == 0:
+            w = w + invert(w)
+        assert substitute(w, basis) == concat_substitute(w, basis)
 
 
 def test_fbvertex_rejects_empty_words():

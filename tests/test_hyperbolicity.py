@@ -7,6 +7,7 @@ from itertools import combinations
 
 import pytest
 
+from freebases import hyperbolicity
 from freebases.complexes import FBVertex, fb_adjacent, folding_path_bases
 from freebases.errors import DomainError
 from freebases.folding import random_basis
@@ -36,6 +37,7 @@ from freebases.hyperbolicity import (
 from freebases.words import parse_words
 
 from oracles import (
+    argmin_median_map,
     brute_four_point_delta,
     brute_slim_delta,
     coset_fb_equivalent,
@@ -407,6 +409,8 @@ def test_hyperbolicity_agrees_with_per_pair_oracles():
         vs = g.vertex_list
         median = median_map(g)
         table = {(a, b, c): median(a, b, c) for a in vs for b in vs for c in vs}
+        per_call = argmin_median_map(g)
+        assert table == {triple: per_call(*triple) for triple in table}
         phi = table if k % 2 else lambda a, b, c: table[a, b, c]
         b1 = k % 4
         threshold = rng.choice([0, 300, 1500])
@@ -434,6 +438,34 @@ def test_hyperbolicity_agrees_with_per_pair_oracles():
     assert modes == {"exhaustive", "sampled"}
     assert {b1 for mode, b1, _ in seen if mode == "exhaustive"} == {0, 1, 2, 3}
     assert {0, 1} <= {samples for mode, _, samples in seen if mode == "sampled"}
+
+
+def test_thin_triangles_agree_with_oracle_across_block_boundaries(monkeypatch):
+    # blocks of a few elements split the seg table's (path, start) pairs,
+    # the tuples of one (x, y, s, t) and the sampled draws across chunks
+    rng = random.Random(4711)
+    families = ["tree", "cycle", "grid", "coned grid", "sparse"]
+    modes = set()
+    for k in range(40):
+        monkeypatch.setattr(hyperbolicity, "_BLOCK", [1, 5, 40, 300][k % 4])
+        g = _random_graph(rng, families[k % len(families)])
+        fam = geodesic_family(g) if k % 3 else _detour_family(g, rng)
+        threshold = rng.choice([0, 1500])
+        samples = rng.choice([1, 57, 300])
+        ours, ref = _thin_reports(g, fam, median_map(g), k % 4, threshold, samples, k)
+        assert json.dumps(ours) == json.dumps(ref)
+        modes.add(ours["mode"])
+    assert modes == {"exhaustive", "sampled"}
+
+
+def test_thin_triangles_refuse_negative_arguments():
+    t = random_tree(5, 2)
+    fam = geodesic_family(t)
+    phi = median_map(t)
+    for kwargs in ({"b1": -1}, {"b1": 1, "tuple_threshold": -1},
+                   {"b1": 1, "sample_size": -3}):
+        with pytest.raises(ValueError, match="nonnegative"):
+            check_thin_triangles(t, fam, phi, **kwargs)
 
 
 def test_subsegment_distance_reaches_interior_points():
