@@ -5,10 +5,7 @@ inverse label, so each topological edge is stored twice.  Vertices are
 integers; an optional base vertex marks graphs that present a subgroup.
 
 A graph is *folded* when no vertex has two distinct outgoing edges with the
-same label, and *foldable* when every degree-2 vertex has two distinct
-outgoing labels and every vertex of degree >= 3 sees at least three distinct
-outgoing labels.  Folded graphs immerse into the rose; foldable ones admit
-maximal folds that stay foldable.
+same label; folded graphs immerse into the rose.
 """
 
 from itertools import permutations
@@ -17,7 +14,6 @@ from typing import NamedTuple
 from .errors import ContractibleGraphError, DomainError
 from .words import (
     DEFAULT_RANK,
-    concat,
     concat_all,
     invert,
     is_reduced,
@@ -130,9 +126,6 @@ class AGraph(_Graph):
     def degree(self, v):
         return len(self._out[v])
 
-    def num_topological_edges(self):
-        return len(self.edges) // 2
-
     def with_base(self, base):
         return AGraph(self.vertices, self.edges, base=base, rank=self.rank, check=False)
 
@@ -216,77 +209,9 @@ def core(g):
     return AGraph(g.vertices - gone, edges, base=g.base, rank=g.rank)
 
 
-def natural_vertices(g):
-    """Vertices of degree at least 3, ascending."""
-    return sorted(v for v in g.vertices if g.degree(v) >= 3)
-
-
-def _chain_from(g, germ, natural):
-    chain = [germ]
-    guard = len(g.edges) + 1
-    while chain[-1].dst not in natural:
-        if len(chain) > guard:
-            raise DomainError("edge chain does not reach a natural vertex")
-        v = chain[-1].dst
-        nxt = [e for e in g.out_edges(v) if e.id != chain[-1].inv]
-        if len(nxt) != 1:
-            raise DomainError("vertex %d is neither natural nor interior" % v)
-        chain.append(nxt[0])
-    return chain
-
-
-def natural_edges(g):
-    """Maximal chains through degree-2 vertices between natural vertices.
-
-    Each topological edge belongs to exactly one returned chain; chains are
-    lists of oriented edge ids.  Raises DomainError when the graph has no
-    natural vertex (a circle or a point).
-    """
-    natural = set(natural_vertices(g))
-    if not natural:
-        raise DomainError("graph has no natural vertex")
-    chains = []
-    used = set()
-    for v in sorted(natural):
-        for germ in sorted(g.out_edges(v), key=lambda e: (letter_key(e.label), e.id)):
-            if min(germ.id, germ.inv) in used:
-                continue
-            chain = _chain_from(g, germ, natural)
-            for e in chain:
-                used.add(min(e.id, e.inv))
-            chains.append([e.id for e in chain])
-    return chains
-
-
 def is_folded(g):
     """No vertex has two distinct outgoing edges with the same label."""
     return _step_table(g) is not None
-
-
-def is_foldable(g, report=False):
-    """Check the two local foldability conditions.
-
-    Returns a bool, or ``(bool, violations)`` when ``report`` is true.  The
-    graph is expected to be a core graph; degree-0 and degree-1 vertices are
-    reported as violations since the conditions only make sense without them.
-    """
-    violations = []
-    for v in sorted(g.vertices):
-        labels = [e.label for e in g.out_edges(v)]
-        distinct = len(set(labels))
-        if len(labels) <= 1:
-            violations.append("vertex %d has degree %d (not a core graph)" % (v, len(labels)))
-        elif len(labels) == 2:
-            if distinct < 2:
-                violations.append("degree-2 vertex %d has equal outgoing labels" % v)
-        else:
-            if distinct < 3:
-                violations.append(
-                    "vertex %d of degree %d has only %d distinct outgoing labels"
-                    % (v, len(labels), distinct)
-                )
-    ok = not violations
-    return (ok, violations) if report else ok
 
 
 def _label_tree(g, root):
@@ -313,21 +238,6 @@ def spanning_tree(g, root=None):
     if root is None:
         root = g.base if g.base is not None else min(g.vertices)
     return _label_tree(g, root)[1]
-
-
-def check_spanning_tree(g, tree):
-    problems = []
-    for eid in tree:
-        e = g.edges.get(eid)
-        if e is None:
-            problems.append("tree edge %d not in graph" % eid)
-        elif e.inv not in tree:
-            problems.append("tree not closed under involution at edge %d" % eid)
-    if not problems:
-        n_top = sum(1 for eid in tree if eid < g.edges[eid].inv)
-        if n_top != len(g.vertices) - 1:
-            problems.append("tree has %d edges for %d vertices" % (n_top, len(g.vertices)))
-    return problems
 
 
 def basis_from_tree(g, base):
@@ -364,7 +274,7 @@ def basis_from_tree(g, base):
     return out
 
 
-# -- smoothing ------------------------------------------------------------
+# -- markings -------------------------------------------------------------
 
 
 def _subdivide(chains, next_v):
@@ -452,35 +362,6 @@ class MarkingGraph(_Graph):
                 parse_word(item["word"], rank=rank),
             )
         return cls(data["vertices"], edges)
-
-    def to_dot(self, name="marking"):
-        lines = ["graph %s {" % name]
-        for v in sorted(self.vertices):
-            lines.append("  %d;" % v)
-        for eid, _ in sorted(self.topological_edges()):
-            e = self.edges[eid]
-            lines.append('  %d -- %d [label="%s"];' % (e.src, e.dst, word_str(e.word)))
-        lines.append("}")
-        return "\n".join(lines)
-
-
-def smooth(g):
-    """Erase degree-2 vertices, concatenating labels along each chain.
-
-    The result is a MarkingGraph on the natural vertices.  Requires a core
-    graph with at least one natural vertex; for foldable graphs the chain
-    words are automatically reduced.
-    """
-    chains = natural_edges(g)
-    edges = {}
-    for k, chain in enumerate(chains):
-        first = g.edges[chain[0]]
-        last = g.edges[chain[-1]]
-        word = tuple(g.edges[eid].label for eid in chain)
-        a, b = 2 * k, 2 * k + 1
-        edges[a] = MarkingEdge(a, b, first.src, last.dst, word)
-        edges[b] = MarkingEdge(b, a, last.dst, first.src, invert(word))
-    return MarkingGraph(natural_vertices(g), edges)
 
 
 # -- labeled isomorphism --------------------------------------------------
@@ -613,11 +494,6 @@ def labeled_isomorphic(g1, g2):
     if g1.base is not None:
         return _canonical_code(g1, g1.base) == _canonical_code(g2, g2.base)
     return canonical_code(g1) == canonical_code(g2)
-
-
-def marking_isomorphic(m1, m2):
-    """Word-label preserving isomorphism of marking graphs."""
-    return labeled_isomorphic(m1.expand(), m2.expand())
 
 
 def has_loop_labeled(g, v, letter):

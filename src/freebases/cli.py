@@ -444,8 +444,9 @@ def _sample_seed(seed, index):
 def cmd_experiment(args):
     t0 = time.time()
     fn = EXPERIMENTS[args.name]
-    if args.samples < 0:
-        raise ValueError("--samples must be nonnegative")
+    for flag in ("samples", "moves"):
+        if getattr(args, flag) < 0:
+            raise ValueError("--%s must be nonnegative" % flag)
     indices = [args.only] if args.only is not None else list(range(args.samples))
     seeds = [_sample_seed(args.seed, k) for k in indices]
     if args.workers > 1 and len(seeds) > 1:

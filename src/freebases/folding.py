@@ -15,6 +15,14 @@ Folds come in two kinds: a fold identifying two edges whose endpoints were
 distinct ("I") is a homotopy equivalence; one whose endpoints already
 coincided ("II") kills a loop and drops the Betti number.  Folding a wedge
 over a basis only ever needs kind I.
+
+A graph is *foldable* when it has no vertex of degree below 2, every
+degree-2 vertex has two distinct outgoing labels and every vertex of degree
+>= 3 (a *natural* vertex) sees at least three distinct outgoing labels;
+foldable graphs admit maximal folds that stay foldable.  A *natural edge*
+is the chain of edges from a natural vertex through degree-2 vertices to
+the next natural vertex.  The engine holds the only copy of both rules:
+``FoldingPath.foldable`` and ``smooth`` read them off the live graph.
 """
 
 import random
@@ -22,13 +30,14 @@ from collections.abc import Sequence
 from dataclasses import dataclass
 from typing import NamedTuple
 
-from .agraph import AGraph, Edge, _step_table, _subdivide
+from .agraph import AGraph, Edge, MarkingEdge, MarkingGraph, _step_table, _subdivide
 from .errors import DomainError, FoldabilityError
 from .words import (
     DEFAULT_RANK,
     concat,
     conjugate,
     invert,
+    is_reduced,
     letter_key,
     letter_str,
     power,
@@ -418,6 +427,36 @@ def fold_to_rose(b, rank=DEFAULT_RANK):
         steps.append(live.fold(pairs))
         foldable.append(not live.bad)
     return FoldingPath(PathGraphs(g, steps, live.graph() if steps else g), steps, foldable)
+
+
+def smooth(g):
+    """Erase degree-2 vertices, concatenating labels along each chain.
+
+    The result is a MarkingGraph on the natural vertices, with one edge pair
+    per natural edge.  Natural vertices are visited in ascending order, and
+    each one's out-edges by label, then id; a germ not yet on a chain starts
+    the next one, whose edges take ids 2k and 2k + 1.  Raises DomainError
+    when g has no natural vertex (a circle or a point), when a chain meets a
+    vertex that is neither natural nor of degree 2, or when a chain's word
+    does not reduce, which never happens on a foldable graph.
+    """
+    live = _LiveGraph.of(g).watch_sites()
+    if not live.natural:
+        raise DomainError("graph has no natural vertex")
+    edge, edges, walked = live.edge, {}, set()
+    for v in sorted(live.natural):
+        for x in sorted(live.out[v], key=lambda x: (letter_key(edge[x][3]), x)):
+            if x in walked:
+                continue
+            chain = live._chain(x)
+            walked.add(edge[chain[-1]][0])  # the germ walking this chain back
+            word = tuple(edge[y][3] for y in chain)
+            if not is_reduced(word):
+                raise DomainError("the word of the chain from edge %d does not reduce" % x)
+            a, b, dst = len(edges), len(edges) + 1, edge[chain[-1]][2]
+            edges[a] = MarkingEdge(a, b, v, dst, word)
+            edges[b] = MarkingEdge(b, a, dst, v, invert(word))
+    return MarkingGraph(live.natural, edges)
 
 
 def fold_completely(g):

@@ -394,22 +394,10 @@ class ThinReport:
         }
 
 
-def condition1_value(g, paths, x, y):
-    """Hausdorff distance between the stored (x,y) and (y,x) paths."""
-    return hausdorff_distance(paths[x, y], paths[y, x], g)
-
-
 def condition2_value(g, paths, x, y, s, t, a, b):
     """Hausdorff distance between the stored (a,b) path and the [s,t]
     subsegment of the stored (x,y) path."""
     return hausdorff_distance(paths[a, b], paths[x, y][s : t + 1], g)
-
-
-def condition3_value(g, paths, phi, a, b, c):
-    """Distance from the center of (a,b,c) to the stored (a,b) path."""
-    d = g.distance_matrix()
-    center = phi(a, b, c) if callable(phi) else phi[a, b, c]
-    return int(d[g.vindex[center], _path_indices(g, paths[a, b])].min())
 
 
 def _padded_paths(g, paths):

@@ -135,11 +135,6 @@ def cyclic_normal_form(w):
     return core[i:] + core[:i]
 
 
-def conjugate_related(u, w):
-    """True iff u and w are conjugate in the free group."""
-    return cyclic_normal_form(u) == cyclic_normal_form(w)
-
-
 def find_conjugator(u, w):
     """A word g with g^-1 · u · g == w, or None if u, w are not conjugate.
 

@@ -25,6 +25,15 @@ scan ``fold_pairs``, which rescans every vertex, is also the scan that
 ``fold_to_rose`` ran before each maximal fold until it kept the fold sites
 as a set on one live graph.
 
+The chain-walk rules are the graph layer's copies of the fold engine's
+rules, from before the engine held the only ones: ``is_foldable`` checks
+every vertex's outgoing labels, and ``natural_edges`` walks each chain
+through degree-2 vertices on an ``AGraph``.  The rebuild folders use them,
+so the engine is checked against a rule it does not share.
+``chain_walk_smooth`` is ``smooth`` before it read the live graph; the two
+must give the same marking, except that an unreduced chain word made the
+old one raise ValueError and makes the new one raise DomainError.
+
 The union-find folder is the library's whole-graph fold engine before one
 live graph ran every fold: a union-find over vertices and one over edges,
 folding given edge pairs or, with a label -> edge dict per vertex class,
@@ -63,6 +72,11 @@ rotation's key tuple, the conjugator as the first rotation of one core that
 equals the other, and membership as a scan of each vertex's out-edges per
 letter after a separate foldedness walk.  The linear kernels must return the
 same words, the same conjugators and the same answers or errors.
+
+The test-only helpers left the library because only tests called them: an
+edge count, a spanning-tree checker, marking isomorphism by expansion,
+conjugacy by cyclic normal forms and two of the thin-triangle condition
+values.
 """
 
 import random
@@ -73,12 +87,11 @@ import numpy as np
 from freebases.agraph import (
     AGraph,
     Edge,
-    _chain_from,
+    MarkingEdge,
+    MarkingGraph,
     bfs,
-    is_foldable,
     is_folded,
     labeled_isomorphic,
-    natural_vertices,
     rose,
 )
 from freebases.complexes import (
@@ -89,7 +102,13 @@ from freebases.complexes import (
 )
 from freebases.errors import DomainError, FoldabilityError, TrivialFactorError
 from freebases.folding import FoldStep, FoldingPath, _find, is_basis, random_basis
-from freebases.hyperbolicity import FiniteGraph, ThinReport, check_path_family
+from freebases.hyperbolicity import (
+    FiniteGraph,
+    ThinReport,
+    _path_indices,
+    check_path_family,
+    hausdorff_distance,
+)
 from freebases.words import (
     concat,
     concat_all,
@@ -368,6 +387,96 @@ def recursive_canonical_code(g, base):
 
     process(0, {base: 0}, [base], [])
     return (len(g.vertices), len(g.edges)) + (best[0],)
+
+
+# -- the graph layer's foldability rule and chain walk -----------------------
+
+
+def is_foldable(g, report=False):
+    """Check the two local foldability conditions.
+
+    Returns a bool, or ``(bool, violations)`` when ``report`` is true.  The
+    graph is expected to be a core graph; degree-0 and degree-1 vertices are
+    reported as violations since the conditions only make sense without them.
+    """
+    violations = []
+    for v in sorted(g.vertices):
+        labels = [e.label for e in g.out_edges(v)]
+        distinct = len(set(labels))
+        if len(labels) <= 1:
+            violations.append("vertex %d has degree %d (not a core graph)" % (v, len(labels)))
+        elif len(labels) == 2:
+            if distinct < 2:
+                violations.append("degree-2 vertex %d has equal outgoing labels" % v)
+        else:
+            if distinct < 3:
+                violations.append(
+                    "vertex %d of degree %d has only %d distinct outgoing labels"
+                    % (v, len(labels), distinct)
+                )
+    ok = not violations
+    return (ok, violations) if report else ok
+
+
+def natural_vertices(g):
+    """Vertices of degree at least 3, ascending."""
+    return sorted(v for v in g.vertices if g.degree(v) >= 3)
+
+
+def _chain_from(g, germ, natural):
+    chain = [germ]
+    guard = len(g.edges) + 1
+    while chain[-1].dst not in natural:
+        if len(chain) > guard:
+            raise DomainError("edge chain does not reach a natural vertex")
+        v = chain[-1].dst
+        nxt = [e for e in g.out_edges(v) if e.id != chain[-1].inv]
+        if len(nxt) != 1:
+            raise DomainError("vertex %d is neither natural nor interior" % v)
+        chain.append(nxt[0])
+    return chain
+
+
+def natural_edges(g):
+    """Maximal chains through degree-2 vertices between natural vertices.
+
+    Each topological edge belongs to exactly one returned chain; chains are
+    lists of oriented edge ids.  Raises DomainError when the graph has no
+    natural vertex (a circle or a point).
+    """
+    natural = set(natural_vertices(g))
+    if not natural:
+        raise DomainError("graph has no natural vertex")
+    chains = []
+    used = set()
+    for v in sorted(natural):
+        for germ in sorted(g.out_edges(v), key=lambda e: (letter_key(e.label), e.id)):
+            if min(germ.id, germ.inv) in used:
+                continue
+            chain = _chain_from(g, germ, natural)
+            for e in chain:
+                used.add(min(e.id, e.inv))
+            chains.append([e.id for e in chain])
+    return chains
+
+
+def chain_walk_smooth(g):
+    """Erase degree-2 vertices, concatenating labels along each chain.
+
+    The result is a MarkingGraph on the natural vertices.  Requires a core
+    graph with at least one natural vertex; for foldable graphs the chain
+    words are automatically reduced.
+    """
+    chains = natural_edges(g)
+    edges = {}
+    for k, chain in enumerate(chains):
+        first = g.edges[chain[0]]
+        last = g.edges[chain[-1]]
+        word = tuple(g.edges[eid].label for eid in chain)
+        a, b = 2 * k, 2 * k + 1
+        edges[a] = MarkingEdge(a, b, first.src, last.dst, word)
+        edges[b] = MarkingEdge(b, a, last.dst, first.src, invert(word))
+    return MarkingGraph(natural_vertices(g), edges)
 
 
 # -- folding by rebuilding the graph at every fold --------------------------
@@ -1117,3 +1226,47 @@ def concat_substitute(w, basis):
         piece = basis[letter - 1] if letter > 0 else invert(basis[-letter - 1])
         out = concat(out, piece)
     return out
+
+
+# -- test-only helpers ---------------------------------------------------------
+
+
+def num_topological_edges(g):
+    return len(g.edges) // 2
+
+
+def check_spanning_tree(g, tree):
+    problems = []
+    for eid in tree:
+        e = g.edges.get(eid)
+        if e is None:
+            problems.append("tree edge %d not in graph" % eid)
+        elif e.inv not in tree:
+            problems.append("tree not closed under involution at edge %d" % eid)
+    if not problems:
+        n_top = sum(1 for eid in tree if eid < g.edges[eid].inv)
+        if n_top != len(g.vertices) - 1:
+            problems.append("tree has %d edges for %d vertices" % (n_top, len(g.vertices)))
+    return problems
+
+
+def marking_isomorphic(m1, m2):
+    """Word-label preserving isomorphism of marking graphs."""
+    return labeled_isomorphic(m1.expand(), m2.expand())
+
+
+def conjugate_related(u, w):
+    """True iff u and w are conjugate in the free group."""
+    return cyclic_normal_form(u) == cyclic_normal_form(w)
+
+
+def condition1_value(g, paths, x, y):
+    """Hausdorff distance between the stored (x,y) and (y,x) paths."""
+    return hausdorff_distance(paths[x, y], paths[y, x], g)
+
+
+def condition3_value(g, paths, phi, a, b, c):
+    """Distance from the center of (a,b,c) to the stored (a,b) path."""
+    d = g.distance_matrix()
+    center = phi(a, b, c) if callable(phi) else phi[a, b, c]
+    return int(d[g.vindex[center], _path_indices(g, paths[a, b])].min())

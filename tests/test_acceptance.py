@@ -9,7 +9,12 @@ import random
 import time
 from functools import lru_cache
 
-from oracles import brute_four_point_delta, naive_folded_graph
+from oracles import (
+    brute_four_point_delta,
+    condition1_value,
+    condition3_value,
+    naive_folded_graph,
+)
 
 from freebases import agraph, complexes, folding, hyperbolicity, words
 from freebases.cli import EXPERIMENTS, main
@@ -184,11 +189,11 @@ def test_thin_triangle_checker_is_tight_on_random_trees():
             phi = hyperbolicity.median_map(tree)
             report = hyperbolicity.check_thin_triangles(tree, fam, phi, b1)
             tight = (
-                hyperbolicity.condition1_value(tree, fam, *report.witness_hausdorff)
+                condition1_value(tree, fam, *report.witness_hausdorff)
                 == report.b2_hausdorff
                 and hyperbolicity.condition2_value(tree, fam, *report.witness_subsegment)
                 == report.b2_subsegment
-                and hyperbolicity.condition3_value(tree, fam, phi, *report.witness_center)
+                and condition3_value(tree, fam, phi, *report.witness_center)
                 == report.b2_center
             )
             checked += 1

@@ -1,5 +1,7 @@
 """Tests for labeled graphs: cores, natural edges, folding predicates,
-spanning trees and basis extraction, smoothing, isomorphism."""
+spanning trees and basis extraction, smoothing, isomorphism.  Smoothing and
+foldability are the fold engine's; these tests read them through ``smooth``
+and ``FoldingPath.foldable`` beside the chain-walk oracles."""
 
 import json
 import random
@@ -14,23 +16,31 @@ from freebases.agraph import (
     _canonical_code,
     basis_from_tree,
     canonical_code,
-    check_spanning_tree,
     core,
     has_loop_labeled,
     is_folded,
-    is_foldable,
     labeled_isomorphic,
-    marking_isomorphic,
-    natural_edges,
-    natural_vertices,
     rose,
-    smooth,
     spanning_tree,
 )
 from freebases.errors import ContractibleGraphError, DomainError
-from freebases.folding import fold_completely, fold_to_rose, is_basis, random_basis, wedge_graph
+from freebases.folding import (
+    fold_completely,
+    fold_to_rose,
+    is_basis,
+    random_basis,
+    smooth,
+    wedge_graph,
+)
 from freebases.words import invert, parse_words, reduce
-from oracles import recursive_canonical_code
+from oracles import (
+    check_spanning_tree,
+    is_foldable,
+    marking_isomorphic,
+    natural_edges,
+    natural_vertices,
+    recursive_canonical_code,
+)
 
 
 def edge_pair(a, src, dst, label):
@@ -50,6 +60,7 @@ def test_rose_is_valid_and_folded():
     assert g.validate() == []
     assert is_folded(g)
     assert is_foldable(g)
+    assert fold_to_rose(parse_words("a,b,c")).foldable == [True]
     assert g.betti() == 3
 
 
@@ -125,6 +136,9 @@ def test_json_round_trip_at_rank_thirty():
 
 def test_natural_vertices_of_rose():
     g = rose(3)
+    m = smooth(g)
+    assert m.vertices == {0}
+    assert sorted(e.word for e in m.edges.values()) == [(-3,), (-2,), (-1,), (1,), (2,), (3,)]
     assert natural_vertices(g) == [0]
     chains = natural_edges(g)
     assert len(chains) == 3
@@ -134,13 +148,16 @@ def test_natural_vertices_of_rose():
 
 def test_subdivided_loop_interior_vertex_not_natural():
     g = wedge_graph(parse_words("ab,b,c"))
+    assert smooth(g).vertices == {0}
     assert natural_vertices(g) == [0]
 
 
 def test_circle_has_no_natural_vertex():
     edges = edge_pair(0, 0, 1, 1) + edge_pair(2, 1, 0, 1)
     circle = AGraph([0, 1], edges)
-    with pytest.raises(DomainError):
+    with pytest.raises(DomainError, match="no natural vertex"):
+        smooth(circle)
+    with pytest.raises(DomainError, match="no natural vertex"):
         natural_edges(circle)
 
 
@@ -152,6 +169,8 @@ def test_is_folded_examples():
 
 
 def test_is_foldable_examples():
+    assert fold_to_rose(parse_words("ab,b,c")).foldable[0]
+    assert not fold_to_rose(parse_words("a,abA,acA")).foldable[0]
     assert is_foldable(wedge_graph(parse_words("ab,b,c")))
     ok, violations = is_foldable(wedge_graph(parse_words("a,abA,acA")), report=True)
     assert not ok
@@ -412,6 +431,9 @@ def test_core_idempotent_on_folded_graphs():
 
 
 def test_natural_edges_partition_random_graphs():
+    """The oracle's chains cover each topological edge once, and smooth
+    spells the same chains in the same order, so its words use every edge
+    of the graph once."""
     for seed in range(8):
         b = random_basis(seed, 8)
         for g in fold_to_rose(b).graphs:
@@ -420,3 +442,8 @@ def test_natural_edges_partition_random_graphs():
             assert sorted(set(tops)) == sorted(
                 eid for eid, _ in g.topological_edges()
             )
+            assert len(tops) == len(set(tops))
+            m = smooth(g)
+            words = [m.edges[2 * k].word for k in range(len(m.edges) // 2)]
+            assert words == [tuple(g.edges[eid].label for eid in c) for c in chains]
+            assert sum(map(len, words)) == len(g.edges) // 2

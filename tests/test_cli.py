@@ -418,10 +418,12 @@ def test_experiment_fb_ball_fails_on_a_corrupted_ball(tmp_path, monkeypatch, fau
                for s in report["samples"])
 
 
-def test_experiment_negative_samples_exits_two(tmp_path):
-    rc = main(["experiment", "fold-soundness", "--samples", "-1",
+@pytest.mark.parametrize("flag", ["--samples", "--moves"])
+def test_experiment_negative_samples_exits_two(tmp_path, flag):
+    rc = main(["experiment", "fold-soundness", flag, "-1",
                "--json", str(tmp_path / "r.json")])
     assert rc == 2
+    assert not (tmp_path / "r.json").exists()
 
 
 def test_unknown_subcommand_raises_usage_error():

@@ -6,7 +6,7 @@ import random
 
 import pytest
 
-from freebases.agraph import MarkingEdge, MarkingGraph, smooth
+from freebases.agraph import MarkingEdge, MarkingGraph
 from freebases.complexes import (
     WITNESS_BOUNDS,
     FBAdjacency,
@@ -31,7 +31,7 @@ from freebases.complexes import (
     witness_path_from_json,
 )
 from freebases.errors import DomainError, NotABasisError, TrivialFactorError
-from freebases.folding import fold_to_rose, random_basis
+from freebases.folding import fold_to_rose, random_basis, smooth
 from freebases.words import (
     concat,
     conjugate,

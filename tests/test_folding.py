@@ -12,7 +12,6 @@ from freebases.agraph import (
     Edge,
     has_loop_labeled,
     is_folded,
-    is_foldable,
     is_rose,
     labeled_isomorphic,
     rose,
@@ -27,13 +26,16 @@ from freebases.folding import (
     maximal_fold,
     random_basis,
     single_fold,
+    smooth,
     subgroup_membership,
     wedge_graph,
 )
 from freebases.words import conjugate, invert, parse_word, parse_words, power, reduce
 
 from oracles import (
+    chain_walk_smooth,
     naive_folded_graph,
+    num_topological_edges,
     rebuild_ensure_foldable,
     rebuild_fold_completely,
     rebuild_fold_to_rose,
@@ -53,7 +55,7 @@ def test_wedge_of_standard_basis_is_rose():
 def test_wedge_counts():
     g = wedge_graph(parse_words("ab,b,c"))
     assert len(g.vertices) == 2
-    assert g.num_topological_edges() == 4
+    assert num_topological_edges(g) == 4
 
 
 def test_wedge_rejects_empty_word():
@@ -65,7 +67,7 @@ def test_ensure_foldable_strips_one_conjugation():
     m, b2 = ensure_foldable(parse_words("a,abA,acA"))
     assert m == -1
     assert b2 == X
-    assert is_foldable(wedge_graph(b2))
+    assert fold_to_rose(b2).foldable[0]
 
 
 def test_ensure_foldable_noop_when_foldable():
@@ -292,6 +294,42 @@ def test_intermediates_stay_foldable():
         assert all(fold_to_rose(b2).foldable)
 
 
+def test_smooth_refuses_an_unreduced_chain_word():
+    """A well-formed core graph off the foldable path: a chain through
+    degree-2 vertices spells a word that cancels.  That is a refusal
+    (DomainError), not malformed input (ValueError)."""
+    g = fold_to_rose(random_basis(1034, 25, 3), 3).graphs[4]
+    with pytest.raises(DomainError, match="does not reduce"):
+        smooth(g)
+
+
+def test_smooth_agrees_with_chain_walk_oracle():
+    """Every graph of 160 folding paths at ranks 2-5: smooth gives the chain
+    walk's marking, or both refuse with DomainError.  Where a chain word
+    does not reduce, the oracle's marking check raised ValueError and
+    smooth raises DomainError."""
+    outcomes = Counter()
+    for rank in range(2, 6):
+        for s in range(40):
+            for g in fold_to_rose(random_basis(1000 + s, 25, rank), rank).graphs:
+                try:
+                    ref = chain_walk_smooth(g).to_json_dict()
+                except (DomainError, ValueError) as exc:
+                    ref = type(exc)
+                if ref is ValueError:
+                    with pytest.raises(DomainError, match="does not reduce"):
+                        smooth(g)
+                    outcomes["unreduced"] += 1
+                elif ref is DomainError:
+                    with pytest.raises(DomainError):
+                        smooth(g)
+                    outcomes["refused"] += 1
+                else:
+                    assert smooth(g).to_json_dict() == ref, (rank, s)
+                    outcomes["equal"] += 1
+    assert outcomes == {"equal": 2789, "refused": 182, "unreduced": 41}
+
+
 def test_confluence_against_naive_oracle():
     for seed in range(20):
         b = random_basis(seed, 9)
@@ -384,9 +422,10 @@ def test_fold_engine_agrees_with_rebuild_oracles():
     classes = Counter()
     kinds = Counter()
     for rank, b, seed in inputs:
-        if rebuild_is_basis(b, rank):
+        basis = rebuild_is_basis(b, rank)
+        if basis:
             classes[_wedge_class(b, rank)] += 1
-        assert is_basis(b, rank) == rebuild_is_basis(b, rank), (rank, b)
+        assert is_basis(b, rank) == basis, (rank, b)
         assert wedge_graph(b, rank).to_json_dict() == rebuild_wedge_graph(b, rank).to_json_dict()
 
         final, steps = fold_completely(wedge_graph(b, rank))

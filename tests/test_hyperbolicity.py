@@ -18,9 +18,7 @@ from freebases.hyperbolicity import (
     check_path_family,
     check_thin_triangles,
     complete_graph,
-    condition1_value,
     condition2_value,
-    condition3_value,
     cone_off,
     cycle_graph,
     delta_four_point,
@@ -40,6 +38,8 @@ from oracles import (
     argmin_median_map,
     brute_four_point_delta,
     brute_slim_delta,
+    condition1_value,
+    condition3_value,
     coset_fb_equivalent,
     per_pair_delta_four_point,
     per_pair_delta_slim,

@@ -20,12 +20,11 @@ from freebases.agraph import (
     is_rose,
     labeled_isomorphic,
     rose,
-    smooth,
     spanning_tree,
 )
 from freebases.complexes import FBVertex, SplittingVertex, identity_basis, tau
 from freebases.errors import DomainError
-from freebases.folding import fold_to_rose, random_basis, wedge_graph
+from freebases.folding import fold_to_rose, random_basis, smooth, wedge_graph
 from freebases.hyperbolicity import (
     FiniteGraph,
     apsp,

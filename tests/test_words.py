@@ -10,7 +10,6 @@ from freebases.words import (
     concat,
     concat_all,
     conjugate,
-    conjugate_related,
     cyclic_normal_form,
     cyclic_reduce,
     find_conjugator,
@@ -24,7 +23,7 @@ from freebases.words import (
     words_str,
 )
 
-from oracles import rotation_find_conjugator, slice_cyclic_normal_form
+from oracles import conjugate_related, rotation_find_conjugator, slice_cyclic_normal_form
 
 letters = st.sampled_from([1, -1, 2, -2, 3, -3])
 raw_seqs = st.lists(letters, max_size=12).map(tuple)
