@@ -214,18 +214,25 @@ def is_folded(g):
     return _step_table(g) is not None
 
 
-def _label_tree(g, root):
-    """The BFS from ``root`` scanning each vertex's edges by label, then id:
-    ``(via, tree)``, via mapping each vertex to the edge that reached it
-    (None for the root) and tree the set of those edges and their inverses.
-    Raises DomainError unless root is a vertex and the search spans g."""
-    if root not in g.vertices:
+def _records(g):
+    """g's edges as records id -> (inv, src, dst, label), and its out-edge ids."""
+    return ({e.id: e[1:] for e in g.edges.values()},
+            {v: [e.id for e in es] for v, es in g._out.items()})
+
+
+def _label_tree(edge, out, root):
+    """The BFS from ``root`` over edge records, scanning out-edge ids by
+    label, then id: ``(via, tree)``, via mapping each vertex to the id of the
+    edge that reached it (None for the root) and tree those ids and their
+    inverses.  Raises DomainError unless root is a vertex and the search
+    spans the graph."""
+    if root not in out:
         raise DomainError("root %r is not a vertex" % (root,))
-    order = lambda e: 2 * abs(e.label) + (e.label < 0)  # letter_key; out-edges are in id order
-    via = bfs([root], lambda v: [(e, e.dst) for e in sorted(g.out_edges(v), key=order)])
-    if len(via) != len(g.vertices):
+    order = lambda x: (2 * abs(edge[x][3]) + (edge[x][3] < 0), x)  # letter_key, then id
+    via = bfs([root], lambda v: [(x, edge[x][2]) for x in sorted(out[v], key=order)])
+    if len(via) != len(out):
         raise DomainError("graph is not connected")
-    return via, frozenset(i for e in via.values() if e is not None for i in (e.id, e.inv))
+    return via, frozenset(i for x in via.values() if x is not None for i in (x, edge[x][0]))
 
 
 def spanning_tree(g, root=None):
@@ -237,7 +244,7 @@ def spanning_tree(g, root=None):
     """
     if root is None:
         root = g.base if g.base is not None else min(g.vertices)
-    return _label_tree(g, root)[1]
+    return _label_tree(*_records(g), root)[1]
 
 
 def basis_from_tree(g, base):
@@ -251,27 +258,30 @@ def basis_from_tree(g, base):
     homotopy equivalence this is a free basis.  Raises DomainError when the
     Betti number differs from the graph's rank or base is not a vertex.
     """
-    if g.betti() != g.rank:
-        raise DomainError(
-            "Betti number %d differs from rank %d" % (g.betti(), g.rank)
-        )
-    via, tree = _label_tree(g, base)
+    return _tree_basis(*_records(g), base, g.rank)
+
+
+def _tree_basis(edge, out, base, rank):
+    """``basis_from_tree`` on edge records; the live graph reads its bases so."""
+    betti = len(edge) // 2 - len(out) + 1
+    if betti != rank:
+        raise DomainError("Betti number %d differs from rank %d" % (betti, rank))
+    via, tree = _label_tree(edge, out, base)
 
     def word_to(v):
         letters = []
         while via[v] is not None:
-            letters.append(via[v].label)
-            v = via[v].src
+            _, v, _, label = edge[via[v]]
+            letters.append(label)
         return tuple(reversed(letters))
 
-    out = []
-    for eid, inv_id in sorted(g.topological_edges()):
-        if eid in tree:
-            continue
-        e = g.edges[eid]
-        rep = e if e.label > 0 else g.edges[inv_id]
-        out.append(concat_all(word_to(rep.src), (rep.label,), invert(word_to(rep.dst))))
-    return out
+    words = []
+    for x in sorted(x for x, rec in edge.items() if x < rec[0] and x not in tree):
+        _, src, dst, label = edge[x]
+        if label < 0:
+            src, dst, label = dst, src, -label
+        words.append(concat_all(word_to(src), (label,), invert(word_to(dst))))
+    return words
 
 
 # -- markings -------------------------------------------------------------

@@ -45,6 +45,14 @@ def _load_json(path, parse=lambda data: data):
         raise ValueError("malformed %s: %s" % (path, exc)) from exc
 
 
+def _basis_words(text, rank):
+    """text's words, refused unless there are rank of them."""
+    b = words.parse_words(text, rank)
+    if len(b) != rank:
+        raise NotABasisError("not a basis: %d words at rank %d: %s" % (len(b), rank, text))
+    return b
+
+
 def _verified(vertex, text):
     """The vertex, refused unless its (ambient) basis is a free basis: the
     commands below, and the key's uniqueness, assume one."""
@@ -88,7 +96,7 @@ def cmd_fold(args):
 
 def cmd_path_bases(args):
     t0 = time.time()
-    b = FBVertex(words.parse_words(args.b, args.rank))
+    b = FBVertex(_basis_words(args.b, args.rank))
     m, path, bases = complexes.folding_chain(b)
     standard = FBVertex(complexes.identity_basis(args.rank))
     reaches = complexes.fb_equivalent(bases[-1], standard)
@@ -107,8 +115,8 @@ def cmd_path_bases(args):
 
 
 def cmd_fb(args):
-    a = _verified(FBVertex(words.parse_words(args.a, args.rank)), args.a)
-    b = _verified(FBVertex(words.parse_words(args.b, args.rank)), args.b)
+    a = _verified(FBVertex(_basis_words(args.a, args.rank)), args.a)
+    b = _verified(FBVertex(_basis_words(args.b, args.rank)), args.b)
     cert = complexes.fb_adjacent(a, b)
     data = {"adjacent": cert is not None}
     if cert is not None:
@@ -141,14 +149,14 @@ def cmd_witness(args):
     if args.kind == "h-lipschitz":
         if not (args.a and args.b):
             raise ValueError("--kind h-lipschitz needs --a and --b")
-        a = _verified(FBVertex(words.parse_words(args.a, args.rank)), args.a)
-        b = _verified(FBVertex(words.parse_words(args.b, args.rank)), args.b)
+        a = _verified(FBVertex(_basis_words(args.a, args.rank)), args.a)
+        b = _verified(FBVertex(_basis_words(args.b, args.rank)), args.b)
         path = complexes.h_lipschitz_path(a, b)
     else:
         if not (args.ambient and args.subset):
             raise ValueError("--kind %s needs --ambient and --subset" % args.kind)
         u = FFVertex(
-            words.parse_words(args.ambient, args.rank),
+            _basis_words(args.ambient, args.rank),
             frozenset(int(k) for k in args.subset.split(",")),
         )
         _verified(u, args.ambient)

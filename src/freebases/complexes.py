@@ -17,9 +17,9 @@ from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import chain
 
-from .agraph import MarkingGraph, basis_from_tree, bfs, is_rose
+from .agraph import MarkingGraph, bfs
 from .errors import DomainError, FoldabilityError, NotABasisError, TrivialFactorError
-from .folding import ensure_foldable, fold_to_rose, is_basis
+from .folding import _fold_path, ensure_foldable, is_basis
 from .words import (
     concat,
     concat_all,
@@ -419,9 +419,10 @@ def folding_chain(b):
     Returns ``(m, path, bases)``: the conjugation exponent from
     ensure_foldable, the FoldingPath of the conjugated words, and one
     FBVertex per path graph.  The first entry is b itself (conjugation does
-    not move the vertex), intermediate ones are read by ``basis_from_tree``
-    at the tracked wedge vertex, one search per graph, and the last is the
-    standard basis whenever the path really ends at the rose.
+    not move the vertex).  The wedge is folded once, on one live graph, and
+    after each maximal fold the next basis is read off its records by
+    ``basis_from_tree``'s search at the tracked wedge vertex, or is the
+    standard basis once the folds reach the rose; no graph is built.
 
     ensure_foldable only handles words wearing a common conjugator; folding
     itself copes with any wedge, so when it fails the words are used as
@@ -432,10 +433,10 @@ def folding_chain(b):
         m, b2 = ensure_foldable(b.basis, n)
     except FoldabilityError:
         m, b2 = 0, b.basis
-    path = fold_to_rose(b2, n)
-    bases = [b] + [FBVertex(tuple(basis_from_tree(g, g.base))) for g in path.graphs[1:]]
-    if len(bases) > 1 and is_rose(path.graphs[-1]):
-        bases[-1] = FBVertex(identity_basis(n))
+    folds = _fold_path(b2, n)
+    path, _ = next(folds)  # at the wedge, whose basis is b
+    bases = [b] + [FBVertex(identity_basis(n) if live.is_rose() else tuple(live.basis()))
+                   for _, live in folds]
     return m, path, bases
 
 

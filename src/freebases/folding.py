@@ -30,7 +30,7 @@ from collections.abc import Sequence
 from dataclasses import dataclass
 from typing import NamedTuple
 
-from .agraph import AGraph, Edge, MarkingEdge, MarkingGraph, _step_table, _subdivide
+from .agraph import AGraph, Edge, MarkingEdge, MarkingGraph, _step_table, _subdivide, _tree_basis
 from .errors import DomainError, FoldabilityError
 from .words import (
     DEFAULT_RANK,
@@ -69,8 +69,8 @@ class FoldingPath:
     ``graphs[i]`` to ``graphs[i+1]``.  ``foldable[i]`` records whether
     ``graphs[i]`` satisfies the local foldability conditions.  ``graphs`` is
     any sequence; ``fold_to_rose`` hands over a ``PathGraphs``, which builds
-    the intermediate graphs only when one is read.  The word basis of each
-    graph is ``complexes.folding_chain``'s to return, not the path's.
+    each graph only when it is read.  The word basis of each graph is
+    ``complexes.folding_chain``'s to return, not the path's.
     """
 
     graphs: Sequence
@@ -92,16 +92,16 @@ class FoldingPath:
 
 
 class PathGraphs(Sequence):
-    """Read-only ``graphs`` of a folding path: the wedge and the final graph
-    are at hand; reading any other index replays the recorded edge pairs on
-    one live graph, building the graph after each maximal fold, and keeps
-    the list, so walking the path costs one pass however it is indexed."""
+    """Read-only ``graphs`` of a folding path, each built on first read: the
+    wedge from the words, the final graph from the live graph that folded
+    them (then dropped), the rest at once by replaying the recorded edge
+    pairs on one live graph, so walking the path costs one replay."""
 
-    __slots__ = ("_first", "_steps", "_last", "_all")
+    __slots__ = ("_words", "_rank", "_steps", "_live", "_first", "_last", "_all")
 
-    def __init__(self, first, steps, last):
-        self._first, self._steps, self._last = first, steps, last
-        self._all = None
+    def __init__(self, words, rank, steps, live):
+        self._words, self._rank, self._steps, self._live = words, rank, steps, live
+        self._first = self._last = self._all = None
 
     def __len__(self):
         return len(self._steps) + 1
@@ -110,23 +110,24 @@ class PathGraphs(Sequence):
         if isinstance(k, int):
             n = len(self._steps) + 1
             if k == 0 or k == -n:
+                if self._first is None:
+                    self._first = wedge_graph(self._words, self._rank)
                 return self._first
             if k == -1 or k == n - 1:
+                if self._last is None:
+                    self._last, self._live = self._live.graph(), None
                 return self._last
         return self._built()[k]
 
-    def __iter__(self):
-        return iter(self._built())
-
     def _built(self):
         if self._all is None:
-            graphs = [self._first]
-            live = _LiveGraph.of(self._first)
+            graphs = [self[0]]
+            live = _LiveGraph.of(graphs[0])
             for group in self._steps[:-1]:
                 live.fold([s.edges for s in group])
                 graphs.append(live.graph())
             if self._steps:
-                graphs.append(self._last)
+                graphs.append(self[-1])
             self._all = graphs
         return self._all
 
@@ -271,6 +272,14 @@ class _LiveGraph:
                 edge[a], edge[a + 1] = [a + 1, src, dst, letter], [a, dst, src, -letter]
         return cls(edge, range(n), 0, rank)
 
+    def is_rose(self):
+        """One vertex, 2·rank edges and no label repeated: the rose."""
+        return len(self.out) == 1 and len(self.edge) == 2 * self.rank and not self.repeated
+
+    def basis(self):
+        """``basis_from_tree`` at the tracked base, read off the records."""
+        return _tree_basis(self.edge, self.out, self.base, self.rank)
+
     def watch_sites(self):
         self.repeated, self.natural, self.bad = set(), set(), set()
         self._classify(self.out)
@@ -404,6 +413,24 @@ def maximal_fold(g):
     return live.graph(), steps
 
 
+def _fold_path(b, rank):
+    """The walk of ``fold_to_rose``: its path so far and the live graph at
+    the path's last graph, yielded at the wedge and after each maximal fold."""
+    words = _wedge_words(b, rank)
+    live = _LiveGraph.wedge(words, rank).watch_sites()
+    steps, foldable = [], [not live.bad]
+    path = FoldingPath(PathGraphs(words, rank, steps, live), steps, foldable)
+    yield path, live
+    while live.repeated:
+        try:
+            pairs = live.maximal_pairs()
+        except DomainError:
+            pairs = [live.site(min(live.repeated))]
+        steps.append(live.fold(pairs))
+        foldable.append(not live.bad)
+        yield path, live
+
+
 def fold_to_rose(b, rank=DEFAULT_RANK):
     """Maximal folds from the wedge of b until the graph is folded.
 
@@ -412,21 +439,11 @@ def fold_to_rose(b, rank=DEFAULT_RANK):
     basis, the fold falls back to a single fold at the lowest fold site so
     the path still terminates.  The base vertex is tracked through every
     merge.  The whole path folds one live graph, each fold updating only the
-    vertices it touches; the final graph is built once, and the
-    intermediate ones only when ``path.graphs`` is read past its ends.
+    vertices it touches; no graph is built until ``path.graphs`` is read.
     """
-    g = wedge_graph(b, rank)
-    live = _LiveGraph.of(g).watch_sites()
-    steps = []
-    foldable = [not live.bad]
-    while live.repeated:
-        try:
-            pairs = live.maximal_pairs()
-        except DomainError:
-            pairs = [live.site(min(live.repeated))]
-        steps.append(live.fold(pairs))
-        foldable.append(not live.bad)
-    return FoldingPath(PathGraphs(g, steps, live.graph() if steps else g), steps, foldable)
+    for path, _ in _fold_path(b, rank):
+        pass
+    return path
 
 
 def smooth(g):
@@ -486,7 +503,7 @@ def is_basis(b, rank=DEFAULT_RANK):
         return False
     live = _LiveGraph.wedge(words, rank)
     live.fold()
-    return len(live.out) == 1 and len(live.edge) == 2 * rank
+    return live.is_rose()
 
 
 def subgroup_membership(w, g):

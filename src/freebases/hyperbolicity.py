@@ -613,12 +613,14 @@ def sample_fb_ball(center, seeds, moves):
 
     Every seed starts a random walk of ``moves`` Nielsen moves from the
     center; each endpoint contributes its folding-path bases as well.
-    Candidates with equal keys (see FBVertex.key) are one vertex and are
-    merged through one dict; edges join representatives sharing a class
-    key, which on distinct vertices is exactly adjacency.  The largest
-    connected component is returned together with one label per vertex
-    (basis words plus provenance of every merged copy).  A candidate
-    repeating a class key is no basis and raises NotABasisError.
+    Candidates with equal keys (see FBVertex.key) are one vertex, merged
+    through one dict; a repeated basis tuple (most often the standard basis
+    ending each chain) is looked up by the tuple, so it is keyed once.
+    Edges join representatives sharing a class key, which on distinct
+    vertices is exactly adjacency.  The largest connected component, left
+    unchecked since its search proved it connected, is returned with one
+    label per vertex (basis words plus provenance of every merged copy).  A
+    candidate repeating a class key is no basis and raises NotABasisError.
     """
     candidates = [(center, "center")]
     for s in seeds:
@@ -630,9 +632,11 @@ def sample_fb_ball(center, seeds, moves):
 
     reps = []
     labels = []
-    index = {}  # vertex key -> representative
+    index, by_basis = {}, {}  # vertex key / basis tuple -> representative
     for vert, src in candidates:
-        k = index.setdefault(vert.key, len(reps))
+        k = by_basis.get(vert.basis)
+        if k is None:
+            k = by_basis[vert.basis] = index.setdefault(vert.key, len(reps))
         if k == len(reps):
             reps.append(vert)
             labels.append({"basis": words_str(vert.basis), "sources": []})
@@ -655,4 +659,4 @@ def sample_fb_ball(center, seeds, moves):
     renum = {old: new for new, old in enumerate(main)}
     edges = {(renum[i], renum[j]) for group in holders.values()
              for i, j in combinations(group, 2) if i in renum}
-    return FiniteGraph(range(len(main)), edges), [labels[old] for old in main]
+    return FiniteGraph(range(len(main)), edges, check=False), [labels[old] for old in main]

@@ -66,6 +66,12 @@ second one along the tree that spells the word of every vertex, and the
 words around the non-tree edges from those.  The one-search reader must
 return the same words.
 
+The replaying chain is ``folding_chain`` before it read its bases off the
+live graph: it folds the path, replays it to build every graph, reads each
+basis with ``basis_from_tree`` on the built graph, and tests the built
+final graph with ``is_rose``.  The live read must give the same exponent,
+bases and path, or the same error.
+
 The quadratic read kernels are the library's word and membership reads
 before they went linear: the least rotation as the minimum over every
 rotation's key tuple, the conjugator as the first rotation of one core that
@@ -89,19 +95,31 @@ from freebases.agraph import (
     Edge,
     MarkingEdge,
     MarkingGraph,
+    basis_from_tree,
     bfs,
     is_folded,
+    is_rose,
     labeled_isomorphic,
     rose,
 )
 from freebases.complexes import (
     FBAdjacency,
+    FBVertex,
     FFVertex,
     fb_adjacent,
     folding_path_bases,
+    identity_basis,
 )
 from freebases.errors import DomainError, FoldabilityError, TrivialFactorError
-from freebases.folding import FoldStep, FoldingPath, _find, is_basis, random_basis
+from freebases.folding import (
+    FoldStep,
+    FoldingPath,
+    _find,
+    ensure_foldable,
+    fold_to_rose,
+    is_basis,
+    random_basis,
+)
 from freebases.hyperbolicity import (
     FiniteGraph,
     ThinReport,
@@ -1214,6 +1232,24 @@ def two_search_basis_from_tree(g, base):
         rep = e if e.label > 0 else g.edges[inv_id]
         out.append(concat_all(words[rep.src], (rep.label,), invert(words[rep.dst])))
     return out
+
+
+# -- replaying folding chain ---------------------------------------------------
+
+
+def replay_folding_chain(b):
+    """folding_chain with every graph of the path built by the replay, one
+    basis_from_tree per graph and is_rose on the built final graph."""
+    n = b.rank
+    try:
+        m, b2 = ensure_foldable(b.basis, n)
+    except FoldabilityError:
+        m, b2 = 0, b.basis
+    path = fold_to_rose(b2, n)
+    bases = [b] + [FBVertex(tuple(basis_from_tree(g, g.base))) for g in path.graphs[1:]]
+    if len(bases) > 1 and is_rose(path.graphs[-1]):
+        bases[-1] = FBVertex(identity_basis(n))
+    return m, path, bases
 
 
 # -- piecewise substitution ---------------------------------------------------

@@ -153,6 +153,20 @@ def test_witness_hq_refuses_a_non_basis_ambient(tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("argv", [
+    ["path-bases", "--b", "ab,b"],
+    ["fb-adjacent", "--a", "ab,b,c", "--b", "a,b,c", "--rank", "4"],
+    ["witness", "--kind", "h-lipschitz", "--a", "ab,b,c", "--b", "a,b,c", "--rank", "4"],
+    ["witness", "--kind", "h-lipschitz", "--a", "a,b,c,d", "--b", "ab,b,c", "--rank", "4"],
+    ["witness", "--kind", "hq", "--ambient", "ab,b,c", "--subset", "1", "--rank", "4"],
+], ids=["path-bases", "fb-adjacent", "witness-a", "witness-b", "witness-ambient"])
+def test_word_count_other_than_the_rank_exits_one(tmp_path, capsys, argv):
+    out = tmp_path / "report.json"
+    rc = main(argv + ["--json", str(out)])
+    assert (rc, error_type(capsys)) == (1, "NotABasisError")
+    assert not out.exists()
+
+
 def test_witness_verify_refuses_non_basis_ambients(tmp_path, capsys):
     out = tmp_path / "w.json"
     assert main(["witness", "--kind", "hq", "--ambient", "a,b,c",

@@ -16,6 +16,7 @@ from freebases.agraph import (
     labeled_isomorphic,
     rose,
 )
+from freebases.complexes import FBVertex, folding_chain
 from freebases.errors import DomainError, FoldabilityError
 from freebases.folding import (
     _LiveGraph,
@@ -41,6 +42,7 @@ from oracles import (
     rebuild_fold_to_rose,
     rebuild_is_basis,
     rebuild_wedge_graph,
+    replay_folding_chain,
     scan_subgroup_membership,
     union_find_fold,
 )
@@ -462,12 +464,38 @@ def _grown_basis(rng, rank, target):
     return tuple(b)
 
 
+def _chain_json(chain):
+    m, path, bases = chain
+    return m, [v.basis for v in bases], path.to_json_dict(), path.foldable
+
+
+def _check_chain_against_replay(words, rng):
+    """folding_chain reads the replaying oracle's exponent, bases and path,
+    or raises its error; the path's graphs, each read once in random index
+    order after the bases, are the oracle's."""
+    chain = _outcome(folding_chain, FBVertex(words))
+    ref = _outcome(replay_folding_chain, FBVertex(words))
+    if ref[0] == "error":
+        assert chain == ref, words
+        return
+    ref_json = _chain_json(ref[1])
+    ref_graphs = ref_json[2]["graphs"]
+    n = len(ref_graphs)
+    order = [k - n * rng.randrange(2) for k in range(n)]
+    rng.shuffle(order)
+    graphs = chain[1][1].graphs
+    assert [graphs[k].to_json_dict() for k in order] == [ref_graphs[k] for k in order], words
+    assert _chain_json(chain[1]) == ref_json, words
+
+
 def test_path_graphs_agree_with_rebuild_oracle():
     """The lazily built graphs of a folding path, read in random index order
     and by forward iteration, are the rebuild oracle's graphs; bases and
     their squared-first-word variants at ranks 2-5, up to about 500
-    letters, some taking the single-fold fallback."""
+    letters, some taking the single-fold fallback.  On the same words,
+    folding_chain agrees with the replaying chain oracle."""
     rng = random.Random(20261019)
+    chain_rng = random.Random(20261018)
     fallbacks = 0
     longest = 0
     for rank in range(2, 6):
@@ -502,8 +530,18 @@ def test_path_graphs_agree_with_rebuild_oracle():
                             maximal_fold(path.graphs[k])
                         except DomainError:
                             fallbacks += 1
+                _check_chain_against_replay(words, chain_rng)
     assert longest >= 400
     assert fallbacks > 0
+
+
+def test_folding_chain_raises_the_replay_oracles_error():
+    """A wedge whose folds kill a loop: both chains raise on the first graph
+    whose Betti number fell below the rank."""
+    words = parse_words("abcA,aBcA,acA")
+    assert _outcome(folding_chain, FBVertex(words)) == (
+        "error", "DomainError", "Betti number 2 differs from rank 3")
+    _check_chain_against_replay(words, random.Random(0))
 
 
 def test_is_basis_on_ten_thousand_letters():
