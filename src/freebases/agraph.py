@@ -9,6 +9,7 @@ same label; folded graphs immerse into the rose.
 """
 
 from itertools import permutations
+from operator import neg
 from typing import NamedTuple
 
 from .errors import ContractibleGraphError, DomainError
@@ -50,51 +51,33 @@ def bfs(roots, step, reached=None):
 
 
 class _Graph:
-    """Vertices, edges by id, and each vertex's outgoing edges in id order;
-    the storage shared by letter-labeled and word-labeled graphs."""
+    """Vertices, edges by id, and each vertex's outgoing edges in id order:
+    the involution graph that letter- and word-labeled graphs share.  An edge
+    is a record (id, inv, src, dst, label), its partner ``inv`` another edge
+    from dst back to src with the inverse label.  Subclasses say what a label
+    is and add shape rules.  All are checked at construction, unless the
+    library built the graph from checked input (``check=False``).
+    """
 
     __slots__ = ("vertices", "edges", "_out")
 
-    def __init__(self, vertices, edges):
+    def __init__(self, vertices, edges, check=True):
         self.vertices = frozenset(vertices)
         self.edges = dict(edges) if isinstance(edges, dict) else {e.id: e for e in edges}
-        self._out = {v: [] for v in self.vertices}
-        for e in sorted(self.edges.values(), key=lambda e: e.id):
-            self._out[e.src].append(e)
-
-    def out_edges(self, v):
-        return self._out[v]
-
-    def topological_edges(self):
-        """One id pair (e, e.inv) per topological edge, e the lower id."""
-        return [(e.id, e.inv) for e in self.edges.values() if e.id < e.inv]
-
-    def betti(self):
-        """First Betti number (the graph is connected by invariant)."""
-        return len(self.edges) // 2 - len(self.vertices) + 1
-
-
-class AGraph(_Graph):
-    """Letter-labeled graph, optionally based.
-
-    ``edges`` maps edge id -> Edge; the involution and label conventions are
-    checked at construction (pass ``check=False`` to skip when building a
-    quotient from an already-checked graph).
-    """
-
-    __slots__ = ("base", "rank")
-
-    def __init__(self, vertices, edges, base=None, rank=DEFAULT_RANK, check=True):
-        super().__init__(vertices, edges)
-        self.base = base
-        self.rank = rank
-        if check:
-            problems = self.validate()
-            if problems:
-                raise ValueError("invalid graph: " + "; ".join(problems))
+        problems = check and self._edge_problems()  # first: out-edge lists need the ends
+        if not problems:
+            self._out = {v: [] for v in self.vertices}
+            for e in sorted(self.edges.values(), key=lambda e: e.id):
+                self._out[e.src].append(e)
+            problems = check and self._shape_problems()
+        if problems:
+            raise ValueError("invalid %s: %s" % (self._kind, "; ".join(problems)))
 
     def validate(self):
-        """All invariant violations, as human-readable strings."""
+        """All invariant violations as strings; shape rules once the edges hold."""
+        return self._edge_problems() or self._shape_problems()
+
+    def _edge_problems(self):
         problems = []
         for e in self.edges.values():
             partner = self.edges.get(e.inv)
@@ -105,56 +88,100 @@ class AGraph(_Graph):
                 problems.append("edge %d: involution not symmetric" % e.id)
             if e.inv == e.id:
                 problems.append("edge %d: involution has a fixed point" % e.id)
-            if partner.label != -e.label:
+            if partner[4] != self._inverse(e[4]):
                 problems.append("edge %d: partner label is not the inverse" % e.id)
             if partner.src != e.dst or partner.dst != e.src:
                 problems.append("edge %d: partner does not reverse it" % e.id)
             if e.src not in self.vertices or e.dst not in self.vertices:
                 problems.append("edge %d: endpoint not a vertex" % e.id)
-            if e.label == 0 or abs(e.label) > self.rank:
-                problems.append("edge %d: label %d out of range" % (e.id, e.label))
-        if self.base is not None and self.base not in self.vertices:
-            problems.append("base %r is not a vertex" % (self.base,))
-        if self.vertices and not problems:
-            reached = bfs([min(self.vertices)], lambda v: [(e, e.dst) for e in self._out[v]])
-            if reached.keys() != self.vertices:
-                problems.append("graph is not connected")
-        if not self.vertices:
-            problems.append("graph has no vertices")
+            if not self._label_ok(e[4]):
+                problems.append("edge %d: bad label %r" % (e.id, e[4]))
         return problems
+
+    def out_edges(self, v):
+        return self._out[v]
 
     def degree(self, v):
         return len(self._out[v])
 
-    def with_base(self, base):
-        return AGraph(self.vertices, self.edges, base=base, rank=self.rank, check=False)
+    def topological_edges(self):
+        """One id pair (e, e.inv) per topological edge, e the lower id."""
+        return [(e.id, e.inv) for e in self.edges.values() if e.id < e.inv]
+
+    def betti(self):
+        """First Betti number (the graph is connected by invariant)."""
+        return len(self.edges) // 2 - len(self.vertices) + 1
 
     # -- serialization ----------------------------------------------------
 
     def to_json_dict(self):
+        key, show = self._label_key, self._show_label
         edges = [
-            {"id": e.id, "inv": e.inv, "from": e.src, "to": e.dst,
-             "label": letter_str(e.label)}
+            {"id": e.id, "inv": e.inv, "from": e.src, "to": e.dst, key: show(e[4])}
             for e in sorted(self.edges.values(), key=lambda e: e.id)
         ]
-        data = {"vertices": sorted(self.vertices), "edges": edges}
+        return {"vertices": sorted(self.vertices), "edges": edges}
+
+    @classmethod
+    def _read_edges(cls, data, read_label):
+        """The edges of a ``to_json_dict`` document, labels read by ``read_label``."""
+        edges = {}
+        for item in data["edges"]:
+            label = read_label(item[cls._label_key])
+            edges[item["id"]] = cls._edge(item["id"], item["inv"], item["from"], item["to"], label)
+        return edges
+
+
+def _read_letter(text):
+    label = parse_word(text, rank=None)
+    if len(label) != 1:
+        raise ValueError("edge label %r is not a single letter" % (text,))
+    return label[0]
+
+
+class AGraph(_Graph):
+    """Letter-labeled graph, optionally based: ``edges`` maps edge id ->
+    Edge, each label a letter within ``rank``; the graph is nonempty and
+    connected, and the base, when given, is a vertex."""
+
+    __slots__ = ("base", "rank")
+    _kind, _label_key, _edge = "graph", "label", Edge
+    _inverse = staticmethod(neg)
+    _show_label = staticmethod(letter_str)
+
+    def __init__(self, vertices, edges, base=None, rank=DEFAULT_RANK, check=True):
+        self.base = base
+        self.rank = rank
+        super().__init__(vertices, edges, check)
+
+    def _label_ok(self, label):
+        return 0 < abs(label) <= self.rank
+
+    def _shape_problems(self):
+        if not self.vertices:
+            return ["graph has no vertices"]
+        if self.base is not None and self.base not in self.vertices:
+            return ["base %r is not a vertex" % (self.base,)]
+        reached = bfs([min(self.vertices)], lambda v: [(e, e.dst) for e in self._out[v]])
+        return [] if reached.keys() == self.vertices else ["graph is not connected"]
+
+    def with_base(self, base):
+        return AGraph(self.vertices, self.edges, base=base, rank=self.rank, check=False)
+
+    def to_json_dict(self):
+        data = super().to_json_dict()
+        data["rank"] = self.rank
         if self.base is not None:
             data["base"] = self.base
         return data
 
     @classmethod
     def from_json_dict(cls, data, rank=None):
-        edges = {}
-        max_index = 1
-        for item in data["edges"]:
-            label = parse_word(item["label"], rank=None)
-            if len(label) != 1:
-                raise ValueError("edge label %r is not a single letter" % (item["label"],))
-            e = Edge(item["id"], item["inv"], item["from"], item["to"], label[0])
-            edges[e.id] = e
-            max_index = max(max_index, abs(e.label))
+        """The graph of a ``to_json_dict`` document, at ``rank``, else the
+        document's, else (older documents) the least that holds its letters."""
+        edges = cls._read_edges(data, _read_letter)
         if rank is None:
-            rank = max(max_index, DEFAULT_RANK)
+            rank = data.get("rank", max([DEFAULT_RANK] + [abs(e.label) for e in edges.values()]))
         return cls(data["vertices"], edges, base=data.get("base"), rank=rank)
 
     def to_dot(self, name="agraph"):
@@ -177,7 +204,7 @@ def rose(rank=DEFAULT_RANK):
         a, b = 2 * (i - 1), 2 * (i - 1) + 1
         edges[a] = Edge(a, b, 0, 0, i)
         edges[b] = Edge(b, a, 0, 0, -i)
-    return AGraph([0], edges, base=0, rank=rank)
+    return AGraph([0], edges, base=0, rank=rank, check=False)
 
 
 def is_rose(g):
@@ -206,7 +233,7 @@ def core(g):
     if len(gone) == len(g.vertices):
         raise ContractibleGraphError("core of a contractible graph without base")
     edges = {e.id: e for e in g.edges.values() if e.src not in gone and e.dst not in gone}
-    return AGraph(g.vertices - gone, edges, base=g.base, rank=g.rank)
+    return AGraph(g.vertices - gone, edges, base=g.base, rank=g.rank, check=False)
 
 
 def is_folded(g):
@@ -316,61 +343,30 @@ class MarkingGraph(_Graph):
     degree less than 3."""
 
     __slots__ = ()
+    _kind, _label_key, _edge = "marking graph", "word", MarkingEdge
+    _inverse = staticmethod(invert)
+    _show_label = staticmethod(word_str)
 
-    def __init__(self, vertices, edges, check=True):
-        super().__init__(vertices, edges)
-        if check:
-            problems = self.validate()
-            if problems:
-                raise ValueError("invalid marking graph: " + "; ".join(problems))
+    def _label_ok(self, word):
+        return bool(word) and is_reduced(word)
 
-    def validate(self):
-        problems = []
-        for e in self.edges.values():
-            partner = self.edges.get(e.inv)
-            if partner is None or partner.inv != e.id or e.inv == e.id:
-                problems.append("edge %d: bad involution" % e.id)
-                continue
-            if partner.word != invert(e.word):
-                problems.append("edge %d: partner word is not the inverse" % e.id)
-            if partner.src != e.dst or partner.dst != e.src:
-                problems.append("edge %d: partner does not reverse it" % e.id)
-            if not e.word or not is_reduced(e.word):
-                problems.append("edge %d: word %r not nonempty reduced" % (e.id, e.word))
-        for v in self.vertices:
-            if len(self._out[v]) < 3:
-                problems.append("vertex %d has degree %d < 3" % (v, len(self._out[v])))
-        return problems
+    def _shape_problems(self):
+        return ["vertex %d has degree %d < 3" % (v, self.degree(v))
+                for v in sorted(self.vertices) if self.degree(v) < 3]
 
     def expand(self, rank=None):
-        """Subdivide every edge word into single letters, giving an AGraph."""
-        if rank is None:
-            rank = max(
-                [DEFAULT_RANK] + [abs(l) for e in self.edges.values() for l in e.word]
-            )
+        """Subdivide every edge word into single letters, giving an AGraph;
+        its letters are checked only against a ``rank`` given."""
         vmap = {v: i for i, v in enumerate(sorted(self.vertices))}
         tops = [self.edges[eid] for eid, _ in sorted(self.topological_edges())]
         n, edges = _subdivide([(vmap[e.src], vmap[e.dst], e.word) for e in tops], len(vmap))
-        return AGraph(range(n), edges, base=None, rank=rank)
-
-    def to_json_dict(self):
-        return {
-            "vertices": sorted(self.vertices),
-            "edges": [
-                {"id": e.id, "inv": e.inv, "from": e.src, "to": e.dst,
-                 "word": word_str(e.word)}
-                for e in sorted(self.edges.values(), key=lambda e: e.id)
-            ],
-        }
+        least = max([DEFAULT_RANK] + [abs(e.label) for e in edges.values()])
+        given = rank is not None  # only a given rank can miss a letter
+        return AGraph(range(n), edges, rank=rank if given else least, check=given)
 
     @classmethod
     def from_json_dict(cls, data, rank=None):
-        edges = {}
-        for item in data["edges"]:
-            edges[item["id"]] = MarkingEdge(
-                item["id"], item["inv"], item["from"], item["to"],
-                parse_word(item["word"], rank=rank),
-            )
+        edges = cls._read_edges(data, lambda text: parse_word(text, rank=rank))
         return cls(data["vertices"], edges)
 
 

@@ -452,8 +452,8 @@ def _sample_seed(seed, index):
 def cmd_experiment(args):
     t0 = time.time()
     fn = EXPERIMENTS[args.name]
-    for flag in ("samples", "moves"):
-        if getattr(args, flag) < 0:
+    for flag in ("samples", "moves", "only"):
+        if (getattr(args, flag) or 0) < 0:  # --only is None when absent
             raise ValueError("--%s must be nonnegative" % flag)
     indices = [args.only] if args.only is not None else list(range(args.samples))
     seeds = [_sample_seed(args.seed, k) for k in indices]

@@ -473,7 +473,7 @@ def smooth(g):
             a, b, dst = len(edges), len(edges) + 1, edge[chain[-1]][2]
             edges[a] = MarkingEdge(a, b, v, dst, word)
             edges[b] = MarkingEdge(b, a, dst, v, invert(word))
-    return MarkingGraph(live.natural, edges)
+    return MarkingGraph(live.natural, edges, check=False)
 
 
 def fold_completely(g):

@@ -13,12 +13,15 @@ from freebases import agraph
 from freebases.agraph import (
     AGraph,
     Edge,
+    MarkingEdge,
+    MarkingGraph,
     _canonical_code,
     basis_from_tree,
     canonical_code,
     core,
     has_loop_labeled,
     is_folded,
+    is_rose,
     labeled_isomorphic,
     rose,
     spanning_tree,
@@ -132,6 +135,82 @@ def test_json_round_trip_at_rank_thirty():
     assert back.to_json_dict() == data
     assert back.edges == g.edges
     assert AGraph.from_json_dict(data).rank == 30
+
+
+def _json_copy(g):
+    return type(g).from_json_dict(json.loads(json.dumps(g.to_json_dict())))
+
+
+def test_json_keeps_the_rank():
+    g = fold_to_rose(((1,), (2,)), 2).graphs[-1]
+    back = _json_copy(g)
+    assert back.rank == 2 and is_rose(back)
+    # a document written without a rank gets the least that holds its letters
+    data = g.to_json_dict()
+    del data["rank"]
+    assert AGraph.from_json_dict(data).rank == 3
+
+
+def test_json_round_trip_on_folding_paths_and_their_markings():
+    markings = Counter()
+    for rank in range(2, 6):
+        for s in range(40):
+            for g in fold_to_rose(random_basis(1000 + s, 25, rank), rank).graphs:
+                back = _json_copy(g)
+                assert (back.vertices, back.edges, back.base, back.rank) == (
+                    g.vertices, g.edges, g.base, g.rank)
+                try:
+                    m = smooth(g)
+                except DomainError:  # a base left as a hair, say
+                    continue
+                assert not m.validate()  # smooth builds it unchecked
+                back = _json_copy(m)
+                assert (back.vertices, back.edges) == (m.vertices, m.edges)
+                markings[rank] += 1
+    assert markings[3] + markings[4] == 1691
+
+
+# One defect per case, over a label x (inverse X) and a bad label y (inverse
+# Y); both graph types must refuse it with the same problems.
+DEFECTS = {
+    "missing partner": ([0], [(0, 2, 0, 0, "x"), (1, 0, 0, 0, "X")],
+                        ["edge 0: involution partner 2 missing",
+                         "edge 1: involution not symmetric"]),
+    "fixed point": ([0], [(0, 0, 0, 0, "x")],
+                    ["edge 0: involution has a fixed point",
+                     "edge 0: partner label is not the inverse"]),
+    "non-reversing partner": ([0, 1], [(0, 1, 0, 1, "x"), (1, 0, 0, 1, "X")],
+                              ["edge 0: partner does not reverse it",
+                               "edge 1: partner does not reverse it"]),
+    "non-inverse label": ([0], [(0, 1, 0, 0, "x"), (1, 0, 0, 0, "x")],
+                          ["edge 0: partner label is not the inverse",
+                           "edge 1: partner label is not the inverse"]),
+    "unknown endpoint": ([0], [(0, 1, 5, 0, "x"), (1, 0, 0, 5, "X")],
+                         ["edge 0: endpoint not a vertex", "edge 1: endpoint not a vertex"]),
+    "bad label": ([0], [(0, 1, 0, 0, "y"), (1, 0, 0, 0, "Y")],
+                  ["edge 0: bad label {y!r}", "edge 1: bad label {Y!r}"]),
+}
+
+
+@pytest.mark.parametrize("case", sorted(DEFECTS))
+def test_both_graph_types_refuse_a_broken_involution_alike(case):
+    vertices, records, problems = DEFECTS[case]
+    for make, edge, x, y, inverse in [
+        (lambda edges: AGraph(vertices, edges, rank=3), Edge, 1, 4, lambda l: -l),
+        (lambda edges: MarkingGraph(vertices, edges), MarkingEdge, (1,), (1, -1), invert),
+    ]:
+        labels = {"x": x, "X": inverse(x), "y": y, "Y": inverse(y)}
+        with pytest.raises(ValueError) as refused:
+            make([edge(*r[:4], labels[r[4]]) for r in records])
+        assert str(refused.value).split(": ", 1)[1] == "; ".join(problems).format(**labels)
+
+
+def test_json_with_an_edge_off_the_vertices_is_refused():
+    for g in (rose(2), smooth(rose(2))):
+        data = g.to_json_dict()
+        data["edges"][0]["from"] = data["edges"][1]["to"] = 5
+        with pytest.raises(ValueError, match="edge 0: endpoint not a vertex"):
+            type(g).from_json_dict(data)
 
 
 def test_natural_vertices_of_rose():

@@ -2,12 +2,14 @@
 byte-stable experiment output."""
 
 import json
+from pathlib import Path
 
 import pytest
 
 from freebases import hyperbolicity
-from freebases.agraph import MarkingEdge, MarkingGraph
 from freebases.cli import main
+
+DATA = Path(__file__).parent / "data"
 
 
 def load(path):
@@ -246,27 +248,27 @@ def test_witness_generate_requires_kind_flags(tmp_path):
 
 
 def test_tau_picks_the_near_side_factor(tmp_path):
-    e = MarkingEdge
-    m = MarkingGraph(
-        [0, 1],
-        {
-            0: e(0, 1, 0, 0, (1,)),
-            1: e(1, 0, 0, 0, (-1,)),
-            2: e(2, 3, 1, 1, (2,)),
-            3: e(3, 2, 1, 1, (-2,)),
-            4: e(4, 5, 0, 1, (1,)),
-            5: e(5, 4, 1, 0, (-1,)),
-        },
-    )
-    marking = tmp_path / "marking.json"
-    marking.write_text(json.dumps(m.to_json_dict()))
+    # loops a at 0 and b at 1, joined by edge 4 spelling a
     out = tmp_path / "tau.json"
-    rc = main(["tau", "--marking", str(marking), "--edge", "4",
+    rc = main(["tau", "--marking", str(DATA / "marking.json"), "--edge", "4",
                "--json", str(out)])
     assert rc == 0
     report = load(out)
     assert report["subset"] == [1]
     assert report["ambient"] == ["a", "abA"]
+
+
+def test_tau_refuses_an_edge_off_the_vertices(tmp_path, capsys):
+    marking = tmp_path / "marking.json"
+    data = load(DATA / "marking.json")
+    data["edges"][4]["from"] = data["edges"][5]["to"] = 5
+    marking.write_text(json.dumps(data))
+    rc = main(["tau", "--marking", str(marking), "--edge", "0",
+               "--json", str(tmp_path / "tau.json")])
+    error = json.loads(capsys.readouterr().err)["error"]
+    assert (rc, error["type"]) == (2, "ValueError")
+    assert "edge 4: endpoint not a vertex" in error["message"]
+    assert not (tmp_path / "tau.json").exists()
 
 
 def test_tau_refuses_a_marking_of_the_wrong_shape(tmp_path, capsys):
@@ -432,7 +434,7 @@ def test_experiment_fb_ball_fails_on_a_corrupted_ball(tmp_path, monkeypatch, fau
                for s in report["samples"])
 
 
-@pytest.mark.parametrize("flag", ["--samples", "--moves"])
+@pytest.mark.parametrize("flag", ["--samples", "--moves", "--only"])
 def test_experiment_negative_samples_exits_two(tmp_path, flag):
     rc = main(["experiment", "fold-soundness", flag, "-1",
                "--json", str(tmp_path / "r.json")])
