@@ -127,6 +127,8 @@ class _Graph:
         """The edges of a ``to_json_dict`` document, labels read by ``read_label``."""
         edges = {}
         for item in data["edges"]:
+            if item["id"] in edges:
+                raise ValueError("repeated edge id %r" % (item["id"],))
             label = read_label(item[cls._label_key])
             edges[item["id"]] = cls._edge(item["id"], item["inv"], item["from"], item["to"], label)
         return edges

@@ -2,22 +2,28 @@
 and a thin-triangles-structure checker.
 
 Graphs are simple, undirected, connected, with unit-length edges.  Both
-hyperbolicity constants are exact exhaustive measurements, not estimates:
-``delta_four_point`` scans vertex quadruples, ``delta_slim`` quantifies
-over every geodesic of every side of every vertex triple.
+hyperbolicity constants are exact measurements, not estimates.
+``delta_four_point`` compares pairs of far-apart vertex pairs by
+decreasing distance and stops once no later pair can raise the gap, the
+pruned scan of Cohen, Coudert and Lancin (ACM JEA 20, 2015); Soto's lemma
+makes it exact.  ``delta_slim`` quantifies over every geodesic of every
+side of every vertex triple.
 
-Both deltas, the median map's center table and the thin-triangles checker
-run on numpy arrays in blocks of about _BLOCK elements (see each docstring
-for the method); Python loops run per block, and in the checker per
-sampled draw and per center-map read, never per distance computed.  Their
-whole-graph arrays are n x n distances and, for the checker, n^3 int32
-profiles and centers.  The per-pair and per-tuple scans
-and the per-call median map they replaced are the test suite's oracles.
+``apsp`` takes one BFS level from every source at once, as a matrix
+product.  Both deltas, the median map's center table and the
+thin-triangles checker run on numpy arrays in blocks of about _BLOCK
+elements (see each docstring for the method); Python loops run per block,
+per BFS level and, in the checker, per sampled draw and per center-map
+read, never per distance computed.  Their whole-graph arrays are n x n
+distances and, for the checker, n^3 int32 profiles and centers.  The
+per-pair, per-tuple and dense scans, the per-source BFS and the per-call
+median map they replaced are the test suite's oracles.
 """
 
 import random
 from dataclasses import dataclass
-from itertools import combinations, islice
+from itertools import combinations
+from math import isqrt
 
 import numpy as np
 
@@ -148,42 +154,94 @@ def random_tree(n, seed):
     return FiniteGraph(range(n), edges)
 
 
-def apsp(g):
-    """All-pairs shortest-path matrix by BFS, rows/columns in vertex order."""
+def _arcs(g):
+    """Both directions of every edge as (tail, head) vertex-index arrays,
+    sorted by tail, then head."""
     n = len(g)
-    steps = [[(u, g.vindex[w]) for w in g.neighbors(v)] for u, v in enumerate(g.vertex_list)]
+    ends = np.array([(g.vindex[u], g.vindex[v]) for u, v in g.edges], dtype=np.intp)
+    tail, head = ends.reshape(-1, 2).T
+    return np.divmod(np.sort(np.r_[tail * n + head, head * n + tail]), n)
+
+
+def apsp(g):
+    """All-pairs shortest-path matrix, rows/columns in vertex order, one BFS
+    level from every source at once: the frontier is an n x n 0/1 float32
+    matrix, and its product with the adjacency matrix counts each vertex's
+    frontier neighbours, exactly while n < 2^24."""
+    n = len(g)
+    tail, head = _arcs(g)
+    adj = np.zeros((n, n), dtype=np.float32)
+    adj[tail, head] = 1
     dist = np.full((n, n), -1, dtype=np.int32)
-    for i in range(n):
-        row = [-1] * n
-        row[i] = 0
-        # a parent is discovered before its children
-        for w, u in islice(bfs([i], steps.__getitem__).items(), 1, None):
-            row[w] = row[u] + 1
-        dist[i] = row
+    np.fill_diagonal(dist, 0)
+    frontier = np.eye(n, dtype=np.float32)
+    for level in range(1, n):
+        new = (frontier @ adj > 0) & (dist < 0)
+        if not new.any():
+            break
+        dist[new] = level
+        frontier = new.astype(np.float32)
     if (dist < 0).any():
         raise DomainError("graph is not connected")
     return dist
 
 
+def _far_apart_pairs(g):
+    """Vertex-index pairs x < y, by decreasing distance (stable), that are
+    far apart: no neighbour of x is farther from y, and no neighbour of y
+    farther from x.  g is connected with at least two vertices.  reach[x]
+    is the largest row d[w] over neighbours w of x, one reduceat over the
+    rows of a block of about _BLOCK elements."""
+    d = g.distance_matrix()
+    n = len(g)
+    tail, head = _arcs(g)
+    starts = np.searchsorted(tail, np.arange(n + 1))
+    reach = np.empty_like(d)
+    step = max(1, _BLOCK // len(head))
+    for lo in range(0, n, step):
+        at = starts[lo : lo + step + 1]
+        reach[lo : lo + step] = np.maximum.reduceat(d[head[at[0] : at[-1]]], at[:-1] - at[0])
+    x, y = np.nonzero(np.triu((reach <= d) & (reach.T <= d), 1))
+    order = np.argsort(-d[x, y], kind="stable")
+    return x[order], y[order]
+
+
 def delta_four_point(g):
     """Gromov 4-point constant: max over quadruples of half the gap between
-    the two largest of the three pairwise distance sums.  The gap is the
-    largest, over the three sums, of the sum minus the larger other one, so
-    each pair {i, j} takes d(i,j) + max d(k,l) - max(d(i,k) + d(j,l),
-    d(i,l) + d(j,k)) over (k, l), for a block of j rows at once, in int32.
+    the two largest of the three pairwise distance sums, exact, by the
+    pruned scan of Cohen, Coudert and Lancin ("On computing the Gromov
+    hyperbolicity", ACM JEA 20, 2015).
+
+    By Soto's lemma some quadruple attaining the constant has its
+    largest-sum pairing made of two far-apart pairs (``_far_apart_pairs``):
+    moving x to a neighbour farther from y raises that sum by one and each
+    other sum by at most one.  So only pairs of far-apart pairs are
+    compared, each pair {x, y}, {u, v} by its gap d(x,y) + d(u,v) -
+    max(d(x,u) + d(y,v), d(x,v) + d(y,u)), which is negative unless its
+    sum is the largest.  Pairs go by decreasing distance, a block of them
+    at a time against every pair up to the block's end (about _BLOCK
+    elements).  A gap is at most the smaller distance of its pairing
+    (d(x,y) <= d(x,u) + d(u,y) and d(x,y) <= d(x,v) + d(v,y) add up to
+    2 d(x,y) <= S2 + S3), so the scan stops at a block whose first pair is
+    no farther apart than the best gap.  Graphs of at most 3 vertices give
+    0.0.
     """
     d = g.distance_matrix()
     n = len(g)
-    step = max(1, _BLOCK // max(1, n * n))
-    best = 0
-    for i in range(n):
-        di = d[i]
-        for lo in range(i, n, step):
-            dj = d[lo : lo + step]
-            cross = di[None, :, None] + dj[:, None, :]
-            np.maximum(cross, dj[:, :, None] + di[None, None, :], out=cross)
-            np.subtract(d, cross, out=cross)
-            best = max(best, int((cross.max(axis=(1, 2)) + di[lo : lo + step]).max()))
+    if n < 4:
+        return 0.0
+    x, y = _far_apart_pairs(g)
+    dxy = d[x, y]
+    rx, ry, flat = x * n, y * n, d.ravel()
+    best = lo = 0
+    while lo < len(x) and dxy[lo] > best:
+        hi = min(len(x), lo + max(1, (isqrt(lo * lo + 4 * _BLOCK) - lo) // 2))
+        cross = flat.take(rx[lo:hi, None] + x[:hi]) + flat.take(ry[lo:hi, None] + y[:hi])
+        np.maximum(cross, flat.take(rx[lo:hi, None] + y[:hi])
+                   + flat.take(ry[lo:hi, None] + x[:hi]), out=cross)
+        np.subtract(dxy[lo:hi, None] + dxy[:hi], cross, out=cross)
+        best = max(best, int(cross.max()))
+        lo = hi
     return best / 2
 
 
@@ -208,12 +266,12 @@ def delta_slim(g):
         raise DomainError("delta_slim on %d vertices needs a %d-byte array, over "
                           "the %d-byte budget" % (n, 4 * n**3, SLIM_BUDGET_BYTES))
     d = g.distance_matrix()
-    ends = [(g.vindex[u], g.vindex[v]) for u, v in g.edges]
-    tail, head = np.array(ends + [e[::-1] for e in ends], dtype=np.intp).reshape(-1, 2).T
+    tail, head = _arcs(g)
     maxgeo = np.empty((n, n, n), dtype=np.int32)
     rows = maxgeo.reshape(n * n, n)  # row p * n + u: best[u] of the sweep from p
     rows[np.arange(n) * (n + 1)] = d
-    step = max(1, _BLOCK // max(1, len(tail) * n))
+    step = max(1, _BLOCK // max(1, len(tail)))
+    chunk = max(1, _BLOCK // max(1, n))  # rows of one gather
     for lo in range(0, n, step):
         # blocks of sources, one BFS level at a time: each edge w -> u one
         # level down from a source, as the rows it reads and writes
@@ -227,9 +285,16 @@ def delta_slim(g):
         bounds = np.searchsorted(level, np.arange(1, level.max(initial=0) + 2))
         for a, b in zip(bounds[:-1], bounds[1:]):
             k = to_row[a:b]
-            first = np.flatnonzero(np.r_[True, k[1:] != k[:-1]])
-            tops = k[first]
-            rows[tops] = np.minimum(d[tops % n], np.maximum.reduceat(rows[from_row[a:b]], first))
+            first = np.flatnonzero(np.r_[True, k[1:] != k[:-1], True])
+            g0 = 0
+            while g0 < len(first) - 1:
+                # whole groups of about chunk rows (one group at least)
+                g1 = max(g0 + 1, int(np.searchsorted(first, first[g0] + chunk, "right")) - 1)
+                tops = k[first[g0:g1]]
+                reads = rows[from_row[a + first[g0] : a + first[g1]]]
+                rows[tops] = np.minimum(d[tops % n],
+                                        np.maximum.reduceat(reads, first[g0:g1] - first[g0]))
+                g0 = g1
 
     delta = 0
     xs, ys = np.triu_indices(n, 1)
@@ -249,6 +314,9 @@ def is_quasiconvex(g, s, c):
     distance c of s?"""
     if not s:
         raise ValueError("empty subset")
+    for v in s:
+        if v not in g.vindex:
+            raise ValueError("subset vertex %r not in graph" % (v,))
     d = g.distance_matrix()
     idx = [g.vindex[v] for v in s]
     to_s = d[:, idx].min(axis=1)

@@ -48,7 +48,10 @@ sampler that compares every candidate with every representative.  The
 vectorized code must return the same values, witnesses and graphs.  The
 per-call median map is ``median_map`` before it tabled its centers: three
 distance columns and one argmin per call.  The table must name the same
-center for every ordered triple.
+center for every ordered triple.  The dense four-point scan is
+``delta_four_point`` before it compared only far-apart pairs: every pair
+{i, j} against every (k, l), a block of j rows at once.  The pruned scan
+must return the same constant.
 
 The piecewise substitution is ``substitute`` before it reduced once: it
 appends one basis image at a time with ``concat``.  The single reduction
@@ -121,6 +124,7 @@ from freebases.folding import (
     random_basis,
 )
 from freebases.hyperbolicity import (
+    _BLOCK,
     FiniteGraph,
     ThinReport,
     _path_indices,
@@ -749,6 +753,28 @@ def per_pair_delta_four_point(g):
             gap = int((mx - mid).max())
             if gap > best:
                 best = gap
+    return best / 2
+
+
+def dense_delta_four_point(g):
+    """Gromov 4-point constant: max over quadruples of half the gap between
+    the two largest of the three pairwise distance sums.  The gap is the
+    largest, over the three sums, of the sum minus the larger other one, so
+    each pair {i, j} takes d(i,j) + max d(k,l) - max(d(i,k) + d(j,l),
+    d(i,l) + d(j,k)) over (k, l), for a block of j rows at once, in int32.
+    """
+    d = g.distance_matrix()
+    n = len(g)
+    step = max(1, _BLOCK // max(1, n * n))
+    best = 0
+    for i in range(n):
+        di = d[i]
+        for lo in range(i, n, step):
+            dj = d[lo : lo + step]
+            cross = di[None, :, None] + dj[:, None, :]
+            np.maximum(cross, dj[:, :, None] + di[None, None, :], out=cross)
+            np.subtract(d, cross, out=cross)
+            best = max(best, int((cross.max(axis=(1, 2)) + di[lo : lo + step]).max()))
     return best / 2
 
 

@@ -213,6 +213,14 @@ def test_json_with_an_edge_off_the_vertices_is_refused():
             type(g).from_json_dict(data)
 
 
+def test_json_with_a_repeated_edge_id_is_refused():
+    for g in (rose(2), smooth(rose(2))):
+        data = g.to_json_dict()
+        data["edges"].append(dict(data["edges"][0]))
+        with pytest.raises(ValueError, match="repeated edge id 0"):
+            type(g).from_json_dict(data)
+
+
 def test_natural_vertices_of_rose():
     g = rose(3)
     m = smooth(g)

@@ -271,6 +271,20 @@ def test_tau_refuses_an_edge_off_the_vertices(tmp_path, capsys):
     assert not (tmp_path / "tau.json").exists()
 
 
+def test_tau_refuses_a_repeated_edge_id(tmp_path, capsys):
+    # the first copy of edge 0 would otherwise be dropped without a word
+    marking = tmp_path / "marking.json"
+    data = load(DATA / "marking.json")
+    data["edges"].append(dict(data["edges"][0]))
+    data["edges"][0]["word"] = "b"
+    marking.write_text(json.dumps(data))
+    rc = main(["tau", "--marking", str(marking), "--edge", "4",
+               "--json", str(tmp_path / "tau.json")])
+    error = json.loads(capsys.readouterr().err)["error"]
+    assert (rc, error["type"], error["message"]) == (2, "ValueError", "repeated edge id 0")
+    assert not (tmp_path / "tau.json").exists()
+
+
 def test_tau_refuses_a_marking_of_the_wrong_shape(tmp_path, capsys):
     marking = tmp_path / "marking.json"
     marking.write_text(json.dumps(

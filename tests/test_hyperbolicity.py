@@ -5,6 +5,7 @@ import json
 import random
 from itertools import combinations
 
+import numpy as np
 import pytest
 
 from freebases import hyperbolicity
@@ -41,6 +42,8 @@ from oracles import (
     condition1_value,
     condition3_value,
     coset_fb_equivalent,
+    dense_delta_four_point,
+    level_apsp,
     per_pair_delta_four_point,
     per_pair_delta_slim,
     per_tuple_check_thin_triangles,
@@ -101,6 +104,77 @@ def test_four_point_grows_with_the_cycle():
     assert delta_four_point(cycle_graph(12)) > delta_four_point(cycle_graph(4))
 
 
+def test_four_point_is_a_float_zero_below_four_vertices():
+    for g in (path_graph(1), path_graph(2), path_graph(3), complete_graph(3)):
+        value = delta_four_point(g)
+        assert isinstance(value, float) and value == 0.0
+
+
+def _far_apart(g):
+    x, y = hyperbolicity._far_apart_pairs(g)
+    d = g.distance_matrix()
+    assert (np.diff(d[x, y]) <= 0).all(), "pairs not by decreasing distance"
+    vs = g.vertex_list
+    return {(vs[i], vs[j]) for i, j in zip(x.tolist(), y.tolist())}
+
+
+def test_far_apart_pairs_are_leaf_pairs_on_trees_and_antipodes_on_even_cycles():
+    for seed in range(12):
+        t = random_tree(2 + 3 * seed, seed)
+        leaves = [v for v in t.vertex_list if len(t.neighbors(v)) == 1]
+        assert _far_apart(t) == set(combinations(leaves, 2))
+    for k in range(2, 12):
+        assert _far_apart(cycle_graph(2 * k)) == {(i, i + k) for i in range(k)}
+
+
+def _sizes_past_the_cross_check():
+    """Sparse graphs of 10-60 vertices, cycles up to C_40, coned grids and
+    FB balls at ranks 2-4, past the 14 vertices of the 320-graph check."""
+    rng = random.Random(2015)
+    for k in range(150):
+        t = random_tree(rng.randint(30, 60) if k < 30 else rng.randint(10, 29),
+                        rng.randrange(2**31))
+        extra = [tuple(rng.sample(t.vertex_list, 2)) for _ in range(rng.randint(0, 12))]
+        yield FiniteGraph(t.vertices, list(t.edges) + extra)
+    for n in range(3, 41):
+        yield cycle_graph(n)
+    for _ in range(12):
+        g = grid_graph(rng.randint(3, 7), rng.randint(3, 7))
+        yield cone_off(g, [rng.sample(g.vertex_list, rng.randint(2, 8))
+                           for _ in range(rng.randint(1, 3))])
+    for rank, walks, moves in ((2, 20, 8), (2, 30, 6), (3, 12, 5), (3, 16, 6), (4, 10, 4),
+                               (4, 14, 5)):
+        center = FBVertex(tuple((i,) for i in range(1, rank + 1)))
+        yield sample_fb_ball(center, [rng.randrange(10**6) for _ in range(walks)], moves)[0]
+
+
+def test_four_point_and_apsp_agree_with_dense_oracles_past_small_sizes(monkeypatch):
+    sizes, deltas = set(), set()
+    for g in _sizes_past_the_cross_check():
+        value = dense_delta_four_point(g)
+        # tiny blocks split the pair scan, so that it stops mid-way, and
+        # the neighbour rows of the far-apart test
+        for block in (1 << 15, 1, 3, 50):
+            monkeypatch.setattr(hyperbolicity, "_BLOCK", block)
+            assert delta_four_point(g) == value
+        assert np.array_equal(apsp(g), level_apsp(g))
+        sizes.add(len(g))
+        deltas.add(value)
+    assert max(sizes) > 50 and {0.0, 0.5, 1.0, 1.5, 10.0} <= deltas
+
+
+def test_deltas_agree_with_oracles_across_block_boundaries(monkeypatch):
+    # blocks of a few elements split the pair scan, the slim sweep's
+    # sources and each level's gather into single groups
+    rng = random.Random(1515)
+    families = ["tree", "cycle", "grid", "coned grid", "sparse"]
+    for k in range(60):
+        monkeypatch.setattr(hyperbolicity, "_BLOCK", [1, 5, 40, 300][k % 4])
+        g = _random_graph(rng, families[k % len(families)])
+        assert delta_four_point(g) == dense_delta_four_point(g)
+        assert delta_slim(g) == per_pair_delta_slim(g)
+
+
 def test_slim_zero_on_trees_and_paths():
     assert delta_slim(path_graph(6)) == 0
     for seed in range(6):
@@ -146,6 +220,11 @@ def test_quasiconvex_monotone_in_c():
 def test_quasiconvex_rejects_empty_set():
     with pytest.raises(ValueError):
         is_quasiconvex(path_graph(3), [], 0)
+
+
+def test_quasiconvex_rejects_a_vertex_off_the_graph():
+    with pytest.raises(ValueError, match="subset vertex 7 not in graph"):
+        is_quasiconvex(path_graph(4), [7], 1)
 
 
 def test_cone_off_full_vertex_set():
