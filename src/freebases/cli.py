@@ -443,6 +443,8 @@ EXPERIMENTS = {
     "thin-trees": _exp_thin_trees,
     "fb-ball": _exp_fb_ball,
 }
+# experiments that need more than rank 2: (least rank, what needs it)
+MIN_RANK = {"fb-witnesses": (3, "witness paths")}
 
 
 def _sample_seed(seed, index):
@@ -455,6 +457,9 @@ def cmd_experiment(args):
     for flag in ("samples", "moves", "only"):
         if (getattr(args, flag) or 0) < 0:  # --only is None when absent
             raise ValueError("--%s must be nonnegative" % flag)
+    least, what = MIN_RANK.get(args.name, (2, None))
+    if args.rank < least:
+        raise DomainError("%s need rank >= %d" % (what, least))
     indices = [args.only] if args.only is not None else list(range(args.samples))
     seeds = [_sample_seed(args.seed, k) for k in indices]
     if args.workers > 1 and len(seeds) > 1:

@@ -10,19 +10,21 @@ makes it exact.  ``delta_slim`` quantifies over every geodesic of every
 side of every vertex triple.
 
 ``apsp`` takes one BFS level from every source at once, as a matrix
-product.  Both deltas, the median map's center table and the
-thin-triangles checker run on numpy arrays in blocks of about _BLOCK
-elements (see each docstring for the method); Python loops run per block,
-per BFS level and, in the checker, per sampled draw and per center-map
-read, never per distance computed.  Their whole-graph arrays are n x n
-distances and, for the checker, n^3 int32 profiles and centers.  The
-per-pair, per-tuple and dense scans, the per-source BFS and the per-call
-median map they replaced are the test suite's oracles.
+product.  ``_intervals`` enumerates geodesic intervals and
+``_hausdorff_rows`` measures Hausdorff distances for every caller.  Both
+deltas, the median map's center table and the thin-triangles checker run
+on numpy arrays in blocks of about _BLOCK elements (see each docstring);
+Python loops run per block, per BFS level and, in the checker, per sampled
+draw and per ordered triple read from the center map, never per distance
+computed.  Their whole-graph arrays are n x n distances and, for the
+checker, n^3 int32 profiles and centers.  The per-pair, per-tuple and
+dense scans, the per-source BFS and the per-call median map they replaced
+are the test suite's oracles.
 """
 
 import random
 from dataclasses import dataclass
-from itertools import combinations
+from itertools import combinations, product
 from math import isqrt
 
 import numpy as np
@@ -259,7 +261,8 @@ def delta_slim(g):
     geodesic, so does every neighbour w of u with d(p, w) = d(p, u) - 1, so
     one sweep per source, in BFS order, best[u] = min(d[u], max of best[w])
     gives maxgeo[p, q] = best[q] for all q.  The n^3 int32 maxgeo must fit
-    SLIM_BUDGET_BYTES (256 MiB, so n <= 406), else DomainError.
+    SLIM_BUDGET_BYTES (256 MiB, so n <= 406), else DomainError.  The
+    defect scan gathers n-element rows of maxgeo per ``_intervals`` entry.
     """
     n = len(g)
     if 4 * n**3 > SLIM_BUDGET_BYTES:
@@ -296,17 +299,23 @@ def delta_slim(g):
                                         np.maximum.reduceat(reads, first[g0:g1] - first[g0]))
                 g0 = g1
 
-    delta = 0
-    xs, ys = np.triu_indices(n, 1)
-    step = max(1, _BLOCK // max(1, n * n))
-    for lo in range(0, len(xs), step):
-        x, y = xs[lo : lo + step], ys[lo : lo + step]
-        # (pair, v) for every v on some x-y geodesic; the defect of v is the
-        # largest over third points z of the smaller bottleneck value
-        k, v = np.nonzero(d[x] + d[y] == d[x, y][:, None])
-        defect = np.minimum(maxgeo[x[k], :, v], maxgeo[y[k], :, v]).max(axis=1)
-        delta = max(delta, int(defect.max()))
-    return delta
+    # v's defect: the largest over z of the smaller bottleneck value
+    return max((int(np.minimum(maxgeo[x, :, v], maxgeo[y, :, v]).max())
+                for x, y, v in _intervals(d, *np.triu_indices(n, 1), n)), default=0)
+
+
+def _intervals(d, x, y, width):
+    """Intervals {v : d(x,v) + d(v,y) = d(x,y)} of index pairs (x[k], y[k]),
+    as (x, y, v) blocks of one entry per pair and interval vertex in pair
+    order; a mask holds about _BLOCK elements, a block _BLOCK // width."""
+    pairs = max(1, _BLOCK // d.shape[1])
+    entries = max(1, _BLOCK // width)
+    for lo in range(0, len(x), pairs):
+        bx, by = x[lo : lo + pairs], y[lo : lo + pairs]
+        k, v = np.nonzero(d[bx] + d[by] == d[bx, by][:, None])
+        for e in range(0, len(k), entries):
+            part = slice(e, e + entries)
+            yield bx[k[part]], by[k[part]], v[part]
 
 
 def is_quasiconvex(g, s, c):
@@ -318,13 +327,10 @@ def is_quasiconvex(g, s, c):
         if v not in g.vindex:
             raise ValueError("subset vertex %r not in graph" % (v,))
     d = g.distance_matrix()
-    idx = [g.vindex[v] for v in s]
+    idx = np.unique([g.vindex[v] for v in s])
     to_s = d[:, idx].min(axis=1)
-    for i in idx:
-        for j in idx:
-            if (to_s[d[i] + d[j] == d[i, j]] > c).any():
-                return False
-    return True
+    i, j = np.triu_indices(len(idx))
+    return not any((to_s[v] > c).any() for _, _, v in _intervals(d, idx[i], idx[j], 1))
 
 
 def cone_off(g, subsets):
@@ -354,11 +360,8 @@ def _path_indices(g, p):
 
 def hausdorff_distance(p, q, g):
     """Hausdorff distance between the vertex sets of two paths."""
-    d = g.distance_matrix()
-    pi = _path_indices(g, p)
-    qi = _path_indices(g, q)
-    sub = d[np.ix_(pi, qi)]
-    return int(max(sub.min(axis=1).max(), sub.min(axis=0).max()))
+    rows = [np.array([_path_indices(g, path)], dtype=np.intp) for path in (p, q)]
+    return int(_hausdorff_rows(g.distance_matrix(), *rows)[0])
 
 
 def geodesic_family(g):
@@ -481,9 +484,9 @@ def _padded_paths(g, paths):
 
 def _hausdorff_rows(d, p, q):
     """Hausdorff distance between the vertex sets of rows p[k] and q[k] of
-    two index arrays, for every k, in blocks of rows."""
+    two index arrays, for every k, in blocks of about _BLOCK elements."""
     out = np.empty(len(p), dtype=d.dtype)
-    step = max(1, _BLOCK // (p.shape[1] * q.shape[1]))
+    step = max(1, _BLOCK // max(1, p.shape[1] * q.shape[1]))
     for lo in range(0, len(p), step):
         sub = d[p[lo : lo + step, :, None], q[lo : lo + step, None, :]]
         out[lo : lo + step] = np.maximum(sub.min(axis=2).max(axis=1),
@@ -542,24 +545,25 @@ def check_thin_triangles(
     positions on the stored (x,y) path and a, b within b1 of the s/t
     points; when the full tuple count exceeds ``tuple_threshold`` a seeded
     subsample of ``sample_size`` tuples is measured instead, drawn as
-    Random(seed).choice and randrange would draw them.  The center map must
-    be cyclically symmetric (checked on the triples examined) and may be a
-    callable or a mapping on ordered triples; it is read once per ordered
-    triple.  Each witness is the first tuple, in loop order (or draw order),
-    attaining its condition's value.  A negative b1, threshold or sample
-    size raises ValueError.
+    Random(seed).choice and randrange would draw them.  The center map, a
+    callable or a mapping on ordered triples, is read once per triple in
+    loop order (KeyError at the first missing triple or center off the
+    graph), then must be cyclically symmetric (ValueError naming the first
+    asymmetric triple).  Each witness is the first tuple, in loop order (or
+    draw order), attaining its condition's value.  A negative b1, threshold
+    or sample size raises ValueError.
 
     A path's profile is every vertex's distance to it; profiles and centers
-    are n^3 int32 arrays.  A tuple's condition (2) value is the larger of
-    two maxima of a path width W each: over u on the (a, b) path, of u's
-    distance to p[s .. t], read from a running-minimum table seg[(r, s), t,
-    u] built for a block of (path, start) pairs at once; and over p[s .. t],
-    of the (a, b) profile.  Exhaustive checks enumerate the tuples of a
-    block in loop order as index arrays; sampled checks feed each chunk of
-    draws, one table row per draw, to the same kernel.  Every temporary,
-    the table and the tuple arrays included, holds about _BLOCK elements
-    (unblocked, the table alone would hold n^3 W^2 entries, about 113 MB for
-    the 40-cycle).
+    are n^3 int32 arrays.  Exhaustive checks enumerate the tuples of a block
+    in loop order as index arrays; a tuple's condition (2) value is the
+    larger of two maxima of a path width W each: over u on the (a, b) path,
+    of u's distance to p[s .. t], read from a running-minimum table seg[(r,
+    s), t, u] built for a block of (path, start) pairs and shared by every
+    (a, b); and over p[s .. t], of the (a, b) profile.  Sampled checks build
+    no table: ``_hausdorff_rows`` takes each draw's (a, b) path against
+    p[s .. t] padded with p[t].  Every temporary, the table and the tuple
+    arrays included, holds about _BLOCK elements (unblocked, the table alone
+    would hold n^3 W^2 entries, about 113 MB for the 40-cycle).
     """
     for name, value in (("b1", b1), ("tuple_threshold", tuple_threshold),
                         ("sample_size", sample_size)):
@@ -581,22 +585,14 @@ def check_thin_triangles(
     b2_h, wit_h = int(vals[k]), (vlist[xs[k]], vlist[ys[k]])
 
     lookup = phi if callable(phi) else lambda a, b, c: phi[a, b, c]
-    centers = np.empty((n, n, n), dtype=np.int32)
-    later = np.arange(n)
-    for i, a in enumerate(vlist):
-        # the (i, j, k) least among their rotations, in loop order
-        j, k = np.nonzero((later[:, None] >= i) & (later > i)
-                          | (later[:, None] == i) & (later >= i))
-        found = []
-        for b, c in zip(j.tolist(), k.tolist()):
-            b, c = vlist[b], vlist[c]
-            center = lookup(a, b, c)
-            if center != lookup(b, c, a) or center != lookup(c, a, b):
-                raise ValueError(
-                    "center map is not cyclically symmetric on (%r, %r, %r)" % (a, b, c)
-                )
-            found.append(g.vindex[center])
-        centers[i, j, k] = centers[j, k, i] = centers[k, i, j] = found
+    centers = np.fromiter((g.vindex[lookup(a, b, c)] for a, b, c in product(vlist, repeat=3)),
+                          dtype=np.int32, count=n**3).reshape(n, n, n)
+    a, b, c = np.arange(n)[:, None, None], np.arange(n)[:, None], np.arange(n)
+    # a triple's rotations share its asymmetry, so the first is a least rotation
+    bad = np.flatnonzero((centers != centers[b, c, a]) | (centers != centers[c, a, b]))
+    if len(bad):
+        raise ValueError("center map is not cyclically symmetric on (%r, %r, %r)"
+                         % tuple(vlist[t] for t in np.unravel_index(bad[0], centers.shape)))
     vals = np.take_along_axis(prof, centers.reshape(n * n, n), axis=1)
     k = int(np.argmax(vals))
     b2_c = int(vals.flat[k])
@@ -611,8 +607,7 @@ def check_thin_triangles(
 
     b2_s, wit_s = 0, None
     checked = 0
-    step = max(1, _BLOCK // (width * n))  # (path, start) pairs per seg table
-    pad_t = pad.T.copy()
+    chunk = max(1, _BLOCK // width)  # tuples per kernel call
 
     def record(vals, r, s, t, a, b):
         nonlocal b2_s, wit_s, checked
@@ -626,7 +621,8 @@ def check_thin_triangles(
     if total <= tuple_threshold:
         mode = "exhaustive"
         pairs_r, pairs_s = np.nonzero(np.arange(width) < lens[:, None])
-        chunk = max(1, _BLOCK // width)
+        step = max(1, _BLOCK // (width * n))  # (path, start) pairs per seg table
+        pad_t = pad.T.copy()
         for lo in range(0, len(pairs_r), step):
             r, s = pairs_r[lo : lo + step], pairs_s[lo : lo + step]
             sub, seg = _segments(d, pad, r, s)
@@ -651,9 +647,9 @@ def check_thin_triangles(
         bits = random.Random(seed).getrandbits
         ball_lists = [ball.tolist() for ball in np.split(ball_flat, ball_start[1:])]
         pad_lists, len_list = pad.tolist(), lens.tolist()
-        for lo in range(0, sample_size, step):
+        for lo in range(0, sample_size, chunk):
             drawn = []
-            for _ in range(min(step, sample_size - lo)):
+            for _ in range(min(chunk, sample_size - lo)):
                 r = _randbelow(bits, n) * n + _randbelow(bits, n)
                 s = _randbelow(bits, len_list[r])
                 t = _randbelow(bits, len_list[r])
@@ -664,10 +660,8 @@ def check_thin_triangles(
                 drawn.append((r, s, t, near_s[_randbelow(bits, len(near_s))],
                               near_t[_randbelow(bits, len(near_t))]))
             r, s, t, a, b = np.array(drawn, dtype=np.intp).T
-            sub, seg = _segments(d, pad, r, s)
-            vals = _subsegment_values(prof, pad_t, sub, seg,
-                                      np.arange(len(r)) * width + t - s, a * n + b)
-            record(vals, r, s, t, a, b)
+            part = pad[r[:, None], np.minimum(s[:, None] + np.arange(width), t[:, None])]
+            record(_hausdorff_rows(d, pad[a * n + b], part), r, s, t, a, b)
 
     return ThinReport(
         b1=b1, b2_hausdorff=b2_h, b2_subsegment=b2_s, b2_center=b2_c,

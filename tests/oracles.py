@@ -51,7 +51,12 @@ distance columns and one argmin per call.  The table must name the same
 center for every ordered triple.  The dense four-point scan is
 ``delta_four_point`` before it compared only far-apart pairs: every pair
 {i, j} against every (k, l), a block of j rows at once.  The pruned scan
-must return the same constant.
+must return the same constant.  The per-pair quasiconvexity test is
+``is_quasiconvex`` before it read its geodesic intervals from one kernel:
+one interval mask per ordered pair of subset members.  The ``np.ix_``
+Hausdorff distance is ``hausdorff_distance`` before it shared the
+checker's kernel; ``condition1_value`` and the per-tuple checker use it, so
+the checker's witnesses are not checked against its own kernel.
 
 The piecewise substitution is ``substitute`` before it reduced once: it
 appends one basis image at a time with ``concat``.  The single reduction
@@ -129,7 +134,6 @@ from freebases.hyperbolicity import (
     ThinReport,
     _path_indices,
     check_path_family,
-    hausdorff_distance,
 )
 from freebases.words import (
     concat,
@@ -829,6 +833,31 @@ def per_pair_delta_slim(g):
     return delta
 
 
+def per_pair_is_quasiconvex(g, s, c):
+    """is_quasiconvex with one geodesic-interval mask per ordered pair of
+    members of s, which must be a nonempty set of vertices of g."""
+    d = g.distance_matrix()
+    idx = [g.vindex[v] for v in s]
+    to_s = d[:, idx].min(axis=1)
+    for i in idx:
+        for j in idx:
+            if (to_s[d[i] + d[j] == d[i, j]] > c).any():
+                return False
+    return True
+
+
+def _ix_hausdorff(d, ia, ib):
+    """Hausdorff distance between two vertex-index lists, from the np.ix_
+    submatrix of their distances."""
+    sub = d[np.ix_(ia, ib)]
+    return int(max(sub.min(axis=1).max(), sub.min(axis=0).max()))
+
+
+def ix_hausdorff_distance(p, q, g):
+    """Hausdorff distance between the vertex sets of two paths."""
+    return _ix_hausdorff(g.distance_matrix(), _path_indices(g, p), _path_indices(g, q))
+
+
 def per_tuple_check_thin_triangles(
     g, paths, phi, b1, tuple_threshold=1_000_000, sample_size=20_000, seed=0
 ):
@@ -846,16 +875,12 @@ def per_tuple_check_thin_triangles(
     def lookup(a, b, c):
         return phi(a, b, c) if callable(phi) else phi[a, b, c]
 
-    def hdist(ia, ib):
-        sub = d[np.ix_(ia, ib)]
-        return int(max(sub.min(axis=1).max(), sub.min(axis=0).max()))
-
     b2_h, wit_h = 0, (vlist[0], vlist[0])
     for x in vlist:
         for y in vlist:
             if y < x:
                 continue
-            val = hdist(pidx[x, y], pidx[y, x])
+            val = _ix_hausdorff(d, pidx[x, y], pidx[y, x])
             if val > b2_h:
                 b2_h, wit_h = val, (x, y)
 
@@ -895,7 +920,7 @@ def per_tuple_check_thin_triangles(
                         sub = full[s : t + 1]
                         for a in balls[p[s]]:
                             for b in balls[p[t]]:
-                                val = hdist(pidx[a, b], sub)
+                                val = _ix_hausdorff(d, pidx[a, b], sub)
                                 checked += 1
                                 if val > b2_s or wit_s is None:
                                     b2_s, wit_s = val, (x, y, s, t, a, b)
@@ -912,7 +937,7 @@ def per_tuple_check_thin_triangles(
                 s, t = t, s
             a = rng.choice(balls[p[s]])
             b = rng.choice(balls[p[t]])
-            val = hdist(pidx[a, b], pidx[x, y][s : t + 1])
+            val = _ix_hausdorff(d, pidx[a, b], pidx[x, y][s : t + 1])
             checked += 1
             if val > b2_s or wit_s is None:
                 b2_s, wit_s = val, (x, y, s, t, a, b)
@@ -1324,7 +1349,7 @@ def conjugate_related(u, w):
 
 def condition1_value(g, paths, x, y):
     """Hausdorff distance between the stored (x,y) and (y,x) paths."""
-    return hausdorff_distance(paths[x, y], paths[y, x], g)
+    return ix_hausdorff_distance(paths[x, y], paths[y, x], g)
 
 
 def condition3_value(g, paths, phi, a, b, c):

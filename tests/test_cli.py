@@ -6,7 +6,7 @@ from pathlib import Path
 
 import pytest
 
-from freebases import hyperbolicity
+from freebases import cli, hyperbolicity
 from freebases.cli import main
 
 DATA = Path(__file__).parent / "data"
@@ -418,6 +418,23 @@ def test_experiment_fb_witnesses_at_rank_four(tmp_path):
                "--seed", "3", "--json", str(out), "--no-timings"])
     assert rc == 0
     assert all(s["ok"] for s in load(out)["samples"])
+
+
+@pytest.mark.parametrize("count", [["--samples", "0"], ["--samples", "3"], ["--only", "2"]])
+def test_experiment_below_its_minimum_rank_exits_one_before_any_sample(
+        tmp_path, monkeypatch, capsys, count):
+    # fb-witnesses needs rank 3; at rank 2 it used to write an empty passing
+    # report for no samples, and to die inside its first sample otherwise
+    calls = []
+    monkeypatch.setitem(cli.EXPERIMENTS, "fb-witnesses",
+                        lambda *args: calls.append(args) or {"ok": True})
+    out = tmp_path / "w2.json"
+    rc = main(["experiment", "fb-witnesses", "--rank", "2", *count, "--json", str(out)])
+    assert (rc, calls, out.exists()) == (1, [], False)
+    assert json.loads(capsys.readouterr().err) == {
+        "error": {"type": "DomainError", "message": "witness paths need rank >= 3"}}
+    assert main(["experiment", "fb-witnesses", "--rank", "3", *count, "--json", str(out)]) == 0
+    assert len(calls) == len(load(out)["samples"])
 
 
 def _non_edge(g):

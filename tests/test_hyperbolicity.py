@@ -43,9 +43,11 @@ from oracles import (
     condition3_value,
     coset_fb_equivalent,
     dense_delta_four_point,
+    ix_hausdorff_distance,
     level_apsp,
     per_pair_delta_four_point,
     per_pair_delta_slim,
+    per_pair_is_quasiconvex,
     per_tuple_check_thin_triangles,
     scan_sample_fb_ball,
 )
@@ -175,8 +177,27 @@ def test_deltas_agree_with_oracles_across_block_boundaries(monkeypatch):
         assert delta_slim(g) == per_pair_delta_slim(g)
 
 
+def test_intervals_yield_each_pair_and_interval_vertex_once_in_order(monkeypatch):
+    rng = random.Random(1618)
+    families = ["tree", "cycle", "grid", "coned grid", "sparse"]
+    for k in range(60):
+        block = [1, 5, 40, 300][k % 4]
+        monkeypatch.setattr(hyperbolicity, "_BLOCK", block)
+        g = _random_graph(rng, families[k % len(families)])
+        d, n = g.distance_matrix(), len(g)
+        x, y = np.divmod(np.arange(n * n), n)
+        width = rng.randint(1, n)
+        blocks = list(hyperbolicity._intervals(d, x, y, width))
+        assert all(len(v) <= max(1, block // width) for _, _, v in blocks)
+        got = [e for b in blocks for e in zip(*(a.tolist() for a in b))]
+        assert got == [(i, j, v) for i in range(n) for j in range(n) for v in range(n)
+                       if d[i, v] + d[v, j] == d[i, j]]
+
+
 def test_slim_zero_on_trees_and_paths():
-    assert delta_slim(path_graph(6)) == 0
+    # one vertex has no pair to scan, two have one pair and its ends
+    for n in (1, 2, 6):
+        assert delta_slim(path_graph(n)) == 0
     for seed in range(6):
         assert delta_slim(random_tree(3 + seed * 5, seed)) == 0
 
@@ -227,6 +248,30 @@ def test_quasiconvex_rejects_a_vertex_off_the_graph():
         is_quasiconvex(path_graph(4), [7], 1)
 
 
+def test_quasiconvex_agrees_with_per_pair_oracle(monkeypatch):
+    # blocks of a few elements split the interval masks between pairs and
+    # each mask's entries between blocks
+    rng = random.Random(1616)
+    families = ["tree", "cycle", "grid", "coned grid", "sparse"]
+    verdicts = set()
+    for k in range(80):
+        monkeypatch.setattr(hyperbolicity, "_BLOCK", [1, 5, 40, 300][k % 4])
+        g = _random_graph(rng, families[k % len(families)])
+        vs = g.vertex_list
+        if k % 3 == 0:  # the ends of a longest geodesic
+            d = g.distance_matrix()
+            s = [vs[i] for i in np.unravel_index(d.argmax(), d.shape)]
+        else:
+            s = rng.sample(vs, rng.randint(1, len(vs) if k % 3 == 1 else min(2, len(vs))))
+        if k % 5 == 0:
+            s += rng.choices(s, k=2)  # repeated members
+        for c in range(4):
+            want = per_pair_is_quasiconvex(g, s, c)
+            assert is_quasiconvex(g, s, c) == want, (g.to_json_dict(), s, c)
+            verdicts.add((c, want))
+    assert verdicts == {(c, v) for c in range(4) for v in (False, True)}
+
+
 def test_cone_off_full_vertex_set():
     p5 = path_graph(5)
     coned = cone_off(p5, [list(p5.vertices)])
@@ -270,6 +315,23 @@ def test_hausdorff_examples():
     assert hausdorff_distance(top, top, c6) == 0
     assert hausdorff_distance(top, tuple(reversed(top)), c6) == 0
     assert hausdorff_distance(top, bottom, c6) == 1
+
+
+def test_hausdorff_distance_agrees_with_ix_oracle(monkeypatch):
+    rng = random.Random(2718)
+    families = ["tree", "cycle", "grid", "coned grid", "sparse"]
+    values = set()
+    for k in range(120):
+        monkeypatch.setattr(hyperbolicity, "_BLOCK", [1, 5, 40, 1 << 15][k % 4])
+        g = _random_graph(rng, families[k % len(families)])
+        fam = _detour_family(g, rng)
+        p, q = (fam[tuple(rng.choices(g.vertex_list, k=2))] for _ in range(2))
+        s = rng.randrange(len(p))
+        p = p[s : rng.randint(s + 1, len(p))]
+        want = ix_hausdorff_distance(p, q, g)
+        assert hausdorff_distance(p, q, g) == want == hausdorff_distance(q, p, g)
+        values.add(want)
+    assert set(range(5)) <= values
 
 
 def test_geodesic_family_is_valid_and_geodesic():
@@ -361,6 +423,32 @@ def test_thin_triangles_rejects_asymmetric_phi():
 
     with pytest.raises(ValueError):
         check_thin_triangles(t, fam, lopsided, 1)
+
+
+def test_center_map_reads_every_triple_before_checking_symmetry():
+    t = random_tree(6, 1)
+    fam = geodesic_family(t)
+    median = median_map(t)
+    table = {(a, b, c): median(a, b, c) for a in range(6) for b in range(6) for c in range(6)}
+    # a fault off a least rotation is named at the least rotation, as the
+    # per-tuple oracle names it
+    asym = dict(table)
+    asym[1, 0, 0] = next(v for v in range(6) if v != table[1, 0, 0])
+    for check in (check_thin_triangles, per_tuple_check_thin_triangles):
+        with pytest.raises(ValueError, match=r"symmetric on \(0, 0, 1\)"):
+            check(t, fam, asym, 1)
+    # with a second fault, a missing triple or a center off the graph is
+    # reported first, wherever it lies in loop order
+    missing = dict(asym)
+    del missing[5, 5, 5]
+    with pytest.raises(KeyError) as err:
+        check_thin_triangles(t, fam, missing, 1)
+    assert err.value.args == ((5, 5, 5),)
+    outside = dict(asym)
+    outside[5, 4, 5] = "outside"
+    with pytest.raises(KeyError) as err:
+        check_thin_triangles(t, fam, outside, 1)
+    assert err.value.args == ("outside",)
 
 
 def test_condition2_uses_ordered_subsegments():
