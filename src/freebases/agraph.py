@@ -9,7 +9,7 @@ same label; folded graphs immerse into the rose.
 """
 
 from itertools import permutations
-from operator import neg
+from operator import itemgetter, neg
 from typing import NamedTuple
 
 from .errors import ContractibleGraphError, DomainError
@@ -67,7 +67,7 @@ class _Graph:
         problems = check and self._edge_problems()  # first: out-edge lists need the ends
         if not problems:
             self._out = {v: [] for v in self.vertices}
-            for e in sorted(self.edges.values(), key=lambda e: e.id):
+            for e in sorted(self.edges.values(), key=itemgetter(0)):
                 self._out[e.src].append(e)
             problems = check and self._shape_problems()
         if problems:
@@ -118,7 +118,7 @@ class _Graph:
         key, show = self._label_key, self._show_label
         edges = [
             {"id": e.id, "inv": e.inv, "from": e.src, "to": e.dst, key: show(e[4])}
-            for e in sorted(self.edges.values(), key=lambda e: e.id)
+            for e in sorted(self.edges.values(), key=itemgetter(0))
         ]
         return {"vertices": sorted(self.vertices), "edges": edges}
 
@@ -447,10 +447,12 @@ def canonical_code(g, base=None):
 
 
 def _step_table(g):
-    """The (vertex, label) -> dst table, or None when g is not folded (two
-    out-edges share a key, so the table is short)."""
-    step = {(e.src, e.label): e.dst for e in g.edges.values()}
-    return step if len(step) == len(g.edges) else None
+    """The label -> {src: dst} table, or None when g is not folded (two
+    out-edges share a label at one vertex, so the table is short)."""
+    step = {}
+    for _, _, src, dst, label in g.edges.values():
+        step.setdefault(label, {})[src] = dst
+    return step if sum(map(len, step.values())) == len(g.edges) else None
 
 
 def _folded_isomorphic(g1, g2, step2):
@@ -464,8 +466,9 @@ def _folded_isomorphic(g1, g2, step2):
     for v in queue:
         w = image[v]
         for e in g1.out_edges(v):
-            t = step2.get((w, e.label))
-            if t is None:
+            try:
+                t = step2[e.label][w]
+            except KeyError:
                 return False
             s = image.get(e.dst)
             if s is None:

@@ -101,7 +101,8 @@ class FBVertex:
         so these are all the conjugators fixing it) that makes the second
         element w shortest, then least; k is unique, since two basis
         elements share no power.  Past |k| = |w|/|c| + 1, c^-k w c^k only
-        grows.  Raises NotABasisError when the tuple repeats a class key.
+        grows.  The search is linear in |w|; see ``_least_conjugate``.
+        Raises NotABasisError when the tuple repeats a class key.
         """
         order = sorted(self.classes.items())
         c = order[0][0]
@@ -110,18 +111,51 @@ class FBVertex:
         elems = [self.basis[i] if forward else invert(self.basis[i])
                  for _, (i, forward) in order]
         g = find_conjugator(elems[0], c)
-        w = conjugate(elems[1], g)
-        bound = len(w) // len(c) + 1
-        w = conjugate(w, power(c, -bound))
-        best = (len(w), w, -bound)
-        for k in range(1 - bound, bound + 1):
-            w = conjugate(w, c)
-            best = min(best, (len(w), w, k))
-        g = concat(g, power(c, best[2]))
-        return (c, best[1]) + tuple(conjugate(x, g) for x in elems[2:])
+        w, k = _least_conjugate(conjugate(elems[1], g), c)
+        g = concat(g, power(c, k))
+        return (c, w) + tuple(conjugate(x, g) for x in elems[2:])
 
     def to_json_dict(self):
         return {"basis": [word_str(w) for w in self.basis]}
+
+
+def _agree(w, c, start=0):
+    """How many leading letters of w read along c·c·c·... from c[start]."""
+    i, n = 0, len(c)
+    while i < len(w) and w[i] == c[(start + i) % n]:
+        i += 1
+    return i
+
+
+def _least_conjugate(w, c):
+    """The least (|v|, v) over v = c^-k·w·c^k with |k| <= |w|/|c| + 1, for
+    c cyclically reduced and primitive and w no power of c: ``(v, k)``.
+
+    c's axis passes through the base point o, reading c forward and c^-1
+    backward, and |c^-k·w·c^k| is how far w moves its point x = c^k·o.  The
+    path x, o, w·o, w·x backtracks at o as far as w follows the axis towards
+    x, and at w·o as far as w^-1 does.  Where the two backtracks overlap, all
+    of w cancels; where they just meet, the two tails along the axis then
+    cancel as far as they agree, less than |c| letters, c being no proper
+    power.  So every length is read off a few prefix agreements, in time
+    linear in |w|.  The lengths are convex in k, so the shortest k form one
+    run, along which x slides by |c| on the stretch shared by the axes of c
+    and w.  Each step of the run compares the same two letters, where w's
+    axis leaves c's, so the least word is at an end of the run.
+    """
+    n, wi, lengths = len(c), invert(w), []
+    bound = len(w) // n + 1
+    for z, ks in ((invert(c), range(bound, 0, -1)), (c, range(bound + 1))):
+        p, r = _agree(w, z), _agree(wi, z)
+        tails = _agree(z[r % n:] + z[:r % n], z, p) if p + r == len(w) else 0
+        for k in ks:
+            t = k * n
+            a, b = min(t, p), min(t, r)
+            lengths.append(len(w) + 2 * t - 2 * min(a + b, len(w))
+                           - 2 * min(tails, t - a, t - b))
+    m = min(lengths)
+    run = [k - bound for k, length in enumerate(lengths) if length == m]
+    return min((conjugate(w, power(c, k)), k) for k in {run[0], run[-1]})
 
 
 @dataclass(frozen=True)

@@ -28,6 +28,7 @@ the next natural vertex.  The engine holds the only copy of both rules:
 import random
 from collections.abc import Sequence
 from dataclasses import dataclass
+from operator import eq, neg
 from typing import NamedTuple
 
 from .agraph import AGraph, Edge, MarkingEdge, MarkingGraph, _step_table, _subdivide, _tree_basis
@@ -341,11 +342,12 @@ class _LiveGraph:
             pairs.append((f, h))
         return pairs
 
-    def fold(self, pairs=None):
+    def fold(self, pairs=None, record=True):
         """Fold the pairs in order or, with none given, until folded; the
-        FoldSteps.  Until folded, each vertex keeps a label -> edge dict, and
-        a kind I fold merges the smaller dict into the larger and queues its
-        collisions; an entry naming a dropped edge reads as its survivor."""
+        FoldSteps, if ``record``.  Until folded, each vertex keeps a label ->
+        edge dict, and a kind I fold merges the smaller dict into the larger
+        and queues its collisions; an entry naming a dropped edge reads as
+        its survivor."""
         edge, out, root = self.edge, self.out, self.root
         steps, touched, watch = [], set(), self.repeated is not None
         index = None
@@ -367,7 +369,8 @@ class _LiveGraph:
             if watch:
                 touched.update((src, kept, gone))
             if kept == gone:
-                steps.append(FoldStep("II", (a, b)))
+                if record:
+                    steps.append(FoldStep("II", (a, b)))
                 continue
             moved = out.pop(gone)
             for x in moved:
@@ -377,7 +380,8 @@ class _LiveGraph:
             out[kept] += moved
             if self.base == gone:
                 self.base = kept
-            steps.append(FoldStep("I", (a, b), ((kept, gone),)))
+            if record:
+                steps.append(FoldStep("I", (a, b), ((kept, gone),)))
             if index is not None:
                 big, small = index[kept], index.pop(gone)
                 if len(big) < len(small):
@@ -494,7 +498,7 @@ def is_basis(b, rank=DEFAULT_RANK):
 
     They are when they generate the free group (which is Hopfian), that is
     when their wedge folds to the rose: a folded graph with one vertex and
-    2·rank edges.  The wedge is folded as edge records; no graph is built.
+    2·rank edges.  The wedge folds as edge records, building no graph or step.
     """
     if len(b) != rank:
         raise DomainError("expected %d words, got %d" % (rank, len(b)))
@@ -502,28 +506,43 @@ def is_basis(b, rank=DEFAULT_RANK):
     if not all(words):
         return False
     live = _LiveGraph.wedge(words, rank)
-    live.fold()
+    live.fold(record=False)
     return live.is_rose()
+
+
+def _walk(step, v, letters):
+    """Walk from v by a label -> {src: dst} table: the last vertex, and
+    the letters left from the first that has no edge."""
+    letters = iter(letters)
+    try:
+        for x in letters:
+            v = step[x][v]
+    except KeyError:
+        return v, (x, *letters)
+    return v, ()
 
 
 def subgroup_membership(w, g):
     """Trace a word through a folded based graph; True iff it closes up.
 
-    Requires a folded graph with a base vertex.  The reduced word walks one
-    (vertex, label) -> target table, whose collisions mean "not folded", so
-    the cost is linear in the edge count plus the word length.
+    Requires a folded graph with a base vertex.  The word walks as given: in
+    a folded graph a letter and its inverse step back where they started, so
+    the walk ends where the reduced word's does.  Where a letter falls off,
+    the rest, checked and reduced unless it already is, walks on (the walk so
+    far can be retraced).  Linear in the edge count plus |w|.
     """
     if g.base is None:
         raise DomainError("membership needs a based graph")
     step = _step_table(g)
     if step is None:
         raise DomainError("membership needs a folded graph")
-    v = g.base
-    for letter in reduce(w, g.rank):
-        v = step.get((v, letter))
-        if v is None:
-            return False
-    return v == g.base
+    w = tuple(w)
+    plain = set(map(type, w)) <= {int}  # else reduce's check judges each letter
+    v, rest = _walk(step, g.base, w) if plain else (g.base, w)
+    if rest and not (plain and 0 not in rest and max(map(abs, rest)) <= g.rank
+                     and not any(map(eq, rest, map(neg, rest[1:])))):
+        v, rest = _walk(step, v, reduce(rest, g.rank))
+    return not rest and v == g.base
 
 
 def random_basis(seed, steps, rank=DEFAULT_RANK, frozen=(), start=None):
@@ -532,8 +551,11 @@ def random_basis(seed, steps, rank=DEFAULT_RANK, frozen=(), start=None):
     Moves are chosen uniformly among swap, invert, left multiply and right
     multiply.  ``frozen`` positions (0-based) are never modified, though
     they may act as multipliers; ``start`` overrides the initial basis.
-    Deterministic in ``seed``.
+    Deterministic in ``seed``.  Needs rank >= 2: a move at rank 1 has no
+    other element to multiply by.
     """
+    if rank < 2:
+        raise ValueError("random bases need rank >= 2, got rank %d" % rank)
     rng = random.Random(seed)
     if start is None:
         basis = [(i,) for i in range(1, rank + 1)]

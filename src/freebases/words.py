@@ -38,8 +38,10 @@ def reduce(seq, rank=None):
     """Freely reduce a letter sequence.
 
     Cancels adjacent inverse pairs until none remain.  With ``rank`` given,
-    raises ValueError on letters outside ``1..rank``.
+    raises ValueError on letters outside ``1..rank``.  Any iterable will
+    do; it is read once.
     """
+    seq = tuple(seq)
     check_letters(seq, rank)
     out = []
     for letter in seq:

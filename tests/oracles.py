@@ -13,7 +13,11 @@ library lets class keys force the matching.  The coset search is the
 library's equivalence before every vertex got a key: the class keys match
 the elements, and the common conjugator is searched over a bounded coset
 of the first element's centralizer; the key comparison must agree with
-it.  The recursive canonical code is the library's traversal before it
+it.  The window walk is ``FBVertex.key`` before it read its power of the
+first element's normal form off how far the second element's ends run
+along its powers: it conjugates by that normal form once per step of the
+whole window, so it is quadratic when the normal form is short and the
+second element long.  The keys must be equal.  The recursive canonical code is the library's traversal before it
 moved to an explicit stack.
 
 The rebuild folders are the library's folding before it moved to one
@@ -346,6 +350,26 @@ def coset_fb_equivalent(a, b):
         if all(conjugate(u[i], g) == targets[i] for i in range(a.rank)):
             return True
     return False
+
+
+def window_fb_key(v):
+    """FBVertex.key walking its power window |k| <= |w|/|c| + 1 one
+    ``conjugate`` at a time, keeping the least (|w|, w, k)."""
+    order = sorted(v.classes.items())
+    c = order[0][0]
+    if len(order) == 1:
+        return (c,)
+    elems = [v.basis[i] if forward else invert(v.basis[i]) for _, (i, forward) in order]
+    g = find_conjugator(elems[0], c)
+    w = conjugate(elems[1], g)
+    bound = len(w) // len(c) + 1
+    w = conjugate(w, power(c, -bound))
+    best = (len(w), w, -bound)
+    for k in range(1 - bound, bound + 1):
+        w = conjugate(w, c)
+        best = min(best, (len(w), w, k))
+    g = concat(g, power(c, best[2]))
+    return (c, best[1]) + tuple(conjugate(x, g) for x in elems[2:])
 
 
 def scan_fb_adjacent(a, b):

@@ -47,6 +47,7 @@ from oracles import (
     coset_fb_equivalent,
     scan_fb_adjacent,
     search_fb_equivalent,
+    window_fb_key,
 )
 
 X = FBVertex(parse_words("a,b,c"))
@@ -207,6 +208,33 @@ def test_key_is_invariant_and_its_window_suffices():
         ))
         assert moved.key == v.key, (v.basis, moved.basis)
         assert _wide_key(v, 5) == v.key, v.basis
+
+
+def test_key_agrees_with_window_walk_oracle():
+    """The key's closed-form power search gives the window walk's key on 1500
+    seeded bases at ranks 2-6, where an element is often conjugated by, or
+    multiplied by, a power of another (so that several powers tie in
+    length), and on (b, b^-n a b^n), (b, b^n a), (b, a b^n), (ab, (ab)^n a)
+    and (ab, b (ab)^n) for n up to 200."""
+    rng = random.Random(12)
+    for trial in range(1500):
+        rank = 2 + trial % 5
+        basis = list(random_basis(rng.randrange(10**6), rng.randrange(12), rank))
+        i, j = rng.sample(range(rank), 2)
+        if rng.random() < 0.6:
+            basis[j] = conjugate(basis[j], power(basis[i], rng.randrange(-8, 9)))
+        if rng.random() < 0.3:
+            basis[j] = concat(power(basis[i], rng.randrange(-6, 7)), basis[j])
+        v = FBVertex(tuple(basis))
+        assert v.key == window_fb_key(v), v.basis
+    a, b, ab = (1,), (2,), (1, 2)
+    for n in (1, 2, 3, 4, 5, 10, 25, 50, 100, 200):
+        for second in (power(b, -n) + a + power(b, n), power(b, n) + a, a + power(b, n)):
+            v = FBVertex((b, second))
+            assert v.key == window_fb_key(v), n
+        for second in (power(ab, n) + a, b + power(ab, n)):
+            v = FBVertex((ab, second))
+            assert v.key == window_fb_key(v), n
 
 
 def test_key_at_rank_one():

@@ -201,12 +201,20 @@ def test_subgroup_membership():
     assert not subgroup_membership(parse_word("a"), g)
     # unreduced, the query would step along a b-edge that the a-vertex lacks
     assert subgroup_membership((1, 2, -2, 1), g)
+    assert not subgroup_membership(iter((1,)), g)
+    assert subgroup_membership(iter((1, 2, -2, 1)), g)
 
 
 def test_subgroup_membership_agrees_with_scan_oracle():
     rng = random.Random(23)
     graphs = [AGraph([0], {}, base=0, rank=2), wedge_graph(parse_words("ab,b,c"))]
     graphs.append(graphs[-1].with_base(None))
+    # two parallel a-edges from 0 to 1: not folded, though no edge repeats
+    parallel = AGraph([0, 1], [Edge(0, 1, 0, 1, 1), Edge(1, 0, 1, 0, -1),
+                               Edge(2, 3, 0, 1, 1), Edge(3, 2, 1, 0, -1)], base=0)
+    with pytest.raises(DomainError, match="folded"):
+        subgroup_membership((1, -1), parallel)
+    graphs.append(parallel)
     gens = {}
     for rank in (2, 3, 4, 28):
         for seed in range(5):
@@ -215,11 +223,11 @@ def test_subgroup_membership_agrees_with_scan_oracle():
                 g = fold_completely(wedge_graph(words, rank))[0]
                 graphs.append(g)
                 gens[id(g)] = words
-    answers = set()
+    answers, kinds = set(), Counter()
     for g in graphs:
         words = gens.get(id(g), ((1,),))
         letters = [s * i for i in range(1, g.rank + 1) for s in (1, -1)]
-        queries = [(), (g.rank + 1,), (1, -(g.rank + 1))]
+        queries = [(), (g.rank + 1,), (1, -(g.rank + 1)), (0,), (1.0,), (True,), (True, -1)]
         for _ in range(12):
             member = ()
             for _ in range(rng.randrange(1, 6)):
@@ -228,13 +236,32 @@ def test_subgroup_membership_agrees_with_scan_oracle():
             cut = rng.randrange(len(member) + 1)
             x = rng.choice(letters)
             queries += [member, member[:cut] + (x, -x) + member[cut:],
-                        member + (x,), tuple(rng.choice(letters) for _ in range(6))]
+                        member + (x,), tuple(rng.choice(letters) for _ in range(6)),
+                        member[:cut] + (g.rank + 1,) + member[cut:],
+                        member + (g.rank + 1, -(g.rank + 1)),
+                        member[:cut] + (rng.choice((0, 1.0, True)),) + member[cut:]]
+            # a cancelling pair whose first letter has no edge where it is read
+            if g.base is not None and is_folded(g):
+                v = g.base
+                for letter in member[:cut]:
+                    v = next((e.dst for e in g.out_edges(v) if e.label == letter), None)
+                    if v is None:
+                        break
+                off = v is not None and [
+                    y for y in letters if all(e.label != y for e in g.out_edges(v))]
+                if off:
+                    y = rng.choice(off)
+                    queries.append(member[:cut] + (y, -y) + member[cut:])
+                    kinds["falls off, then cancels"] += 1
         for q in queries:
             outcome = _outcome(subgroup_membership, q, g)
             assert outcome == _outcome(scan_subgroup_membership, q, g), (q, g.to_json_dict())
+            assert _outcome(subgroup_membership, iter(q), g) == outcome, q
             answers.add(outcome[:2])
+            kinds[outcome[:2]] += 1
     assert answers == {("ok", True), ("ok", False), ("error", "DomainError"),
                        ("error", "ValueError")}
+    assert kinds["falls off, then cancels"] >= 100, kinds
 
 
 def test_subgroup_membership_on_a_hundred_thousand_letters():
@@ -254,6 +281,13 @@ def test_subgroup_membership_on_a_hundred_thousand_letters():
 
 def test_random_basis_zero_steps():
     assert random_basis(11, 0) == X
+
+
+def test_random_basis_refuses_rank_below_two():
+    for rank in (0, 1):
+        for steps in (0, 3):
+            with pytest.raises(ValueError, match="rank %d" % rank):
+                random_basis(7, steps, rank)
 
 
 def test_random_basis_deterministic():

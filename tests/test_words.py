@@ -39,6 +39,13 @@ def test_reduce_leaves_reduced_input_alone():
     assert reduce((1, 2, -1)) == (1, 2, -1)
 
 
+def test_reduce_reads_a_one_shot_iterable_once():
+    assert reduce(iter((1, 2))) == (1, 2)
+    assert reduce(x for x in (1, 2, -2, 1)) == (1, 1)
+    with pytest.raises(ValueError):
+        reduce(iter((1, 4)), rank=3)
+
+
 def test_reduce_rejects_bad_letters():
     with pytest.raises(ValueError):
         reduce((0,))
