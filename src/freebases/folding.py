@@ -28,7 +28,6 @@ the next natural vertex.  The engine holds the only copy of both rules:
 import random
 from collections.abc import Sequence
 from dataclasses import dataclass
-from operator import eq, neg
 from typing import NamedTuple
 
 from .agraph import AGraph, Edge, MarkingEdge, MarkingGraph, _step_table, _subdivide, _tree_basis
@@ -528,8 +527,8 @@ def subgroup_membership(w, g):
     Requires a folded graph with a base vertex.  The word walks as given: in
     a folded graph a letter and its inverse step back where they started, so
     the walk ends where the reduced word's does.  Where a letter falls off,
-    the rest, checked and reduced unless it already is, walks on (the walk so
-    far can be retraced).  Linear in the edge count plus |w|.
+    the rest is checked, reduced and walked on (the walk so far can be
+    retraced).  Linear in the edge count plus |w|.
     """
     if g.base is None:
         raise DomainError("membership needs a based graph")
@@ -539,8 +538,7 @@ def subgroup_membership(w, g):
     w = tuple(w)
     plain = set(map(type, w)) <= {int}  # else reduce's check judges each letter
     v, rest = _walk(step, g.base, w) if plain else (g.base, w)
-    if rest and not (plain and 0 not in rest and max(map(abs, rest)) <= g.rank
-                     and not any(map(eq, rest, map(neg, rest[1:])))):
+    if rest:
         v, rest = _walk(step, v, reduce(rest, g.rank))
     return not rest and v == g.base
 

@@ -15,10 +15,10 @@ the elements, and the common conjugator is searched over a bounded coset
 of the first element's centralizer; the key comparison must agree with
 it.  The window walk is ``FBVertex.key`` before it read its power of the
 first element's normal form off how far the second element's ends run
-along its powers: it conjugates by that normal form once per step of the
-whole window, so it is quadratic when the normal form is short and the
-second element long.  The keys must be equal.  The recursive canonical code is the library's traversal before it
-moved to an explicit stack.
+along its powers: it tries every power in the window, so it is quadratic
+when the normal form is short and the second element long.  The keys must
+be equal.  The recursive canonical code is the library's traversal before
+it moved to an explicit stack.
 
 The rebuild folders are the library's folding before it moved to one
 union-find engine: every single fold builds the whole quotient graph,
@@ -352,24 +352,18 @@ def coset_fb_equivalent(a, b):
     return False
 
 
-def window_fb_key(v):
-    """FBVertex.key walking its power window |k| <= |w|/|c| + 1 one
-    ``conjugate`` at a time, keeping the least (|w|, w, k)."""
+def window_fb_key(v, widen=1):
+    """FBVertex.key with its power of c searched over the whole window
+    |k| <= |w|/|c| + 1, or one ``widen`` times wider, each conjugate built
+    from power(c, k); the least (|w|, w) wins."""
     order = sorted(v.classes.items())
-    c = order[0][0]
-    if len(order) == 1:
-        return (c,)
     elems = [v.basis[i] if forward else invert(v.basis[i]) for _, (i, forward) in order]
+    c = order[0][0]
     g = find_conjugator(elems[0], c)
-    w = conjugate(elems[1], g)
-    bound = len(w) // len(c) + 1
-    w = conjugate(w, power(c, -bound))
-    best = (len(w), w, -bound)
-    for k in range(1 - bound, bound + 1):
-        w = conjugate(w, c)
-        best = min(best, (len(w), w, k))
-    g = concat(g, power(c, best[2]))
-    return (c, best[1]) + tuple(conjugate(x, g) for x in elems[2:])
+    bound = widen * (len(conjugate(elems[1], g)) // len(c) + 1)
+    tries = (concat(g, power(c, k)) for k in range(-bound, bound + 1))
+    _, _, g = min((len(w), w, h) for h in tries for w in [conjugate(elems[1], h)])
+    return tuple(conjugate(w, g) for w in elems)
 
 
 def scan_fb_adjacent(a, b):
