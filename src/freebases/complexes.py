@@ -139,23 +139,28 @@ def _least_conjugate(w, c):
     cancel as far as they agree, less than |c| letters, c being no proper
     power.  So every length is read off a few prefix agreements, in time
     linear in |w|.  The lengths are convex in k, so the shortest k form one
-    run, along which x slides by |c| on the stretch shared by the axes of c
-    and w.  Each step of the run compares the same two letters, where w's
-    axis leaves c's, so the least word is at an end of the run.
+    run, and the walk out from k = 0 each way stops at the first longer
+    conjugate.  Along the run x slides by |c| on the stretch shared by the
+    axes of c and w.  Each step of the run compares the same two letters,
+    where w's axis leaves c's, so the least word is at an end of the run.
     """
-    n, wi, lengths = len(c), invert(w), []
-    bound = len(w) // n + 1
-    for z, ks in ((invert(c), range(bound, 0, -1)), (c, range(bound + 1))):
+    n, size, wi = len(c), len(w), invert(w)
+    m, run = size, (0, 0)  # the shortest length so far and its k range
+    for z, sign in ((c, 1), (invert(c), -1)):
         p, r = _agree(w, z), _agree(wi, z)
-        tails = _agree(z[r % n:] + z[:r % n], z, p) if p + r == len(w) else 0
-        for k in ks:
-            t = k * n
+        tails = _agree(z[r % n:] + z[:r % n], z, p) if p + r == size else 0
+        for j in range(1, size // n + 2):
+            t = j * n
             a, b = min(t, p), min(t, r)
-            lengths.append(len(w) + 2 * t - 2 * min(a + b, len(w))
-                           - 2 * min(tails, t - a, t - b))
-    m = min(lengths)
-    run = [k - bound for k, length in enumerate(lengths) if length == m]
-    return min((conjugate(w, power(c, k)), k) for k in {run[0], run[-1]})
+            length = size + 2 * t - 2 * min(a + b, size) - 2 * min(tails, t - a, t - b)
+            if length > m:
+                break
+            k = sign * j
+            if length < m:
+                m, run = length, (k, k)
+            else:
+                run = (min(run[0], k), max(run[1], k))
+    return min((conjugate(w, power(c, k)) if k else w, k) for k in set(run))
 
 
 @dataclass(frozen=True)
