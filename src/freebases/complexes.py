@@ -6,7 +6,8 @@ when some element of one is conjugate into an element (or inverse) of the
 other.  A free-factor vertex is a proper free factor, always presented here
 as a subset of an explicit ambient basis so that adjacency can be certified
 by nesting.  Everything this module asserts about distances comes with a
-witness object that can be re-validated from scratch.
+witness object that can be re-validated from scratch.  ``sample_fb_ball``
+gives finite balls of the free-bases graph as metric graphs.
 
 Rank 3 is the smallest rank where the free-factor graph used here makes
 sense (a 2-element subset of a basis must still be a proper factor), so the
@@ -15,11 +16,12 @@ witness-path builders require rank >= 3.
 
 from dataclasses import dataclass, field
 from functools import cached_property
-from itertools import chain
+from itertools import chain, combinations
 
 from .agraph import MarkingGraph, bfs
 from .errors import DomainError, FoldabilityError, NotABasisError, TrivialFactorError
-from .folding import _fold_path, ensure_foldable, is_basis
+from .folding import _fold_path, ensure_foldable, is_basis, random_basis
+from .hyperbolicity import FiniteGraph
 from .words import (
     concat,
     concat_all,
@@ -32,6 +34,7 @@ from .words import (
     power,
     reduce,
     word_str,
+    words_str,
 )
 
 
@@ -482,6 +485,60 @@ def folding_chain(b):
 def folding_path_bases(b):
     """The free-bases chain [b, ..., standard basis] along the folding."""
     return folding_chain(b)[2]
+
+
+def sample_fb_ball(center, seeds, moves):
+    """Finite induced subgraph of the free-bases graph around ``center``.
+
+    Every seed starts a random walk of ``moves`` Nielsen moves from the
+    center; each endpoint contributes its folding-path bases as well.
+    Candidates with equal keys (see FBVertex.key) are one vertex, merged
+    through one dict; a repeated basis tuple (most often the standard basis
+    ending each chain) is looked up by the tuple, so it is keyed once.
+    Edges join representatives sharing a class key, which on distinct
+    vertices is exactly adjacency.  The largest connected component, left
+    unchecked since its search proved it connected, is returned with one
+    label per vertex (basis words plus provenance of every merged copy).  A
+    candidate repeating a class key is no basis and raises NotABasisError.
+    """
+    candidates = [(center, "center")]
+    for s in seeds:
+        walked = center.__class__(random_basis(s, moves, rank=center.rank,
+                                                start=center.basis))
+        candidates.append((walked, "seed %d" % s))
+        for k, v in enumerate(folding_path_bases(walked)):
+            candidates.append((v, "seed %d / fold %d" % (s, k)))
+
+    reps = []
+    labels = []
+    index, by_basis = {}, {}  # vertex key / basis tuple -> representative
+    for vert, src in candidates:
+        k = by_basis.get(vert.basis)
+        if k is None:
+            k = by_basis[vert.basis] = index.setdefault(vert.key, len(reps))
+        if k == len(reps):
+            reps.append(vert)
+            labels.append({"basis": words_str(vert.basis), "sources": []})
+        labels[k]["sources"].append(src)
+
+    holders = {}  # class key -> representatives carrying it
+    for i, rep in enumerate(reps):
+        for key in rep.classes:
+            holders.setdefault(key, []).append(i)
+
+    def linked(i):  # bfs step: (shared key, representative holding it)
+        return ((key, j) for key in reps[i].classes for j in holders[key])
+
+    comps, seen = [], set()
+    for i in range(len(reps)):
+        if i not in seen:
+            comps.append(sorted(bfs([i], linked)))
+            seen.update(comps[-1])
+    main = max(comps, key=len)
+    renum = {old: new for new, old in enumerate(main)}
+    edges = {(renum[i], renum[j]) for group in holders.values()
+             for i, j in combinations(group, 2) if i in renum}
+    return FiniteGraph(range(len(main)), edges, check=False), [labels[old] for old in main]
 
 
 @dataclass(frozen=True)

@@ -30,10 +30,7 @@ from math import isqrt
 import numpy as np
 
 from .agraph import bfs
-from .complexes import folding_path_bases
 from .errors import DomainError
-from .folding import random_basis
-from .words import words_str
 
 SLIM_BUDGET_BYTES = 256 * 2**20  # for delta_slim's n^3 int32 array
 _BLOCK = 1 << 15  # elements of one temporary in the blocked scans (128 KiB of int32)
@@ -156,24 +153,16 @@ def random_tree(n, seed):
     return FiniteGraph(range(n), edges)
 
 
-def _arcs(g):
-    """Both directions of every edge as (tail, head) vertex-index arrays,
-    sorted by tail, then head."""
-    n = len(g)
-    ends = np.array([(g.vindex[u], g.vindex[v]) for u, v in g.edges], dtype=np.intp)
-    tail, head = ends.reshape(-1, 2).T
-    return np.divmod(np.sort(np.r_[tail * n + head, head * n + tail]), n)
-
-
 def apsp(g):
     """All-pairs shortest-path matrix, rows/columns in vertex order, one BFS
     level from every source at once: the frontier is an n x n 0/1 float32
     matrix, and its product with the adjacency matrix counts each vertex's
     frontier neighbours, exactly while n < 2^24."""
     n = len(g)
-    tail, head = _arcs(g)
+    ends = [(g.vindex[u], g.vindex[v]) for u, v in g.edges]
+    tail, head = np.array(ends, dtype=np.intp).reshape(-1, 2).T
     adj = np.zeros((n, n), dtype=np.float32)
-    adj[tail, head] = 1
+    adj[tail, head] = adj[head, tail] = 1
     dist = np.full((n, n), -1, dtype=np.int32)
     np.fill_diagonal(dist, 0)
     frontier = np.eye(n, dtype=np.float32)
@@ -196,7 +185,7 @@ def _far_apart_pairs(g):
     rows of a block of about _BLOCK elements."""
     d = g.distance_matrix()
     n = len(g)
-    tail, head = _arcs(g)
+    tail, head = np.nonzero(d == 1)
     starts = np.searchsorted(tail, np.arange(n + 1))
     reach = np.empty_like(d)
     step = max(1, _BLOCK // len(head))
@@ -269,7 +258,7 @@ def delta_slim(g):
         raise DomainError("delta_slim on %d vertices needs a %d-byte array, over "
                           "the %d-byte budget" % (n, 4 * n**3, SLIM_BUDGET_BYTES))
     d = g.distance_matrix()
-    tail, head = _arcs(g)
+    tail, head = np.nonzero(d == 1)
     maxgeo = np.empty((n, n, n), dtype=np.int32)
     rows = maxgeo.reshape(n * n, n)  # row p * n + u: best[u] of the sweep from p
     rows[np.arange(n) * (n + 1)] = d
@@ -669,56 +658,3 @@ def check_thin_triangles(
         mode=mode, tuples_total=total, tuples_checked=checked,
     )
 
-
-def sample_fb_ball(center, seeds, moves):
-    """Finite induced subgraph of the free-bases graph around ``center``.
-
-    Every seed starts a random walk of ``moves`` Nielsen moves from the
-    center; each endpoint contributes its folding-path bases as well.
-    Candidates with equal keys (see FBVertex.key) are one vertex, merged
-    through one dict; a repeated basis tuple (most often the standard basis
-    ending each chain) is looked up by the tuple, so it is keyed once.
-    Edges join representatives sharing a class key, which on distinct
-    vertices is exactly adjacency.  The largest connected component, left
-    unchecked since its search proved it connected, is returned with one
-    label per vertex (basis words plus provenance of every merged copy).  A
-    candidate repeating a class key is no basis and raises NotABasisError.
-    """
-    candidates = [(center, "center")]
-    for s in seeds:
-        walked = center.__class__(random_basis(s, moves, rank=center.rank,
-                                                start=center.basis))
-        candidates.append((walked, "seed %d" % s))
-        for k, v in enumerate(folding_path_bases(walked)):
-            candidates.append((v, "seed %d / fold %d" % (s, k)))
-
-    reps = []
-    labels = []
-    index, by_basis = {}, {}  # vertex key / basis tuple -> representative
-    for vert, src in candidates:
-        k = by_basis.get(vert.basis)
-        if k is None:
-            k = by_basis[vert.basis] = index.setdefault(vert.key, len(reps))
-        if k == len(reps):
-            reps.append(vert)
-            labels.append({"basis": words_str(vert.basis), "sources": []})
-        labels[k]["sources"].append(src)
-
-    holders = {}  # class key -> representatives carrying it
-    for i, rep in enumerate(reps):
-        for key in rep.classes:
-            holders.setdefault(key, []).append(i)
-
-    def linked(i):  # bfs step: (shared key, representative holding it)
-        return ((key, j) for key in reps[i].classes for j in holders[key])
-
-    comps, seen = [], set()
-    for i in range(len(reps)):
-        if i not in seen:
-            comps.append(sorted(bfs([i], linked)))
-            seen.update(comps[-1])
-    main = max(comps, key=len)
-    renum = {old: new for new, old in enumerate(main)}
-    edges = {(renum[i], renum[j]) for group in holders.values()
-             for i, j in combinations(group, 2) if i in renum}
-    return FiniteGraph(range(len(main)), edges, check=False), [labels[old] for old in main]

@@ -6,8 +6,9 @@ from pathlib import Path
 
 import pytest
 
-from freebases import cli, hyperbolicity
+from freebases import cli, complexes, experiments, hyperbolicity
 from freebases.cli import main
+from freebases.errors import DomainError
 
 DATA = Path(__file__).parent / "data"
 
@@ -343,6 +344,17 @@ def test_cone_off_full_subset_has_diameter_one(tmp_path):
     assert hyperbolicity.apsp(coned).max() == 1
 
 
+@pytest.mark.parametrize("subsets", ["5", "[5]", "[[[0]]]", '[[0, "a"]]'])
+def test_cone_off_subsets_of_the_wrong_shape_exit_two(tmp_path, capsys, subsets):
+    infile = write_graph(tmp_path / "p5.json", hyperbolicity.path_graph(5))
+    (tmp_path / "subsets.json").write_text(subsets)
+    out = tmp_path / "coned.json"
+    rc = main(["cone-off", "--in", infile, "--subsets", str(tmp_path / "subsets.json"),
+               "--json", str(out)])
+    assert (rc, error_type(capsys)) == (2, "ValueError")
+    assert not out.exists()
+
+
 # -- thin-check ---------------------------------------------------------------
 
 
@@ -446,7 +458,7 @@ def _non_edge(g):
 def test_experiment_fb_ball_fails_on_a_corrupted_ball(tmp_path, monkeypatch, fault):
     argv = ["experiment", "fb-ball", "--samples", "2", "--seed", "3", "--no-timings"]
     assert main(argv + ["--json", str(tmp_path / "good.json")]) == 0
-    sample = hyperbolicity.sample_fb_ball
+    sample = complexes.sample_fb_ball
 
     def corrupted(center, seeds, moves):
         g, labels = sample(center, seeds, moves)
@@ -456,7 +468,7 @@ def test_experiment_fb_ball_fails_on_a_corrupted_ball(tmp_path, monkeypatch, fau
             labels[1] = dict(labels[1], basis=",".join(reversed(labels[0]["basis"].split(","))))
         return g, labels
 
-    monkeypatch.setattr(hyperbolicity, "sample_fb_ball", corrupted)
+    monkeypatch.setattr(complexes, "sample_fb_ball", corrupted)
     out = tmp_path / "bad.json"
     assert main(argv + ["--json", str(out)]) == 1
     report = load(out)
@@ -465,12 +477,39 @@ def test_experiment_fb_ball_fails_on_a_corrupted_ball(tmp_path, monkeypatch, fau
                for s in report["samples"])
 
 
-@pytest.mark.parametrize("flag", ["--samples", "--moves", "--only"])
+@pytest.mark.parametrize("flag", ["--samples", "--moves", "--only", "--workers"])
 def test_experiment_negative_samples_exits_two(tmp_path, flag):
-    rc = main(["experiment", "fold-soundness", flag, "-1",
-               "--json", str(tmp_path / "r.json")])
-    assert rc == 2
-    assert not (tmp_path / "r.json").exists()
+    for value in ["-1", "0"] if flag == "--workers" else ["-1"]:
+        rc = main(["experiment", "fold-soundness", flag, value,
+                   "--json", str(tmp_path / "r.json")])
+        assert rc == 2
+        assert not (tmp_path / "r.json").exists()
+
+
+def _delta_trees_raising_at_index_one(rank, seed, moves):
+    # module level, so that --workers can send it to a worker process
+    if seed == experiments._sample_seed(5, 1):
+        raise DomainError("planted failure")
+    return experiments._exp_delta_trees(rank, seed, moves)
+
+
+def test_a_sample_that_raises_fails_alone_and_workers_match_serial(tmp_path, monkeypatch, capsys):
+    monkeypatch.setitem(experiments.EXPERIMENTS, "delta-trees", _delta_trees_raising_at_index_one)
+    argv = ["experiment", "delta-trees", "--samples", "4", "--seed", "5", "--no-timings"]
+    serial, parallel = tmp_path / "s.json", tmp_path / "p.json"
+    assert main(argv + ["--json", str(serial)]) == 1
+    assert json.loads(capsys.readouterr().err.splitlines()[-1]) == {
+        "error": {"type": "DomainError", "message": "1 of 4 samples failed"}}
+    assert main(argv + ["--json", str(parallel), "--workers", "3"]) == 1
+    assert serial.read_bytes() == parallel.read_bytes()
+    report = load(serial)
+    assert report["summary"] == {"pass": 3, "fail": 1}
+    assert [s["index"] for s in report["samples"]] == [0, 1, 2, 3]
+    assert report["samples"][1] == {
+        "ok": False, "index": 1,
+        "error": {"type": "DomainError", "message": "planted failure"},
+        "reproduce": "freebases experiment delta-trees --rank 3 --seed 5 --only 1"}
+    assert all(s["ok"] and "error" not in s for k, s in enumerate(report["samples"]) if k != 1)
 
 
 def test_unknown_subcommand_raises_usage_error():

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from freebases import hyperbolicity
-from freebases.complexes import FBVertex, fb_adjacent, folding_path_bases
+from freebases.complexes import FBVertex, fb_adjacent, folding_path_bases, sample_fb_ball
 from freebases.errors import DomainError
 from freebases.folding import random_basis
 from freebases.hyperbolicity import (
@@ -31,7 +31,6 @@ from freebases.hyperbolicity import (
     median_map,
     path_graph,
     random_tree,
-    sample_fb_ball,
 )
 from freebases.words import parse_words
 

@@ -1,17 +1,20 @@
 """Import direction inside the package, read off each module's syntax tree.
 
-The layers are words -> agraph -> folding -> complexes -> hyperbolicity ->
-cli: a module imports only from layers below it, and ``errors`` from
-anywhere.  Imports sit at module level, so the dependency graph is the one
-a reader sees at the top of each file.
+The layers are words -> agraph -> hyperbolicity -> folding -> complexes ->
+experiments -> cli: a module imports only from layers below it, and
+``errors`` from anywhere.  Imports sit at module level, so the dependency
+graph is the one a reader sees at the top of each file.
 """
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import freebases
 
-LAYERS = ["words", "agraph", "folding", "complexes", "hyperbolicity", "cli"]
+LAYERS = ["words", "agraph", "hyperbolicity", "folding", "complexes", "experiments", "cli"]
 PACKAGE = Path(freebases.__file__).parent
 MODULES = {path.stem: ast.parse(path.read_text()) for path in PACKAGE.glob("*.py")}
 
@@ -43,6 +46,20 @@ def test_imports_point_down_the_layers():
             assert _imported(node) <= below, (name, ast.unparse(node))
     for node in ast.walk(MODULES["errors"]):
         assert not _imported(node), ast.unparse(node)
+
+
+def test_the_metric_layer_imports_only_bfs_and_errors():
+    imported = set().union(*map(_imported, ast.walk(MODULES["hyperbolicity"])))
+    assert imported == {"agraph", "errors"}
+
+
+def test_importing_the_package_loads_no_experiment_or_command_line():
+    code = "import sys, freebases; print(*(m for m in sys.modules if 'freebases' in m))"
+    env = dict(os.environ, PYTHONPATH=str(PACKAGE.parent))
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, check=True).stdout
+    library = set(LAYERS) - {"experiments", "cli"} | {"errors"}
+    assert set(out.split()) == {"freebases"} | {"freebases." + m for m in library}
 
 
 def test_no_function_imports_a_package_module():

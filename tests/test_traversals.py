@@ -8,7 +8,7 @@ from collections import Counter
 import numpy as np
 import pytest
 
-from freebases import hyperbolicity
+from freebases import complexes
 from freebases.agraph import (
     AGraph,
     Edge,
@@ -22,7 +22,7 @@ from freebases.agraph import (
     rose,
     spanning_tree,
 )
-from freebases.complexes import FBVertex, SplittingVertex, identity_basis, tau
+from freebases.complexes import FBVertex, SplittingVertex, identity_basis, sample_fb_ball, tau
 from freebases.errors import DomainError
 from freebases.folding import fold_to_rose, random_basis, smooth, wedge_graph
 from freebases.hyperbolicity import (
@@ -33,7 +33,6 @@ from freebases.hyperbolicity import (
     geodesic_family,
     grid_graph,
     random_tree,
-    sample_fb_ball,
 )
 from freebases.words import invert, reduce
 
@@ -205,7 +204,7 @@ def test_sample_fb_ball_agrees_with_holder_oracle(monkeypatch):
     components = {}
     for chains in (True, False):
         if not chains:
-            for module in (hyperbolicity, oracles):
+            for module in (complexes, oracles):
                 monkeypatch.setattr(module, "folding_path_bases", lambda v: [])
         for rank in range(2, 6):
             center = FBVertex(identity_basis(rank))
