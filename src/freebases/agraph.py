@@ -356,15 +356,14 @@ class MarkingGraph(_Graph):
         return ["vertex %d has degree %d < 3" % (v, self.degree(v))
                 for v in sorted(self.vertices) if self.degree(v) < 3]
 
-    def expand(self, rank=None):
-        """Subdivide every edge word into single letters, giving an AGraph;
-        its letters are checked only against a ``rank`` given."""
+    def expand(self):
+        """Subdivide every edge word into single letters, giving an unchecked
+        AGraph at the least rank that holds its letters."""
         vmap = {v: i for i, v in enumerate(sorted(self.vertices))}
         tops = [self.edges[eid] for eid, _ in sorted(self.topological_edges())]
         n, edges = _subdivide([(vmap[e.src], vmap[e.dst], e.word) for e in tops], len(vmap))
         least = max([DEFAULT_RANK] + [abs(e.label) for e in edges.values()])
-        given = rank is not None  # only a given rank can miss a letter
-        return AGraph(range(n), edges, rank=rank if given else least, check=given)
+        return AGraph(range(n), edges, rank=least, check=False)
 
     @classmethod
     def from_json_dict(cls, data, rank=None):

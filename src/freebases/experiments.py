@@ -5,13 +5,16 @@ A body takes (rank, seed, moves) and returns a JSON record whose ``ok``
 says whether the sample passed.  ``run`` gives each sample index its own
 seed and runs the bodies serially or in a process pool, in index order
 either way.  A body that raises fails only its own sample: the record is
-``ok: false`` with the exception's type and message, and the other samples
-still run.  Every failing record gets a ``reproduce`` command that reruns
-that sample alone.
+``ok: false`` with the exception's type and message and ``where`` it was
+raised (file basename, line and function of the innermost frame), and the
+other samples still run.  Every failing record gets a ``reproduce``
+command that reruns that sample alone, at the run's rank, seed and moves.
 """
 
 import json
+import os
 import random
+import traceback
 from concurrent.futures import ProcessPoolExecutor
 
 from . import agraph, complexes, folding, hyperbolicity, words
@@ -217,7 +220,10 @@ def _run_sample(fn, rank, seed, moves):
     try:
         return fn(rank, seed, moves)
     except Exception as exc:  # the sample fails; the run goes on
-        return {"ok": False, "error": {"type": type(exc).__name__, "message": str(exc)}}
+        frame = traceback.extract_tb(exc.__traceback__)[-1]
+        where = "%s:%d in %s" % (os.path.basename(frame.filename), frame.lineno, frame.name)
+        return {"ok": False,
+                "error": {"type": type(exc).__name__, "message": str(exc), "where": where}}
 
 
 def run(name, rank, seed, indices, moves, workers):
@@ -242,12 +248,8 @@ def run(name, rank, seed, indices, moves, workers):
         record["index"] = k
         if not record.get("ok", False):
             failures += 1
-            record["reproduce"] = "freebases experiment %s --rank %d --seed %d --only %d" % (
-                name,
-                rank,
-                seed,
-                k,
-            )
+            record["reproduce"] = ("freebases experiment %s --rank %d --seed %d --moves %d "
+                                   "--only %d" % (name, rank, seed, moves, k))
         samples.append(record)
     return {
         "experiment": name,

@@ -258,35 +258,34 @@ def delta_slim(g):
         raise DomainError("delta_slim on %d vertices needs a %d-byte array, over "
                           "the %d-byte budget" % (n, 4 * n**3, SLIM_BUDGET_BYTES))
     d = g.distance_matrix()
-    tail, head = np.nonzero(d == 1)
-    maxgeo = np.empty((n, n, n), dtype=np.int32)
+    deep, up = np.nonzero(d == 1)  # arcs by (target, source)
+    maxgeo = np.zeros((n, n, n), dtype=np.int32)
     rows = maxgeo.reshape(n * n, n)  # row p * n + u: best[u] of the sweep from p
     rows[np.arange(n) * (n + 1)] = d
-    step = max(1, _BLOCK // max(1, len(tail)))
-    chunk = max(1, _BLOCK // max(1, n))  # rows of one gather
+    step = max(1, _BLOCK // max(1, len(up)))
+    chunk = max(1, _BLOCK // max(1, n))  # arcs of one gather
     for lo in range(0, n, step):
-        # blocks of sources, one BFS level at a time: each edge w -> u one
-        # level down from a source, as the rows it reads and writes
+        # blocks of sources, one BFS level at a time: each arc w -> u one
+        # level down from a source, as the rows it reads and writes, listed
+        # by (source, u) within a level
         src = np.arange(lo, min(lo + step, n))
-        down = d[src[:, None], head]
-        s, e = np.nonzero(d[src[:, None], tail] + 1 == down)
-        order = np.lexsort((head[e], s, down[s, e]))
+        down = d[src[:, None], deep]
+        s, e = np.nonzero(d[src[:, None], up] + 1 == down)
+        order = np.argsort(down[s, e], kind="stable")
         level = down[s, e][order]
-        to_row = (src[s] * n + head[e])[order]
-        from_row = (src[s] * n + tail[e])[order]
+        to_row = (src[s] * n + deep[e])[order]
+        from_row = (src[s] * n + up[e])[order]
         bounds = np.searchsorted(level, np.arange(1, level.max(initial=0) + 2))
         for a, b in zip(bounds[:-1], bounds[1:]):
-            k = to_row[a:b]
-            first = np.flatnonzero(np.r_[True, k[1:] != k[:-1], True])
-            g0 = 0
-            while g0 < len(first) - 1:
-                # whole groups of about chunk rows (one group at least)
-                g1 = max(g0 + 1, int(np.searchsorted(first, first[g0] + chunk, "right")) - 1)
-                tops = k[first[g0:g1]]
-                reads = rows[from_row[a + first[g0] : a + first[g1]]]
-                rows[tops] = np.minimum(d[tops % n],
-                                        np.maximum.reduceat(reads, first[g0:g1] - first[g0]))
-                g0 = g1
+            for c in range(a, b, chunk):
+                k = to_row[c : min(c + chunk, b)]
+                first = np.flatnonzero(np.r_[True, k[1:] != k[:-1]])
+                best = np.maximum.reduceat(rows[from_row[c : c + len(k)]], first)
+                # rows start at 0 and each is written at its level only, so
+                # the one row an earlier chunk may have written is the first
+                np.maximum(best[0], rows[k[0]], out=best[0])
+                tops = k[first]
+                rows[tops] = np.minimum(d[tops % n], best)
 
     # v's defect: the largest over z of the smaller bottleneck value
     return max((int(np.minimum(maxgeo[x, :, v], maxgeo[y, :, v]).max())

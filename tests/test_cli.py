@@ -2,6 +2,8 @@
 byte-stable experiment output."""
 
 import json
+import re
+import shlex
 from pathlib import Path
 
 import pytest
@@ -473,8 +475,9 @@ def test_experiment_fb_ball_fails_on_a_corrupted_ball(tmp_path, monkeypatch, fau
     assert main(argv + ["--json", str(out)]) == 1
     report = load(out)
     assert report["summary"] == {"pass": 0, "fail": 2}
-    assert all(s["reproduce"].startswith("freebases experiment fb-ball --rank 3 --seed 3 --only")
-               for s in report["samples"])
+    assert all(s["reproduce"].startswith(
+        "freebases experiment fb-ball --rank 3 --seed 3 --moves 8 --only")
+        for s in report["samples"])
 
 
 @pytest.mark.parametrize("flag", ["--samples", "--moves", "--only", "--workers"])
@@ -505,11 +508,35 @@ def test_a_sample_that_raises_fails_alone_and_workers_match_serial(tmp_path, mon
     report = load(serial)
     assert report["summary"] == {"pass": 3, "fail": 1}
     assert [s["index"] for s in report["samples"]] == [0, 1, 2, 3]
+    where = report["samples"][1]["error"].pop("where")
+    assert re.fullmatch(r"test_cli\.py:\d+ in _delta_trees_raising_at_index_one", where)
     assert report["samples"][1] == {
         "ok": False, "index": 1,
         "error": {"type": "DomainError", "message": "planted failure"},
-        "reproduce": "freebases experiment delta-trees --rank 3 --seed 5 --only 1"}
+        "reproduce": "freebases experiment delta-trees --rank 3 --seed 5 --moves 8 --only 1"}
     assert all(s["ok"] and "error" not in s for k, s in enumerate(report["samples"]) if k != 1)
+
+
+def _fold_soundness_raising_at_five_moves(rank, seed, moves):
+    if moves == 5:
+        raise DomainError("planted failure at %d moves" % moves)
+    return experiments._exp_fold_soundness(rank, seed, moves)
+
+
+def test_a_failing_sample_reproduces_at_its_moves(tmp_path, monkeypatch):
+    # at the default 8 moves this sample passes, so a reproduce line
+    # without --moves would rerun a different sample
+    monkeypatch.setitem(experiments.EXPERIMENTS, "fold-soundness",
+                        _fold_soundness_raising_at_five_moves)
+    out, again = tmp_path / "run.json", tmp_path / "again.json"
+    assert main(["experiment", "fold-soundness", "--seed", "7", "--samples", "2",
+                 "--moves", "5", "--no-timings", "--json", str(out)]) == 1
+    failing = load(out)["samples"][1]
+    assert failing["reproduce"] == "freebases experiment fold-soundness --rank 3 --seed 7 " \
+                                   "--moves 5 --only 1"
+    argv = shlex.split(failing["reproduce"])[1:]
+    assert main(argv + ["--no-timings", "--json", str(again)]) == 1
+    assert load(again)["samples"] == [failing]
 
 
 def test_unknown_subcommand_raises_usage_error():

@@ -176,6 +176,26 @@ def test_deltas_agree_with_oracles_across_block_boundaries(monkeypatch):
         assert delta_slim(g) == per_pair_delta_slim(g)
 
 
+def test_slim_sweep_keeps_the_arcs_of_a_row_split_across_chunks(monkeypatch):
+    # at _BLOCK = 1 a chunk is one arc, so a row with two arcs into it is
+    # written by two chunks; keeping only the last chunk's arcs reads 1 and 2
+    monkeypatch.setattr(hyperbolicity, "_BLOCK", 1)
+    for g, value in ((cone_off(grid_graph(3, 3), [[0, 5]]), 2),
+                     (cone_off(grid_graph(4, 4), [[0, 6]]), 3)):
+        assert delta_slim(g) == per_pair_delta_slim(g) == brute_slim_delta(g) == value
+
+
+def test_deltas_on_a_ball_at_the_production_block(monkeypatch):
+    # 243 vertices: a slim sweep chunk is 134 arcs at the default block, so
+    # each level's arcs span many chunks; at 2^20 no level splits
+    g, _ = sample_fb_ball(FBVertex(((1,), (2,), (3,))), range(64), 10)
+    assert (len(g), len(g.edges)) == (243, 13069)
+    assert hyperbolicity._BLOCK // len(g) == 134
+    values = (delta_slim(g), delta_four_point(g))
+    monkeypatch.setattr(hyperbolicity, "_BLOCK", 1 << 20)
+    assert (delta_slim(g), delta_four_point(g)) == values == (2, 1.0)
+
+
 def test_intervals_yield_each_pair_and_interval_vertex_once_in_order(monkeypatch):
     rng = random.Random(1618)
     families = ["tree", "cycle", "grid", "coned grid", "sparse"]
