@@ -20,16 +20,17 @@ from itertools import chain, combinations
 
 from .agraph import MarkingGraph, bfs
 from .errors import DomainError, FoldabilityError, NotABasisError, TrivialFactorError
-from .folding import _fold_path, ensure_foldable, is_basis, random_basis
+from .folding import _find, _fold_path, ensure_foldable, is_basis, random_basis
 from .hyperbolicity import FiniteGraph
 from .words import (
     concat,
     concat_all,
     conjugate,
-    cyclic_normal_form,
+    cyclic_reduce,
     find_conjugator,
     invert,
     is_reduced,
+    least_rotation,
     parse_word,
     power,
     reduce,
@@ -76,15 +77,20 @@ class FBVertex:
         """Class key -> (0-based position, orientation) of each element.
 
         An element's class key is its conjugacy class up to inversion, the
-        lesser cyclic normal form of it and its inverse; the orientation
-        says whether it is the element's own.  A basis maps to a basis of
-        the abelianization, so its class keys are distinct; a tuple
-        repeating one is no basis and raises NotABasisError.
+        lesser cyclic normal form of it and its inverse: the least rotations
+        of its cyclically reduced core and of the core's inverse.  The
+        orientation says whether it is the element's own.  A basis maps to
+        a basis of the abelianization, so its class keys are distinct; a
+        tuple repeating one is no basis and raises NotABasisError.  The set
+        of class keys is a vertex invariant.
         """
         index = {}
         for pos, w in enumerate(self.basis):
-            forward = cyclic_normal_form(w)
-            key = min(forward, cyclic_normal_form(invert(w)))
+            core, _ = cyclic_reduce(w)
+            inv = invert(core)
+            i, j = least_rotation(core), least_rotation(inv)
+            forward = core[i:] + core[:i]
+            key = min(forward, inv[j:] + inv[:j])
             if key in index:
                 raise NotABasisError(
                     "elements %d and %d are conjugate up to inversion"
@@ -99,12 +105,13 @@ class FBVertex:
         their keys are equal.
 
         The elements, in class-key order and each oriented to its class
-        key, are conjugated by one word taking the first to its cyclic
-        normal form c, then by the power c^k (a primitive c is root-free,
-        so these are all the conjugators fixing it) that makes the second
-        element w shortest, then least; k is unique, since two basis
-        elements share no power.  Past |k| = |w|/|c| + 1, c^-k w c^k only
-        grows.  The search is linear in |w|; see ``_least_conjugate``.
+        key, are conjugated by p·core[:i], which takes the first, p·core·p^-1,
+        to its cyclic normal form c = core[i:] + core[:i], then by the power
+        c^k (a primitive c is root-free, so these are all the conjugators
+        fixing it) that makes the second element w shortest, then least; k
+        is unique, since two basis elements share no power.  Past
+        |k| = |w|/|c| + 1, c^-k w c^k only grows.  The search is linear in
+        |w|; see ``_least_conjugate``.
         Raises NotABasisError when the tuple repeats a class key.
         """
         order = sorted(self.classes.items())
@@ -113,7 +120,8 @@ class FBVertex:
             return (c,)
         elems = [self.basis[i] if forward else invert(self.basis[i])
                  for _, (i, forward) in order]
-        g = find_conjugator(elems[0], c)
+        core, p = cyclic_reduce(elems[0])
+        g = concat(p, core[:least_rotation(core)])
         w, k = _least_conjugate(conjugate(elems[1], g), c)
         g = concat(g, power(c, k))
         return (c, w) + tuple(conjugate(x, g) for x in elems[2:])
@@ -200,11 +208,12 @@ class FFVertex:
 
 def fb_equivalent(a, b):
     """Are two stored bases the same free-bases vertex?  Exactly when their
-    keys agree (see FBVertex.key), if either is a basis.  Raises
-    NotABasisError when either tuple repeats a class key."""
+    keys agree (see FBVertex.key), if either is a basis.  Equal keys have
+    equal class-key sets, so differing sets answer False with no key
+    computed.  Raises NotABasisError when either tuple repeats a class key."""
     if a.rank != b.rank:
         raise ValueError("bases of different rank")
-    return a.key == b.key
+    return a.classes.keys() == b.classes.keys() and a.key == b.key
 
 
 @dataclass(frozen=True)
@@ -492,14 +501,18 @@ def sample_fb_ball(center, seeds, moves):
 
     Every seed starts a random walk of ``moves`` Nielsen moves from the
     center; each endpoint contributes its folding-path bases as well.
-    Candidates with equal keys (see FBVertex.key) are one vertex, merged
-    through one dict; a repeated basis tuple (most often the standard basis
-    ending each chain) is looked up by the tuple, so it is keyed once.
+    Candidates with equal keys (see FBVertex.key) are one vertex.  Equal
+    keys have equal class-key sets, so candidates are bucketed by that set
+    and a key is computed only in a bucket that already holds a
+    representative; a repeated basis tuple (most often the standard basis
+    ending each chain) is looked up by the tuple, so it is classed once.
     Edges join representatives sharing a class key, which on distinct
-    vertices is exactly adjacency.  The largest connected component, left
-    unchecked since its search proved it connected, is returned with one
-    label per vertex (basis words plus provenance of every merged copy).  A
-    candidate repeating a class key is no basis and raises NotABasisError.
+    vertices is exactly adjacency.  Components are unions of the groups
+    holding a class key.  The largest, the one with the least member on a
+    tie, is returned unchecked, since the unions proved it connected, with
+    one label per vertex (basis words plus provenance of every merged
+    copy).  A candidate repeating a class key is no basis and raises
+    NotABasisError.
     """
     candidates = [(center, "center")]
     for s in seeds:
@@ -511,14 +524,17 @@ def sample_fb_ball(center, seeds, moves):
 
     reps = []
     labels = []
-    index, by_basis = {}, {}  # vertex key / basis tuple -> representative
+    buckets, by_basis = {}, {}  # class-key set / basis tuple -> representatives
     for vert, src in candidates:
         k = by_basis.get(vert.basis)
         if k is None:
-            k = by_basis[vert.basis] = index.setdefault(vert.key, len(reps))
-        if k == len(reps):
-            reps.append(vert)
-            labels.append({"basis": words_str(vert.basis), "sources": []})
+            bucket = buckets.setdefault(frozenset(vert.classes), [])
+            k = next((j for j in bucket if reps[j].key == vert.key), len(reps))
+            by_basis[vert.basis] = k
+            if k == len(reps):
+                bucket.append(k)
+                reps.append(vert)
+                labels.append({"basis": words_str(vert.basis), "sources": []})
         labels[k]["sources"].append(src)
 
     holders = {}  # class key -> representatives carrying it
@@ -526,15 +542,15 @@ def sample_fb_ball(center, seeds, moves):
         for key in rep.classes:
             holders.setdefault(key, []).append(i)
 
-    def linked(i):  # bfs step: (shared key, representative holding it)
-        return ((key, j) for key in reps[i].classes for j in holders[key])
-
-    comps, seen = [], set()
+    root = list(range(len(reps)))
+    for first, *rest in holders.values():
+        first = _find(root, first)
+        for j in rest:
+            root[_find(root, j)] = first
+    comps = {}  # root -> members, in order of their least member
     for i in range(len(reps)):
-        if i not in seen:
-            comps.append(sorted(bfs([i], linked)))
-            seen.update(comps[-1])
-    main = max(comps, key=len)
+        comps.setdefault(_find(root, i), []).append(i)
+    main = max(comps.values(), key=len)
     renum = {old: new for new, old in enumerate(main)}
     edges = {(renum[i], renum[j]) for group in holders.values()
              for i, j in combinations(group, 2) if i in renum}

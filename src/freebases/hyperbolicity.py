@@ -51,18 +51,14 @@ class FiniteGraph:
         self.edges = frozenset(canon)
         self.vertex_list = sorted(self.vertices)
         self.vindex = {v: i for i, v in enumerate(self.vertex_list)}
-        adj = {v: set() for v in self.vertex_list}
         for u, v in self.edges:
-            if u not in adj or v not in adj:
+            if u not in self.vindex or v not in self.vindex:
                 raise ValueError("edge (%r, %r) has an unknown endpoint" % (u, v))
-            adj[u].add(v)
-            adj[v].add(u)
-        self._adj = {v: sorted(ns) for v, ns in adj.items()}
-        self._dm = None
+        self._adj = self._dm = None
         if check:
             if not self.vertices:
                 raise ValueError("graph has no vertices")
-            reached = bfs(self.vertex_list[:1], lambda v: [(v, w) for w in self._adj[v]])
+            reached = bfs(self.vertex_list[:1], lambda v: [(v, w) for w in self.neighbors(v)])
             if reached.keys() != self.vertices:
                 raise ValueError("graph is not connected")
 
@@ -70,6 +66,14 @@ class FiniteGraph:
         return len(self.vertex_list)
 
     def neighbors(self, v):
+        """Sorted neighbours of v; the lists are built on the first call,
+        since the matrix kernels read only the edge set."""
+        if self._adj is None:
+            adj = {u: [] for u in self.vertex_list}
+            for a, b in self.edges:
+                adj[a].append(b)
+                adj[b].append(a)
+            self._adj = {a: sorted(ns) for a, ns in adj.items()}
         return self._adj[v]
 
     def distance_matrix(self):

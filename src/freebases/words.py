@@ -106,18 +106,13 @@ def cyclic_reduce(w):
     return w[lo:hi], tuple(p)
 
 
-def cyclic_normal_form(w):
-    """Canonical representative of the conjugacy class of w.
-
-    Cyclically reduces, then takes the rotation that is minimal under the
-    letter order.  Two words are conjugate iff their normal forms coincide.
-    The least rotation comes from a two-pointer scan over the doubled core
-    (Booth 1980, Shiloach 1981), in time linear in the length of w.
-    """
-    core, _ = cyclic_reduce(w)
+def least_rotation(core):
+    """Offset i of the least rotation core[i:] + core[:i] under the letter
+    order: a two-pointer scan over the doubled word (Booth 1980, Shiloach
+    1981), in time linear in its length."""
     n = len(core)
     if n <= 1:
-        return core
+        return 0
     key = [2 * abs(letter) + (letter < 0) for letter in core] * 2  # letter_key order
     i, j, k = 0, 1, 0
     while j < n and k < n:
@@ -134,6 +129,18 @@ def cyclic_normal_form(w):
         elif i > j:
             i, j = j, i
         k = 0
+    return i
+
+
+def cyclic_normal_form(w):
+    """Canonical representative of the conjugacy class of w.
+
+    Cyclically reduces, then takes the rotation that is minimal under the
+    letter order (see ``least_rotation``).  Two words are conjugate iff
+    their normal forms coincide.
+    """
+    core, _ = cyclic_reduce(w)
+    i = least_rotation(core)
     return core[i:] + core[:i]
 
 

@@ -6,6 +6,7 @@ import random
 
 import pytest
 
+from freebases import complexes
 from freebases.agraph import MarkingEdge, MarkingGraph
 from freebases.complexes import (
     WITNESS_BOUNDS,
@@ -26,6 +27,7 @@ from freebases.complexes import (
     hq_path,
     identity_basis,
     q_map,
+    sample_fb_ball,
     substitute,
     tau,
     witness_path_from_json,
@@ -35,6 +37,7 @@ from freebases.folding import fold_to_rose, random_basis, smooth
 from freebases.words import (
     concat,
     conjugate,
+    cyclic_normal_form,
     invert,
     parse_word,
     parse_words,
@@ -42,10 +45,13 @@ from freebases.words import (
     reduce,
 )
 from oracles import (
+    _ball_candidates,
     concat_substitute,
     coset_fb_equivalent,
+    holder_sample_fb_ball,
     scan_fb_adjacent,
     search_fb_equivalent,
+    slice_cyclic_normal_form,
     window_fb_key,
 )
 
@@ -204,6 +210,84 @@ def test_key_is_invariant_and_its_window_suffices():
                      (b, a + power(b, n)), (ab, power(ab, n) + a), (ab, b + power(ab, n))]:
             v = FBVertex((c, w))
             assert window_fb_key(v) == v.key, n
+
+
+def test_ball_keys_a_candidate_only_on_a_class_key_tie(monkeypatch):
+    """On seeded rank-3 and rank-4 balls some class-key set is held by two
+    distinct vertices.  The sampler keeps both and agrees with the holder
+    oracle; it classes the first candidate of each basis tuple only, and
+    keys exactly those whose class-key set another tuple shares."""
+    made = []
+
+    class Recorded(FBVertex):
+        def __post_init__(self):
+            super().__post_init__()
+            made.append(self)
+
+    monkeypatch.setattr(complexes, "FBVertex", Recorded)
+    rng = random.Random(20)
+    split = {3: 0, 4: 0}
+    for rank, walks, moves in [(3, 7, 4)] * 20 + [(4, 6, 3)] * 20:
+        seeds = [rng.randrange(10**6) for _ in range(walks)]
+        g_ref, labels_ref, _ = holder_sample_fb_ball(FBVertex(identity_basis(rank)), seeds, moves)
+        made.clear()
+        g, labels = sample_fb_ball(Recorded(identity_basis(rank)), seeds, moves)
+        assert (g.vertices, g.edges, labels) == (g_ref.vertices, g_ref.edges, labels_ref)
+
+        first = {}  # basis tuple -> its first candidate, in candidate order
+        for v in made:
+            first.setdefault(v.basis, v)
+        buckets = {}  # class-key set -> distinct basis tuples
+        for basis in first:
+            buckets.setdefault(frozenset(FBVertex(basis).classes), []).append(basis)
+        for v in made:
+            shared = len(buckets[frozenset(FBVertex(v.basis).classes)]) > 1
+            assert ("classes" in v.__dict__) == (v is first[v.basis]), v.basis
+            assert ("key" in v.__dict__) == (v is first[v.basis] and shared), v.basis
+        kept = [parse_words(label["basis"], rank) for label in labels]
+        for bases in buckets.values():
+            keys = {FBVertex(basis).key for basis in bases}
+            if len(keys) > 1:
+                split[rank] += 1
+                assert len([b for b in kept if b in bases]) == len(keys), bases
+    assert min(split.values()) > 0, split
+
+
+def test_fb_equivalent_exits_on_differing_class_key_sets():
+    """A last element conjugated by the first keeps the class-key set but
+    moves the vertex at rank 3 and up, so both keys are compared; a Nielsen
+    neighbour changes the set, and neither key is computed."""
+    rng = random.Random(21)
+    for trial in range(30):
+        rank = 3 + trial % 3
+        a = random_basis(rng.randrange(10**6), rng.randrange(1, 8), rank)
+        u, same_set = FBVertex(a), FBVertex(a[:-1] + (conjugate(a[-1], a[0]),))
+        assert u.classes.keys() == same_set.classes.keys()
+        assert not fb_equivalent(u, same_set)
+        assert not coset_fb_equivalent(u, same_set)
+        assert "key" in u.__dict__ and "key" in same_set.__dict__
+        u, neighbour = FBVertex(a), FBVertex((a[0], concat(a[1], a[2])) + a[2:])
+        assert not fb_equivalent(u, neighbour)
+        assert "key" not in u.__dict__ and "key" not in neighbour.__dict__
+
+
+def test_class_key_set_decides_a_rank_two_vertex():
+    """Out(F_2) is GL(2, Z), so at rank 2 the class-key set alone fixes the
+    vertex: no class-key set of 20 seeded balls carries two keys.  The
+    class keys are the least rotations the rotation oracle picks."""
+    rng = random.Random(22)
+    center = FBVertex(identity_basis(2))
+    buckets = {}  # class-key set -> keys
+    for _ in range(20):
+        seeds = [rng.randrange(10**6) for _ in range(8)]
+        for vert, _ in _ball_candidates(center, seeds, 8):
+            buckets.setdefault(frozenset(vert.classes), set()).add(vert.key)
+            for w in vert.basis:
+                assert cyclic_normal_form(w) == slice_cyclic_normal_form(w), w
+                key = min(slice_cyclic_normal_form(w), slice_cyclic_normal_form(invert(w)))
+                assert key in vert.classes, w
+    assert len(buckets) > 50
+    assert all(len(keys) == 1 for keys in buckets.values())
 
 
 def test_key_at_rank_one():
