@@ -200,9 +200,17 @@ def cmd_delta(args):
     return 0
 
 
+def _subsets(data):
+    """Cone-off subsets; members are ints or strings, as in graph JSON."""
+    for v in (v for s in data for v in s):
+        if type(v) not in (int, str):
+            raise ValueError("subset vertex %r is not an int or a string" % (v,))
+    return [sorted(set(s)) for s in data]
+
+
 def cmd_cone_off(args):
     g = _load_json(args.infile, hyperbolicity.FiniteGraph.from_json_dict)
-    subsets = _load_json(args.subsets, lambda data: [sorted(set(s)) for s in data])
+    subsets = _load_json(args.subsets, _subsets)
     coned = hyperbolicity.cone_off(g, subsets)
     data = coned.to_json_dict()
     out = _emit(args, "cone-off.json", data)

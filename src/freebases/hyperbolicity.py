@@ -17,9 +17,10 @@ on numpy arrays in blocks of about _BLOCK elements (see each docstring);
 Python loops run per block, per BFS level and, in the checker, per sampled
 draw and per ordered triple read from the center map, never per distance
 computed.  Their whole-graph arrays are n x n distances and, for the
-checker, n^3 int32 profiles and centers.  The per-pair, per-tuple and
-dense scans, the per-source BFS and the per-call median map they replaced
-are the test suite's oracles.
+checker, n^3 int32 profiles and centers.  The test suite checks them
+against definitions: quadruple and all-geodesics scans for the deltas, a
+pure-Python BFS for the distances, the per-tuple checker and the per-call
+median map (tests/oracles.py lists them).
 """
 
 import random
@@ -37,30 +38,37 @@ _BLOCK = 1 << 15  # elements of one temporary in the blocked scans (128 KiB of i
 
 
 class FiniteGraph:
-    """Simple connected graph with unit edge lengths."""
+    """Simple connected graph with unit edge lengths.
+
+    With ``check=False`` the caller vouches for the edges, (u, v) pairs
+    with u < v of known vertices, and for connectivity: nothing is
+    canonicalised or checked.
+    """
 
     __slots__ = ("vertices", "edges", "vertex_list", "vindex", "_adj", "_dm")
 
     def __init__(self, vertices, edges, check=True):
         self.vertices = frozenset(vertices)
+        self.vertex_list = sorted(self.vertices)
+        self.vindex = {v: i for i, v in enumerate(self.vertex_list)}
+        self._adj = self._dm = None
+        if not check:
+            self.edges = frozenset(edges)
+            return
         canon = set()
         for u, v in edges:
             if u == v:
                 raise ValueError("loop edge at %r" % (u,))
             canon.add((min(u, v), max(u, v)))
         self.edges = frozenset(canon)
-        self.vertex_list = sorted(self.vertices)
-        self.vindex = {v: i for i, v in enumerate(self.vertex_list)}
         for u, v in self.edges:
             if u not in self.vindex or v not in self.vindex:
                 raise ValueError("edge (%r, %r) has an unknown endpoint" % (u, v))
-        self._adj = self._dm = None
-        if check:
-            if not self.vertices:
-                raise ValueError("graph has no vertices")
-            reached = bfs(self.vertex_list[:1], lambda v: [(v, w) for w in self.neighbors(v)])
-            if reached.keys() != self.vertices:
-                raise ValueError("graph is not connected")
+        if not self.vertices:
+            raise ValueError("graph has no vertices")
+        reached = bfs(self.vertex_list[:1], lambda v: [(v, w) for w in self.neighbors(v)])
+        if reached.keys() != self.vertices:
+            raise ValueError("graph is not connected")
 
     def __len__(self):
         return len(self.vertex_list)
@@ -93,7 +101,19 @@ class FiniteGraph:
 
     @classmethod
     def from_json_dict(cls, data):
-        return cls(data["vertices"], [tuple(e) for e in data["edges"]])
+        """Vertex names and edge ends must be ints or strings (JSON true
+        would equal 1), and no vertex name may repeat."""
+        names = list(data["vertices"])
+        edges = [tuple(e) for e in data["edges"]]
+        for v in names + [v for e in edges for v in e]:
+            if type(v) not in (int, str):
+                raise ValueError("vertex name %r is not an int or a string" % (v,))
+        seen = set()
+        for v in names:
+            if v in seen:
+                raise ValueError("repeated vertex name %r" % (v,))
+            seen.add(v)
+        return cls(names, edges)
 
     def to_dot(self, name="g"):
         lines = ["graph %s {" % name]

@@ -1,100 +1,62 @@
-"""Independent reference implementations used only by the test suite.
+"""Reference implementations used only by the test suite, each named with
+the library code it checks.
 
-The naive folder shares no traversal code with freebases.folding: it keeps
-a flat set of positively-labeled directed edges plus a union-find over
-vertices, and repeatedly merges the endpoints of an arbitrary violating
-pair chosen by a seeded generator.  Any fixed folding strategy must land
-on the same folded graph up to labeled isomorphism, so this is the
-confluence oracle for fold_to_rose.
+A definition computes its answer the way the quantity is defined, by brute
+force or exhaustive search, and so shares no shortcut with the kernel it
+checks.  An earlier version is the library's own code before a rewrite; the
+ones kept pin a convention (an order, a numbering, a choice of tree) that no
+definition here checks.  An oracle is retired only when the mutation score
+(tools/mutate.py; see README, Tests) of the code it checks holds without it.
 
-The free-bases oracles search every permutation and inversion pattern (for
-equivalence) and every element pair and sign (for adjacency), where the
-library lets class keys force the matching.  The coset search is the
-library's equivalence before every vertex got a key: the class keys match
-the elements, and the common conjugator is searched over a bounded coset
-of the first element's centralizer; the key comparison must agree with
-it.  The window walk is ``FBVertex.key`` before it read its power of the
-first element's normal form off how far the second element's ends run
-along its powers: it tries every power in the window, so it is quadratic
-when the normal form is short and the second element long.  The keys must
-be equal.  The recursive canonical code is the library's traversal before
-it moved to an explicit stack.
+Definitions:
+- naive_folded_graph: fold_to_rose, fold_completely, is_basis.  It merges
+  any two same-label edges at a vertex, in seeded random order; folding is
+  confluent, so every order lands on one graph up to labeled isomorphism.
+- bfs_distance_matrix: apsp, one pure-Python search per source.
+- brute_four_point_delta: delta_four_point, over every quadruple.
+- brute_slim_delta: delta_slim, over every geodesic that _all_geodesics
+  walks down the distance gradient.
+- least_geodesic_family: geodesic_family.  A breadth-first tree with sorted
+  neighbour scans reaches each vertex along its least geodesic.
+- per_pair_is_quasiconvex: is_quasiconvex, one interval per member pair.
+- ix_hausdorff_distance, condition1_value, condition3_value:
+  hausdorff_distance and the thin-triangle witnesses, from np.ix_
+  submatrices rather than the checker's kernel.
+- argmin_median_map: median_map's table, an argmin of three columns per call.
+- per_tuple_check_thin_triangles: check_thin_triangles, one Hausdorff
+  distance per tuple and three center-map calls per triple.
+- search_fb_equivalent: fb_equivalent and FBVertex.key, over every
+  permutation and sign pattern, each with a bounded coset of conjugators.
+- scan_fb_adjacent: fb_adjacent, a conjugator search per element pair and sign.
+- definition_fb_ball: sample_fb_ball, merging by search_fb_equivalent and
+  joining vertices whose elements are conjugate up to inversion.
+- reaches_all: the connectivity checks of AGraph, FiniteGraph and apsp,
+  and, with check_spanning_tree, that spanning_tree spans.
+- is_foldable, natural_vertices, natural_edges: the foldability flags and
+  natural chains, checked vertex by vertex on the whole graph.
+- rebuild_wedge_graph, rebuild_ensure_foldable: wedge_graph and
+  ensure_foldable, trying powers in order on whole wedges.
+- recursive_canonical_code: the least code over all label-respecting
+  traversals, against agraph._canonical_code.
+- slice_cyclic_normal_form, rotation_find_conjugator: cyclic_normal_form
+  and find_conjugator, trying every rotation.
+- scan_subgroup_membership: subgroup_membership, reading the reduced word
+  along the folded graph one out-edge scan per letter.
+- replay_folding_chain: folding_chain, one basis_from_tree per built graph.
+- concat_substitute: substitute, one concat per letter.
 
-The rebuild folders are the library's folding before it moved to one
-union-find engine: every single fold builds the whole quotient graph,
-``is_basis`` repairs foldability by conjugation (checking whole wedges) and
-compares the folded graph with the rose.  The engine must give the same
-answers, the same folding paths and isomorphic folded graphs.  Their site
-scan ``fold_pairs``, which rescans every vertex, is also the scan that
-``fold_to_rose`` ran before each maximal fold until it kept the fold sites
-as a set on one live graph.
+Earlier versions:
+- union_find_fold: single_fold, fold_completely and replayed paths; the
+  queue order and surviving ids of fold_completely have no other check.
+- fold_pairs, rebuild_maximal_fold, rebuild_fold_to_rose: fold_to_rose's
+  choice of fold site, chains walked on whole graphs, folds by union_find_fold.
+- chain_walk_smooth: smooth's edge numbering.
+- two_search_basis_from_tree: basis_from_tree, tree and words from two
+  searches.
+- queue_tau: tau's tree and words, from list.pop(0) queues.
 
-The chain-walk rules are the graph layer's copies of the fold engine's
-rules, from before the engine held the only ones: ``is_foldable`` checks
-every vertex's outgoing labels, and ``natural_edges`` walks each chain
-through degree-2 vertices on an ``AGraph``.  The rebuild folders use them,
-so the engine is checked against a rule it does not share.
-``chain_walk_smooth`` is ``smooth`` before it read the live graph; the two
-must give the same marking, except that an unreduced chain word made the
-old one raise ValueError and makes the new one raise DomainError.
-
-The union-find folder is the library's whole-graph fold engine before one
-live graph ran every fold: a union-find over vertices and one over edges,
-folding given edge pairs or, with a label -> edge dict per vertex class,
-every collision until folded, and building the quotient graph at the end.
-The live graph must give the same graphs and the same steps.
-
-The per-pair and per-tuple hyperbolicity scans are the library's delta and
-thin-triangle measurements before they were vectorized: one numpy call per
-vertex pair (four-point), one geodesic-dag sweep per vertex pair (slim),
-and one Hausdorff distance per tuple (thin triangles), with the ball
-sampler that compares every candidate with every representative.  The
-vectorized code must return the same values, witnesses and graphs.  The
-per-call median map is ``median_map`` before it tabled its centers: three
-distance columns and one argmin per call.  The table must name the same
-center for every ordered triple.  The dense four-point scan is
-``delta_four_point`` before it compared only far-apart pairs: every pair
-{i, j} against every (k, l), a block of j rows at once.  The pruned scan
-must return the same constant.  The per-pair quasiconvexity test is
-``is_quasiconvex`` before it read its geodesic intervals from one kernel:
-one interval mask per ordered pair of subset members.  The ``np.ix_``
-Hausdorff distance is ``hausdorff_distance`` before it shared the
-checker's kernel; ``condition1_value`` and the per-tuple checker use it, so
-the checker's witnesses are not checked against its own kernel.
-
-The piecewise substitution is ``substitute`` before it reduced once: it
-appends one basis image at a time with ``concat``.  The single reduction
-must give the same word.
-
-The hand-rolled traversals are the library's graph searches before they
-all went through ``agraph.bfs``: the connectivity walks of ``AGraph`` and
-``FiniteGraph``, ``spanning_tree``, ``tau``'s component and two-pass tree,
-``apsp``, ``geodesic_family`` and the ball sampler's components.  The one
-search must give the same answers in the same order.
-
-The two-search basis reader is ``basis_from_tree`` before it read its words
-off the spanning tree's own search: one label-ordered BFS for the tree, a
-second one along the tree that spells the word of every vertex, and the
-words around the non-tree edges from those.  The one-search reader must
-return the same words.
-
-The replaying chain is ``folding_chain`` before it read its bases off the
-live graph: it folds the path, replays it to build every graph, reads each
-basis with ``basis_from_tree`` on the built graph, and tests the built
-final graph with ``is_rose``.  The live read must give the same exponent,
-bases and path, or the same error.
-
-The quadratic read kernels are the library's word and membership reads
-before they went linear: the least rotation as the minimum over every
-rotation's key tuple, the conjugator as the first rotation of one core that
-equals the other, and membership as a scan of each vertex's out-edges per
-letter after a separate foldedness walk.  The linear kernels must return the
-same words, the same conjugators and the same answers or errors.
-
-The test-only helpers left the library because only tests called them: an
-edge count, a spanning-tree checker, marking isomorphism by expansion,
-conjugacy by cyclic normal forms and two of the thin-triangle condition
-values.
+Test-only helpers: num_topological_edges, check_spanning_tree,
+marking_isomorphic (by expansion) and conjugate_related.
 """
 
 import random
@@ -112,13 +74,11 @@ from freebases.agraph import (
     is_folded,
     is_rose,
     labeled_isomorphic,
-    rose,
 )
 from freebases.complexes import (
     FBAdjacency,
     FBVertex,
     FFVertex,
-    fb_adjacent,
     folding_path_bases,
     identity_basis,
 )
@@ -133,7 +93,6 @@ from freebases.folding import (
     random_basis,
 )
 from freebases.hyperbolicity import (
-    _BLOCK,
     FiniteGraph,
     ThinReport,
     _path_indices,
@@ -155,28 +114,12 @@ from freebases.words import (
 )
 
 
-def _wedge_edges(b):
-    edges = []
-    nxt = 1
-    for w in b:
-        prev = 0
-        for k, letter in enumerate(w):
-            dst = 0 if k == len(w) - 1 else nxt
-            if dst == nxt:
-                nxt += 1
-            if letter > 0:
-                edges.append((prev, dst, letter))
-            else:
-                edges.append((dst, prev, -letter))
-            prev = dst
-    return edges, nxt
-
-
 def naive_folded_graph(b, rank, seed):
     """Fold the wedge of b by merging any violating pair, in random order."""
     rng = random.Random(seed)
-    edges, n = _wedge_edges(b)
-    parent = list(range(n))
+    wedge = rebuild_wedge_graph(b, rank)
+    edges = [(e.src, e.dst, e.label) for e in wedge.edges.values() if e.label > 0]
+    parent = list(range(len(wedge.vertices)))
 
     def find(x):
         while parent[x] != x:
@@ -243,44 +186,51 @@ def _all_geodesics(g, d, x, y):
     return out
 
 
+def bfs_distance_matrix(g):
+    """The pure-Python BFS distances as an int32 array in vertex_list order."""
+    dist = _bfs_distances(g)
+    return np.array([[dist[x][y] for y in g.vertex_list] for x in g.vertex_list], dtype=np.int32)
+
+
 def brute_slim_delta(g):
     """Smallest delta with every geodesic side in the delta-neighborhood of
-    the union of the other two, over all triples and all geodesic choices."""
-    d = _bfs_distances(g)
-    vs = g.vertex_list
-    geos = {(x, y): _all_geodesics(g, d, x, y) for x in vs for y in vs}
+    the union of the other two, over all triples and all geodesic choices.
+
+    The two other sides are chosen independently, so the worst choice for a
+    point p on an x-y geodesic is min(far[x, z, p], far[y, z, p]), where
+    far[a, b, p] is the largest distance from p to an a-b geodesic, taken
+    over every geodesic that ``_all_geodesics`` lists."""
+    dist = _bfs_distances(g)
+    d = bfs_distance_matrix(g)
+    n = len(d)
+    far = np.zeros((n, n, n), dtype=np.int32)
+    for i, x in enumerate(g.vertex_list):
+        for j, y in enumerate(g.vertex_list):
+            for geo in _all_geodesics(g, dist, x, y):
+                cols = [g.vindex[p] for p in geo]
+                np.maximum(far[i, j], d[:, cols].min(axis=1), out=far[i, j])
     best = 0
-    for x in vs:
-        for y in vs:
-            for z in vs:
-                for gyz in geos[y, z]:
-                    for gzx in geos[z, x]:
-                        others = set(gyz) | set(gzx)
-                        for gxy in geos[x, y]:
-                            for p in gxy:
-                                best = max(
-                                    best, min(d[p][q] for q in others)
-                                )
+    for i in range(n):
+        for j in range(n):
+            on = d[i] + d[j] == d[i, j]  # p on some x-y geodesic
+            best = max(best, int(np.minimum(far[i], far[j])[:, on].max()))
     return best
 
 
 def brute_four_point_delta(g):
-    """Quadruple scan for the four-point constant, pure Python."""
-    d = _bfs_distances(g)
-    vs = g.vertex_list
+    """Half the largest gap between the two largest of the three pairwise
+    distance sums, over every quadruple.  The three sums of a quadruple do
+    not depend on its order, so x runs over its least index only."""
+    d = bfs_distance_matrix(g)
     best = 0
-    for x in vs:
-        for y in vs:
-            for z in vs:
-                for w in vs:
-                    sums = sorted(
-                        (
-                            d[x][y] + d[z][w],
-                            d[x][z] + d[y][w],
-                            d[x][w] + d[y][z],
-                        )
-                    )
-                    best = max(best, sums[2] - sums[1])
+    for x in range(len(d)):
+        r, e = d[x, x:], d[x:, x:]
+        s1 = r[:, None, None] + e[None, :, :]  # d(x,y) + d(z,w)
+        s2 = r[None, :, None] + e[:, None, :]  # d(x,z) + d(y,w)
+        s3 = r[None, None, :] + e[:, :, None]  # d(x,w) + d(y,z)
+        top = np.maximum(np.maximum(s1, s2), s3)
+        mid = s1 + s2 + s3 - top - np.minimum(np.minimum(s1, s2), s3)
+        best = max(best, int((top - mid).max()))
     return best / 2
 
 
@@ -316,54 +266,6 @@ def search_fb_equivalent(a, b):
                 if all(conjugate(u[i], g) == targets[i] for i in range(n)):
                     return True
     return False
-
-
-def coset_fb_equivalent(a, b):
-    """Are two stored bases the same free-bases vertex?
-
-    No two elements of a basis are conjugate, even up to inversion, since
-    they map to a basis of the abelianization.  So the class keys force the
-    permutation and inversions taking a to b (see FBVertex.classes), and
-    only one simultaneous conjugator is left to find.  Those taking the
-    first matched pair to each other form the coset {u^k g0} of the
-    centralizer of the (primitive, hence root-free) first element, and |k|
-    admits a length bound beyond which conjugates are longer than the
-    target.  Raises NotABasisError when either tuple repeats a class key.
-    """
-    if a.rank != b.rank:
-        raise ValueError("bases of different rank")
-    if a.classes.keys() != b.classes.keys():
-        return False
-    u = []
-    for key, (_, forward) in b.classes.items():
-        i, a_forward = a.classes[key]
-        u.append(a.basis[i] if a_forward == forward else invert(a.basis[i]))
-    targets = b.basis
-    g0 = find_conjugator(u[0], targets[0])
-    root_len = len(cyclic_reduce(u[0])[0])
-    bound = max(
-        (len(u[k]) + len(targets[k]) + 2 * len(g0)) // root_len + 1
-        for k in range(a.rank)
-    )
-    for k in range(-bound, bound + 1):
-        g = concat(power(u[0], k), g0)
-        if all(conjugate(u[i], g) == targets[i] for i in range(a.rank)):
-            return True
-    return False
-
-
-def window_fb_key(v, widen=1):
-    """FBVertex.key with its power of c searched over the whole window
-    |k| <= |w|/|c| + 1, or one ``widen`` times wider, each conjugate built
-    from power(c, k); the least (|w|, w) wins."""
-    order = sorted(v.classes.items())
-    elems = [v.basis[i] if forward else invert(v.basis[i]) for _, (i, forward) in order]
-    c = order[0][0]
-    g = find_conjugator(elems[0], c)
-    bound = widen * (len(conjugate(elems[1], g)) // len(c) + 1)
-    tries = (concat(g, power(c, k)) for k in range(-bound, bound + 1))
-    _, _, g = min((len(w), w, h) for h in tries for w in [conjugate(elems[1], h)])
-    return tuple(conjugate(w, g) for w in elems)
 
 
 def scan_fb_adjacent(a, b):
@@ -436,30 +338,15 @@ def recursive_canonical_code(g, base):
 # -- the graph layer's foldability rule and chain walk -----------------------
 
 
-def is_foldable(g, report=False):
-    """Check the two local foldability conditions.
-
-    Returns a bool, or ``(bool, violations)`` when ``report`` is true.  The
-    graph is expected to be a core graph; degree-0 and degree-1 vertices are
-    reported as violations since the conditions only make sense without them.
-    """
-    violations = []
-    for v in sorted(g.vertices):
+def is_foldable(g):
+    """The two local foldability conditions: every vertex has degree at
+    least 2, a degree-2 vertex two outgoing labels and a higher-degree one
+    at least three."""
+    for v in g.vertices:
         labels = [e.label for e in g.out_edges(v)]
-        distinct = len(set(labels))
-        if len(labels) <= 1:
-            violations.append("vertex %d has degree %d (not a core graph)" % (v, len(labels)))
-        elif len(labels) == 2:
-            if distinct < 2:
-                violations.append("degree-2 vertex %d has equal outgoing labels" % v)
-        else:
-            if distinct < 3:
-                violations.append(
-                    "vertex %d of degree %d has only %d distinct outgoing labels"
-                    % (v, len(labels), distinct)
-                )
-    ok = not violations
-    return (ok, violations) if report else ok
+        if len(labels) <= 1 or len(set(labels)) < min(len(labels), 3):
+            return False
+    return True
 
 
 def natural_vertices(g):
@@ -523,7 +410,7 @@ def chain_walk_smooth(g):
     return MarkingGraph(natural_vertices(g), edges)
 
 
-# -- folding by rebuilding the graph at every fold --------------------------
+# -- folding on whole graphs --------------------------------------------------
 
 
 def fold_pairs(g):
@@ -587,37 +474,9 @@ def rebuild_ensure_foldable(b, rank):
     )
 
 
-def rebuild_single_fold(g, e1_id, e2_id):
-    """One fold, building the whole quotient graph."""
-    e1, e2 = g.edges[e1_id], g.edges[e2_id]
-    if e1.id == e2.id:
-        raise ValueError("cannot fold an edge with itself")
-    if e1.src != e2.src or e1.label != e2.label:
-        raise ValueError("edges %d, %d are not foldable together" % (e1_id, e2_id))
-    kept, gone = e1.dst, e2.dst
-    kind = "I" if kept != gone else "II"
-
-    def remap(v):
-        return kept if v == gone else v
-
-    edges = {}
-    for e in g.edges.values():
-        if e.id in (e2.id, e2.inv):
-            continue
-        edges[e.id] = Edge(e.id, e.inv, remap(e.src), remap(e.dst), e.label)
-    vertices = {remap(v) for v in g.vertices}
-    if kind == "I":
-        vertices.discard(gone)
-    base = g.base if g.base != gone else kept
-    merged = ((kept, gone),) if kind == "I" else ()
-    return (
-        AGraph(vertices, edges, base=base, rank=g.rank, check=False),
-        FoldStep(kind, (e1_id, e2_id), merged),
-    )
-
-
 def rebuild_maximal_fold(g):
-    """maximal_fold as a sequence of rebuilding single folds."""
+    """maximal_fold on the whole graph: the chains from the lowest natural
+    fold site, walked edge by edge, folded by union_find_fold."""
     if is_folded(g):
         raise DomainError("graph is already folded")
     natural = set(natural_vertices(g))
@@ -629,20 +488,18 @@ def rebuild_maximal_fold(g):
     if site is None:
         raise DomainError("no fold site at a natural vertex")
     _, _, ids = site
-    chain1 = _chain_from(g, g.edges[ids[0]], natural)
-    chain2 = _chain_from(g, g.edges[ids[1]], natural)
-    cur = g
-    steps = []
-    for f, h in zip(chain1, chain2):
+    pairs = []
+    for f, h in zip(_chain_from(g, g.edges[ids[0]], natural),
+                    _chain_from(g, g.edges[ids[1]], natural)):
         if f.id == h.id or f.label != h.label:
             break
-        cur, step = rebuild_single_fold(cur, f.id, h.id)
-        steps.append(step)
-    return cur, steps
+        pairs.append((f.id, h.id))
+    return union_find_fold(g, pairs)
 
 
 def rebuild_fold_to_rose(b, rank):
-    """fold_to_rose with one rebuilt graph per single fold."""
+    """fold_to_rose one whole graph at a time: a maximal fold, or a single
+    fold at the lowest site where no natural vertex has one."""
     g = rebuild_wedge_graph(b, rank)
     graphs = [g]
     steps = []
@@ -652,42 +509,12 @@ def rebuild_fold_to_rose(b, rank):
         try:
             cur, group = rebuild_maximal_fold(cur)
         except DomainError:
-            v, label, ids = fold_pairs(cur)[0]
-            cur, step = rebuild_single_fold(cur, ids[0], ids[1])
-            group = [step]
+            _, _, ids = fold_pairs(cur)[0]
+            cur, group = union_find_fold(cur, [ids[:2]])
         graphs.append(cur)
         steps.append(group)
         foldable.append(is_foldable(cur))
     return FoldingPath(graphs, steps, foldable)
-
-
-def rebuild_fold_completely(g):
-    """Single folds at the lowest (vertex, label, edge ids) site until folded."""
-    steps = []
-    cur = g
-    while True:
-        sites = fold_pairs(cur)
-        if not sites:
-            return cur, steps
-        _, _, ids = sites[0]
-        cur, step = rebuild_single_fold(cur, ids[0], ids[1])
-        steps.append(step)
-
-
-def rebuild_is_basis(b, rank):
-    """is_basis by repairing foldability, folding maximally and comparing
-    the folded graph with the rose; single folds when no repair exists."""
-    if len(b) != rank:
-        raise DomainError("expected %d words, got %d" % (rank, len(b)))
-    words = tuple(reduce(w, rank) for w in b)
-    if any(not w for w in words):
-        return False
-    try:
-        _, b2, _ = rebuild_ensure_foldable(words, rank)
-        final = rebuild_fold_to_rose(b2, rank).graphs[-1]
-    except FoldabilityError:
-        final, _ = rebuild_fold_completely(rebuild_wedge_graph(words, rank))
-    return labeled_isomorphic(final, rose(rank))
 
 
 def union_find_fold(g, pairs=None):
@@ -743,7 +570,7 @@ def union_find_fold(g, pairs=None):
     return AGraph(vertices, edges, base=base, rank=g.rank, check=False), steps
 
 
-# -- per-pair and per-tuple hyperbolicity scans ------------------------------
+# -- hyperbolicity -----------------------------------------------------------
 
 
 def argmin_median_map(g):
@@ -756,99 +583,6 @@ def argmin_median_map(g):
         return g.vertex_list[int(np.argmin(tot))]
 
     return phi
-
-
-def per_pair_delta_four_point(g):
-    """Gromov 4-point constant: max over quadruples of half the gap between
-    the two largest of the three pairwise distance sums."""
-    d = g.distance_matrix().astype(np.int64)
-    n = len(g)
-    best = 0
-    for i in range(n):
-        for j in range(i, n):
-            s1 = d[i, j] + d
-            s2 = d[i][:, None] + d[j][None, :]
-            s3 = d[j][:, None] + d[i][None, :]
-            mx = np.maximum(np.maximum(s1, s2), s3)
-            mn = np.minimum(np.minimum(s1, s2), s3)
-            mid = s1 + s2 + s3 - mx - mn
-            gap = int((mx - mid).max())
-            if gap > best:
-                best = gap
-    return best / 2
-
-
-def dense_delta_four_point(g):
-    """Gromov 4-point constant: max over quadruples of half the gap between
-    the two largest of the three pairwise distance sums.  The gap is the
-    largest, over the three sums, of the sum minus the larger other one, so
-    each pair {i, j} takes d(i,j) + max d(k,l) - max(d(i,k) + d(j,l),
-    d(i,l) + d(j,k)) over (k, l), for a block of j rows at once, in int32.
-    """
-    d = g.distance_matrix()
-    n = len(g)
-    step = max(1, _BLOCK // max(1, n * n))
-    best = 0
-    for i in range(n):
-        di = d[i]
-        for lo in range(i, n, step):
-            dj = d[lo : lo + step]
-            cross = di[None, :, None] + dj[:, None, :]
-            np.maximum(cross, dj[:, :, None] + di[None, None, :], out=cross)
-            np.subtract(d, cross, out=cross)
-            best = max(best, int((cross.max(axis=(1, 2)) + di[lo : lo + step]).max()))
-    return best / 2
-
-
-def _geodesic_mask(d, i, j):
-    """Boolean vector of vertices lying on some i-j geodesic."""
-    return d[i] + d[j] == d[i, j]
-
-
-def _maxgeo_vector(d, adj_idx, p, q):
-    """For every vertex v, the largest over p-q geodesics gamma of
-    d(v, gamma), via a bottleneck max-min sweep of the geodesic dag."""
-    dpq = d[p, q]
-    on = np.where(_geodesic_mask(d, p, q))[0]
-    order = on[np.argsort(d[p, on], kind="stable")]
-    best = {}
-    for u in order:
-        du = d[p, u]
-        if du == 0:
-            best[u] = d[:, p].copy()
-            continue
-        preds = [w for w in adj_idx[u] if d[p, w] == du - 1 and d[w, q] == dpq - du + 1]
-        acc = best[preds[0]]
-        for w in preds[1:]:
-            acc = np.maximum(acc, best[w])
-        best[u] = np.minimum(d[:, u], acc)
-    return best[q]
-
-
-def per_pair_delta_slim(g):
-    """delta_slim with one geodesic-dag sweep per vertex pair and an n^3
-    on-geodesic mask."""
-    d = g.distance_matrix()
-    n = len(g)
-    adj_idx = {
-        g.vindex[v]: [g.vindex[w] for w in g.neighbors(v)] for v in g.vertex_list
-    }
-    maxgeo = np.zeros((n, n, n), dtype=np.int32)
-    onmask = np.zeros((n, n, n), dtype=bool)
-    for p in range(n):
-        for q in range(p, n):
-            vec = _maxgeo_vector(d, adj_idx, p, q)
-            maxgeo[p, q] = maxgeo[q, p] = vec
-            onmask[p, q] = onmask[q, p] = _geodesic_mask(d, p, q)
-
-    delta = 0
-    for x in range(n):
-        for y in range(x + 1, n):
-            defect = np.minimum(maxgeo[x], maxgeo[y])[:, onmask[x, y]]
-            val = int(defect.max())
-            if val > delta:
-                delta = val
-    return delta
 
 
 def per_pair_is_quasiconvex(g, s, c):
@@ -986,98 +720,54 @@ def _ball_candidates(center, seeds, moves):
     return candidates
 
 
-def scan_sample_fb_ball(center, seeds, moves):
-    """sample_fb_ball comparing every candidate with every representative
-    by coset_fb_equivalent, and every pair of representatives by
-    fb_adjacent."""
-    candidates = _ball_candidates(center, seeds, moves)
-    reps = []
-    labels = []
-    for vert, src in candidates:
-        for k, rep in enumerate(reps):
-            if coset_fb_equivalent(rep, vert):
-                labels[k]["sources"].append(src)
-                break
-        else:
+def definition_fb_ball(center, seeds, moves):
+    """sample_fb_ball from the definitions: a candidate joins the first
+    representative that search_fb_equivalent finds equal to it (or that has
+    its basis tuple), two representatives are adjacent when an element of
+    one is conjugate to an element of the other or to its inverse (they
+    share a class key), and the largest component of a depth-first search,
+    the first on a tie, is kept.  Also returns the number of components."""
+    reps, keys, labels = [], [], []
+    for vert, src in _ball_candidates(center, seeds, moves):
+        vkeys = {_class_key(w) for w in vert.basis}
+        k = next((i for i, rep in enumerate(reps) if keys[i] == vkeys and (
+            rep.basis == vert.basis or search_fb_equivalent(rep, vert))), len(reps))
+        if k == len(reps):
             reps.append(vert)
-            labels.append({"basis": words_str(vert.basis), "sources": [src]})
-
-    m = len(reps)
-    edges = []
-    adj = {i: [] for i in range(m)}
-    for i in range(m):
-        for j in range(i + 1, m):
-            if fb_adjacent(reps[i], reps[j]) is not None:
-                edges.append((i, j))
-                adj[i].append(j)
-                adj[j].append(i)
-
-    comps = []
-    unseen = set(range(m))
+            keys.append(vkeys)
+            labels.append({"basis": words_str(vert.basis), "sources": []})
+        labels[k]["sources"].append(src)
+    adj = [[j for j in range(len(reps)) if j != i and keys[i] & keys[j]] for i in range(len(reps))]
+    comps, unseen = [], set(range(len(reps)))
     while unseen:
-        root = min(unseen)
-        comp = {root}
-        stack = [root]
+        comp = {min(unseen)}
+        stack = list(comp)
         while stack:
-            for w in adj[stack.pop()]:
-                if w not in comp:
-                    comp.add(w)
-                    stack.append(w)
+            for j in adj[stack.pop()]:
+                if j not in comp:
+                    comp.add(j)
+                    stack.append(j)
         unseen -= comp
         comps.append(sorted(comp))
     main = max(comps, key=len)
     renum = {old: new for new, old in enumerate(main)}
-    graph = FiniteGraph(
-        range(len(main)),
-        [(renum[u], renum[v]) for u, v in edges if u in renum and v in renum],
-    )
-    return graph, [labels[old] for old in main]
+    edges = {(renum[i], renum[j]) for i in main for j in adj[i] if i < j}
+    return FiniteGraph(range(len(main)), edges), [labels[i] for i in main], len(comps)
 
 
-# -- hand-rolled traversals ----------------------------------------------------
+# -- traversals ---------------------------------------------------------------
 
 
-def stack_agraph_connected(g):
-    """AGraph.validate's connectivity walk: a depth-first stack."""
-    seen = {min(g.vertices)}
-    stack = [min(g.vertices)]
+def reaches_all(vertices, neighbours):
+    """Does a depth-first walk from the least vertex reach every vertex?"""
+    start = min(vertices)
+    seen, stack = {start}, [start]
     while stack:
-        v = stack.pop()
-        for e in g.out_edges(v):
-            if e.dst not in seen:
-                seen.add(e.dst)
-                stack.append(e.dst)
-    return seen == g.vertices
-
-
-def stack_finite_graph_connected(g):
-    """FiniteGraph's connectivity check: a depth-first stack."""
-    seen = {g.vertex_list[0]}
-    stack = [g.vertex_list[0]]
-    while stack:
-        for w in g.neighbors(stack.pop()):
+        for w in neighbours(stack.pop()):
             if w not in seen:
                 seen.add(w)
                 stack.append(w)
-    return seen == g.vertices
-
-
-def queue_spanning_tree(g, root=None):
-    if root is None:
-        root = g.base if g.base is not None else min(g.vertices)
-    seen = {root}
-    tree = set()
-    queue = [root]
-    for v in queue:
-        for e in sorted(g.out_edges(v), key=lambda e: (letter_key(e.label), e.id)):
-            if e.dst not in seen:
-                seen.add(e.dst)
-                tree.add(e.id)
-                tree.add(e.inv)
-                queue.append(e.dst)
-    if seen != g.vertices:
-        raise DomainError("graph is not connected")
-    return frozenset(tree)
+    return seen == set(vertices)
 
 
 def queue_tau(s):
@@ -1134,90 +824,13 @@ def queue_tau(s):
     return FFVertex(tuple(ambient), frozenset(subset))
 
 
-def level_apsp(g):
-    """apsp one BFS level at a time, with numpy scalar indexing."""
-    n = len(g)
-    dist = np.full((n, n), -1, dtype=np.int32)
-    for i, src in enumerate(g.vertex_list):
-        dist[i, i] = 0
-        queue = [src]
-        while queue:
-            nxt = []
-            for u in queue:
-                du = dist[i, g.vindex[u]]
-                for w in g.neighbors(u):
-                    k = g.vindex[w]
-                    if dist[i, k] < 0:
-                        dist[i, k] = du + 1
-                        nxt.append(w)
-            queue = nxt
-    if (dist < 0).any():
-        raise DomainError("graph is not connected")
-    return dist
+def least_geodesic_family(g):
+    """The least geodesic, as a vertex tuple, of every ordered pair."""
+    d = _bfs_distances(g)
+    return {(x, y): min(_all_geodesics(g, d, x, y)) for x in g.vertex_list for y in g.vertex_list}
 
 
-def level_geodesic_family(g):
-    fam = {}
-    for x in g.vertex_list:
-        parent = {x: None}
-        queue = [x]
-        while queue:
-            nxt = []
-            for u in queue:
-                for w in g.neighbors(u):
-                    if w not in parent:
-                        parent[w] = u
-                        nxt.append(w)
-            queue = nxt
-        for y in g.vertex_list:
-            path = [y]
-            while parent[path[-1]] is not None:
-                path.append(parent[path[-1]])
-            fam[x, y] = tuple(reversed(path))
-    return fam
-
-
-def holder_sample_fb_ball(center, seeds, moves):
-    """sample_fb_ball merging candidates by coset_fb_equivalent within
-    buckets of equal class-key sets, with its components grown through the
-    class-key holder lists by hand; also returns the number of
-    components."""
-    reps = []
-    labels = []
-    by_keys = {}
-    for vert, src in _ball_candidates(center, seeds, moves):
-        bucket = by_keys.setdefault(frozenset(vert.classes), [])
-        for k in bucket:
-            if coset_fb_equivalent(reps[k], vert):
-                labels[k]["sources"].append(src)
-                break
-        else:
-            bucket.append(len(reps))
-            reps.append(vert)
-            labels.append({"basis": words_str(vert.basis), "sources": [src]})
-
-    holders = {}
-    for i, rep in enumerate(reps):
-        for key in rep.classes:
-            holders.setdefault(key, []).append(i)
-    comps = []
-    unseen = set(range(len(reps)))
-    while unseen:
-        comp = [min(unseen)]
-        unseen.remove(comp[0])
-        for i in comp:
-            for key in reps[i].classes:
-                comp += [j for j in holders[key] if j in unseen]
-                unseen.difference_update(holders[key])
-        comps.append(sorted(comp))
-    main = max(comps, key=len)
-    renum = {old: new for new, old in enumerate(main)}
-    edges = {(renum[i], renum[j]) for group in holders.values()
-             for i in group for j in group if i < j and i in renum}
-    return FiniteGraph(range(len(main)), edges), [labels[old] for old in main], len(comps)
-
-
-# -- quadratic read kernels -------------------------------------------------
+# -- read kernels ------------------------------------------------------------
 
 
 def slice_cyclic_normal_form(w):

@@ -334,6 +334,26 @@ def test_delta_missing_file_exits_two(tmp_path):
     assert rc == 2
 
 
+@pytest.mark.parametrize("graph, message", [
+    ('{"vertices": [0, 0, 1], "edges": [[0, 1]]}', "repeated vertex name 0"),
+    ('{"vertices": [0, 1, true], "edges": [[0, 1], [1, true]]}',
+     "vertex name True is not an int or a string"),
+    ('{"vertices": [0, 1], "edges": [[0, 1.0]]}', "vertex name 1.0 is not an int or a string"),
+    ('{"vertices": [0, [1]], "edges": []}', "vertex name [1] is not an int or a string"),
+], ids=["repeated", "true", "float", "list"])
+@pytest.mark.parametrize("command", [["delta"],
+                                     ["cone-off", "--subsets", str(DATA / "c6-subsets.json")]],
+                         ids=["delta", "cone-off"])
+def test_graph_json_with_bad_vertex_names_exits_two(tmp_path, capsys, graph, message, command):
+    # a repeated name would merge two vertices, and JSON true would equal 1
+    (tmp_path / "g.json").write_text(graph)
+    out = tmp_path / "out.json"
+    rc = main([command[0], "--in", str(tmp_path / "g.json"), *command[1:], "--json", str(out)])
+    error = json.loads(capsys.readouterr().err)["error"]
+    assert (rc, error["type"], error["message"]) == (2, "ValueError", message)
+    assert not out.exists()
+
+
 def test_cone_off_full_subset_has_diameter_one(tmp_path):
     infile = write_graph(tmp_path / "p5.json", hyperbolicity.path_graph(5))
     subsets = tmp_path / "subsets.json"
@@ -346,7 +366,7 @@ def test_cone_off_full_subset_has_diameter_one(tmp_path):
     assert hyperbolicity.apsp(coned).max() == 1
 
 
-@pytest.mark.parametrize("subsets", ["5", "[5]", "[[[0]]]", '[[0, "a"]]'])
+@pytest.mark.parametrize("subsets", ["5", "[5]", "[[[0]]]", '[[0, "a"]]', "[[0, true]]"])
 def test_cone_off_subsets_of_the_wrong_shape_exit_two(tmp_path, capsys, subsets):
     infile = write_graph(tmp_path / "p5.json", hyperbolicity.path_graph(5))
     (tmp_path / "subsets.json").write_text(subsets)

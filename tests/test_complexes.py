@@ -47,12 +47,10 @@ from freebases.words import (
 from oracles import (
     _ball_candidates,
     concat_substitute,
-    coset_fb_equivalent,
-    holder_sample_fb_ball,
+    definition_fb_ball,
     scan_fb_adjacent,
     search_fb_equivalent,
     slice_cyclic_normal_form,
-    window_fb_key,
 )
 
 X = FBVertex(parse_words("a,b,c"))
@@ -170,7 +168,6 @@ def test_fb_relations_agree_with_search_oracles():
         u, v = FBVertex(a), FBVertex(b)
         eq = fb_equivalent(u, v)
         assert eq == search_fb_equivalent(u, v), (kind, a, b)
-        assert eq == coset_fb_equivalent(u, v), (kind, a, b)
         if not eq:
             assert fb_adjacent(u, v) == scan_fb_adjacent(u, v), (kind, a, b)
             assert fb_adjacent(v, u) == scan_fb_adjacent(v, u), (kind, a, b)
@@ -182,10 +179,10 @@ def test_fb_relations_agree_with_search_oracles():
 
 def test_key_is_invariant_and_its_window_suffices():
     """Over 2000 seeded bases at ranks 2-6: permuting, inverting elements
-    and conjugating by words of up to 12 letters leaves the key alone, and
-    a five times wider power window finds the same key.  The window walk
-    also gives the key on (b, b^-n a b^n), (b, b^n a), (b, a b^n),
-    (ab, (ab)^n a) and (ab, b (ab)^n) for n up to 200."""
+    and conjugating by words of up to 12 letters leaves the key alone.  So
+    does swapping, inverting and conjugating (b, b^-n a b^n), (b, b^n a),
+    (b, a b^n), (ab, (ab)^n a) and (ab, b (ab)^n) for n up to 200, whose
+    keys take powers of the first element far out in their window."""
     rng = random.Random(10)
     for trial in range(2000):
         rank = 2 + trial % 5
@@ -203,13 +200,13 @@ def test_key_is_invariant_and_its_window_suffices():
             conjugate(w if rng.random() < 0.5 else invert(w), g) for w in basis
         ))
         assert moved.key == v.key, (v.basis, moved.basis)
-        assert window_fb_key(v, 5) == v.key, v.basis
     a, b, ab = (1,), (2,), (1, 2)
     for n in (1, 2, 3, 4, 5, 10, 25, 50, 100, 200):
         for c, w in [(b, power(b, -n) + a + power(b, n)), (b, power(b, n) + a),
                      (b, a + power(b, n)), (ab, power(ab, n) + a), (ab, b + power(ab, n))]:
             v = FBVertex((c, w))
-            assert window_fb_key(v) == v.key, n
+            for g in ((1,), (-2, 1), power(c, n // 2 + 1)):
+                assert FBVertex((invert(conjugate(w, g)), conjugate(c, g))).key == v.key, n
 
 
 def test_ball_keys_a_candidate_only_on_a_class_key_tie(monkeypatch):
@@ -229,7 +226,7 @@ def test_ball_keys_a_candidate_only_on_a_class_key_tie(monkeypatch):
     split = {3: 0, 4: 0}
     for rank, walks, moves in [(3, 7, 4)] * 20 + [(4, 6, 3)] * 20:
         seeds = [rng.randrange(10**6) for _ in range(walks)]
-        g_ref, labels_ref, _ = holder_sample_fb_ball(FBVertex(identity_basis(rank)), seeds, moves)
+        g_ref, labels_ref, _ = definition_fb_ball(FBVertex(identity_basis(rank)), seeds, moves)
         made.clear()
         g, labels = sample_fb_ball(Recorded(identity_basis(rank)), seeds, moves)
         assert (g.vertices, g.edges, labels) == (g_ref.vertices, g_ref.edges, labels_ref)
@@ -264,7 +261,7 @@ def test_fb_equivalent_exits_on_differing_class_key_sets():
         u, same_set = FBVertex(a), FBVertex(a[:-1] + (conjugate(a[-1], a[0]),))
         assert u.classes.keys() == same_set.classes.keys()
         assert not fb_equivalent(u, same_set)
-        assert not coset_fb_equivalent(u, same_set)
+        assert not search_fb_equivalent(u, same_set)
         assert "key" in u.__dict__ and "key" in same_set.__dict__
         u, neighbour = FBVertex(a), FBVertex((a[0], concat(a[1], a[2])) + a[2:])
         assert not fb_equivalent(u, neighbour)
@@ -297,8 +294,9 @@ def test_key_at_rank_one():
 
 
 def test_key_refuses_repeated_class_keys():
-    for bad in ("a,A,c", "a,bAB,c", "ab,c,BA"):
-        with pytest.raises(NotABasisError):
+    for bad, pair in (("a,A,c", "1 and 2"), ("A,a,c", "1 and 2"), ("a,bAB,c", "1 and 2"),
+                      ("ab,c,BA", "1 and 3")):
+        with pytest.raises(NotABasisError, match="^elements %s are conjugate" % pair):
             fb(bad).key
 
 

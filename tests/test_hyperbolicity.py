@@ -9,9 +9,8 @@ import numpy as np
 import pytest
 
 from freebases import hyperbolicity
-from freebases.complexes import FBVertex, fb_adjacent, folding_path_bases, sample_fb_ball
+from freebases.complexes import FBVertex, fb_adjacent, identity_basis, sample_fb_ball
 from freebases.errors import DomainError
-from freebases.folding import random_basis
 from freebases.hyperbolicity import (
     SLIM_BUDGET_BYTES,
     FiniteGraph,
@@ -36,19 +35,15 @@ from freebases.words import parse_words
 
 from oracles import (
     argmin_median_map,
+    bfs_distance_matrix,
     brute_four_point_delta,
     brute_slim_delta,
     condition1_value,
     condition3_value,
-    coset_fb_equivalent,
-    dense_delta_four_point,
+    definition_fb_ball,
     ix_hausdorff_distance,
-    level_apsp,
-    per_pair_delta_four_point,
-    per_pair_delta_slim,
     per_pair_is_quasiconvex,
     per_tuple_check_thin_triangles,
-    scan_sample_fb_ball,
 )
 
 
@@ -75,10 +70,12 @@ def test_graph_json_round_trip():
 
 
 def test_graph_rejects_loops_and_stray_edges():
-    with pytest.raises(ValueError):
-        FiniteGraph([0, 1], [(0, 0)])
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="loop edge at 0"):
+        FiniteGraph([0, 1], [(0, 0), (0, 1)])
+    with pytest.raises(ValueError, match="unknown endpoint"):
         FiniteGraph([0, 1], [(0, 2)])
+    with pytest.raises(ValueError, match="no vertices"):
+        FiniteGraph([], [])
 
 
 def test_four_point_zero_on_trees():
@@ -152,13 +149,13 @@ def _sizes_past_the_cross_check():
 def test_four_point_and_apsp_agree_with_dense_oracles_past_small_sizes(monkeypatch):
     sizes, deltas = set(), set()
     for g in _sizes_past_the_cross_check():
-        value = dense_delta_four_point(g)
+        value = brute_four_point_delta(g)
         # tiny blocks split the pair scan, so that it stops mid-way, and
         # the neighbour rows of the far-apart test
         for block in (1 << 15, 1, 3, 50):
             monkeypatch.setattr(hyperbolicity, "_BLOCK", block)
             assert delta_four_point(g) == value
-        assert np.array_equal(apsp(g), level_apsp(g))
+        assert np.array_equal(apsp(g), bfs_distance_matrix(g))
         sizes.add(len(g))
         deltas.add(value)
     assert max(sizes) > 50 and {0.0, 0.5, 1.0, 1.5, 10.0} <= deltas
@@ -172,8 +169,8 @@ def test_deltas_agree_with_oracles_across_block_boundaries(monkeypatch):
     for k in range(60):
         monkeypatch.setattr(hyperbolicity, "_BLOCK", [1, 5, 40, 300][k % 4])
         g = _random_graph(rng, families[k % len(families)])
-        assert delta_four_point(g) == dense_delta_four_point(g)
-        assert delta_slim(g) == per_pair_delta_slim(g)
+        assert delta_four_point(g) == brute_four_point_delta(g)
+        assert delta_slim(g) == brute_slim_delta(g)
 
 
 def test_slim_sweep_keeps_the_arcs_of_a_row_split_across_chunks(monkeypatch):
@@ -182,7 +179,7 @@ def test_slim_sweep_keeps_the_arcs_of_a_row_split_across_chunks(monkeypatch):
     monkeypatch.setattr(hyperbolicity, "_BLOCK", 1)
     for g, value in ((cone_off(grid_graph(3, 3), [[0, 5]]), 2),
                      (cone_off(grid_graph(4, 4), [[0, 6]]), 3)):
-        assert delta_slim(g) == per_pair_delta_slim(g) == brute_slim_delta(g) == value
+        assert delta_slim(g) == brute_slim_delta(g) == value
 
 
 def test_deltas_on_a_ball_at_the_production_block(monkeypatch):
@@ -504,6 +501,16 @@ def test_sample_fb_ball_merges_equivalent_vertices():
     assert len(g.edges) >= len(g) - 1
 
 
+def test_sample_fb_ball_hands_over_canonical_edges():
+    # the graph is built unchecked, so each edge must be a pair i < j of
+    # vertices, each listed once
+    for rank in (2, 3, 4):
+        for seed in range(6):
+            g, _ = sample_fb_ball(FBVertex(identity_basis(rank)), range(seed, seed + 8), 4)
+            assert all(type(i) is int and 0 <= i < j < len(g) for i, j in g.edges)
+            assert FiniteGraph(g.vertices, g.edges).edges == g.edges
+
+
 def test_sample_fb_ball_agrees_with_scan_oracle():
     rng = random.Random(2024)
     for rank in (2, 3, 4, 5):
@@ -512,18 +519,10 @@ def test_sample_fb_ball_agrees_with_scan_oracle():
             seeds = [rng.randrange(10**6) for _ in range(rng.randint(1, 6))]
             moves = rng.randint(1, 4)
             g, labels = sample_fb_ball(center, seeds, moves)
-            g_ref, labels_ref = scan_sample_fb_ball(center, seeds, moves)
+            g_ref, labels_ref, _ = definition_fb_ball(center, seeds, moves)
             assert (g.vertices, g.edges, labels) == (g_ref.vertices, g_ref.edges, labels_ref)
 
-            sources = {"center": center}
-            for s in seeds:
-                walked = FBVertex(random_basis(s, moves, rank=rank, start=center.basis))
-                sources["seed %d" % s] = walked
-                for k, v in enumerate(folding_path_bases(walked)):
-                    sources["seed %d / fold %d" % (s, k)] = v
             reps = [FBVertex(parse_words(label["basis"], rank)) for label in labels]
-            for rep, label in zip(reps, labels):
-                assert all(coset_fb_equivalent(sources[src], rep) for src in label["sources"])
             for i, j in combinations(range(len(reps)), 2):
                 cert = fb_adjacent(reps[i], reps[j])
                 if (i, j) in g.edges:
@@ -536,6 +535,22 @@ def test_delta_slim_refuses_arrays_over_budget():
     assert 4 * 406**3 <= SLIM_BUDGET_BYTES < 4 * 407**3
     with pytest.raises(DomainError, match="budget"):
         delta_slim(path_graph(407))
+
+
+def test_delta_slim_budget_admits_exactly_its_bytes(monkeypatch):
+    # the n^3 int32 array of 12 vertices fills the budget to the byte
+    monkeypatch.setattr(hyperbolicity, "SLIM_BUDGET_BYTES", 4 * 12**3)
+    assert delta_slim(path_graph(12)) == 0
+    with pytest.raises(DomainError, match="13 vertices needs a 8788-byte array"):
+        delta_slim(path_graph(13))
+
+
+def test_slim_sweep_runs_from_the_first_vertex():
+    # a 7-cycle and a 4-cycle sharing an edge: a point reaches defect 2
+    # only on a side ending at vertex 0, the first source of the sweep
+    edges = [(0, 1), (0, 2), (1, 8), (2, 3), (3, 4), (4, 5), (4, 7), (5, 6), (6, 7), (7, 8)]
+    g = FiniteGraph(range(9), edges)
+    assert delta_slim(g) == brute_slim_delta(g) == 2
 
 
 def _random_graph(rng, family):
@@ -588,8 +603,8 @@ def test_hyperbolicity_agrees_with_per_pair_oracles():
     seen = set()
     for k in range(320):
         g = _random_graph(rng, families[k % len(families)])
-        assert delta_four_point(g) == per_pair_delta_four_point(g)
-        assert delta_slim(g) == per_pair_delta_slim(g)
+        assert delta_four_point(g) == brute_four_point_delta(g)
+        assert delta_slim(g) == brute_slim_delta(g)
 
         fam = geodesic_family(g) if k % 3 else _detour_family(g, rng)
         vs = g.vertex_list

@@ -1,6 +1,8 @@
-"""The one breadth-first search, agraph.bfs, against the hand-rolled
-traversals it replaced, the one-search basis reader against the two-search
-one, and the rose test against labeled isomorphism with the rose."""
+"""The searches that run on agraph.bfs against definitions (reachability,
+spanning trees, BFS distances, least geodesics and the free-bases ball),
+the one-search basis reader and tau against the two-search and queue
+versions they replaced, and the rose test against labeled isomorphism with
+the rose."""
 
 import random
 from collections import Counter
@@ -38,12 +40,11 @@ from freebases.words import invert, reduce
 
 import oracles
 from oracles import (
-    level_apsp,
-    level_geodesic_family,
-    queue_spanning_tree,
+    bfs_distance_matrix,
+    check_spanning_tree,
+    least_geodesic_family,
     queue_tau,
-    stack_agraph_connected,
-    stack_finite_graph_connected,
+    reaches_all,
     two_search_basis_from_tree,
 )
 from test_folding import _grown_basis
@@ -91,6 +92,12 @@ def _disjoint_union(g, h):
     return AGraph(vertices, edges, base=g.base, rank=max(g.rank, h.rank), check=False)
 
 
+def _reaches_all(g, tree=None):
+    """Do g's edges, or those in ``tree``, connect its vertices?"""
+    return reaches_all(g.vertices, lambda v: [e.dst for e in g.out_edges(v)
+                                              if tree is None or e.id in tree])
+
+
 def _finite_graphs(rng, count):
     """Connected graphs of several families, 1-30 vertices."""
     for k in range(count):
@@ -126,28 +133,29 @@ def test_traversals_agree_with_hand_rolled_oracles():
     graphs = list(_path_graphs(20261018, range(2, 6), 8))
     assert len(graphs) > 300
     for k, g in enumerate(graphs):
-        assert stack_agraph_connected(g) and "graph is not connected" not in g.validate()
-        for root in (None, g.base, max(g.vertices)):
-            assert _outcome(spanning_tree, g, root) == _outcome(queue_spanning_tree, g, root)
+        assert _reaches_all(g) and "graph is not connected" not in g.validate()
+        assert spanning_tree(g) == spanning_tree(g, g.base)
+        for root in (g.base, max(g.vertices)):
+            tree = spanning_tree(g, root)
+            assert check_spanning_tree(g, tree) == [] and _reaches_all(g, tree)
+        assert _outcome(spanning_tree, g, -1) == ("error", "DomainError", "root -1 is not a vertex")
         split = _disjoint_union(g, graphs[k - 1])
-        assert not stack_agraph_connected(split)
+        assert not _reaches_all(split)
         assert "graph is not connected" in split.validate()
-        assert _outcome(spanning_tree, split) == _outcome(queue_spanning_tree, split)
-        assert _outcome(spanning_tree, split)[0] == "error"
+        assert _outcome(spanning_tree, split) == ("error", "DomainError", "graph is not connected")
 
     rng = random.Random(11)
     for g in _finite_graphs(rng, 120):
-        assert stack_finite_graph_connected(g)
+        assert reaches_all(g.vertices, g.neighbors)
         ours = apsp(g)
-        assert ours.dtype == np.int32 and np.array_equal(ours, level_apsp(g))
-        assert list(geodesic_family(g).items()) == list(level_geodesic_family(g).items())
+        assert ours.dtype == np.int32 and np.array_equal(ours, bfs_distance_matrix(g))
+        assert list(geodesic_family(g).items()) == list(least_geodesic_family(g).items())
         edges = [e for e in g.edges if rng.random() < 0.8]
         unchecked = FiniteGraph(g.vertices, edges, check=False)
-        connected = stack_finite_graph_connected(unchecked)
+        connected = reaches_all(g.vertices, unchecked.neighbors)
         assert _outcome(apsp, unchecked)[0] == ("ok" if connected else "error")
-        assert _outcome(apsp, unchecked)[0] == _outcome(level_apsp, unchecked)[0]
         if connected:
-            assert np.array_equal(apsp(unchecked), level_apsp(unchecked))
+            assert np.array_equal(apsp(unchecked), bfs_distance_matrix(unchecked))
             FiniteGraph(g.vertices, edges)
         else:
             with pytest.raises(ValueError, match="not connected"):
@@ -212,7 +220,7 @@ def test_sample_fb_ball_agrees_with_holder_oracle(monkeypatch):
                 seeds = [1000 * rank + 8 * k + i for i in range(2 + k)]
                 moves = 1 + k % 3
                 g, labels = sample_fb_ball(center, seeds, moves)
-                g_ref, labels_ref, comps = oracles.holder_sample_fb_ball(center, seeds, moves)
+                g_ref, labels_ref, comps = oracles.definition_fb_ball(center, seeds, moves)
                 assert (g.vertices, g.edges, labels) == (g_ref.vertices, g_ref.edges, labels_ref)
                 components.setdefault(chains, []).append(comps)
     assert max(components[True]) == 1
