@@ -201,11 +201,8 @@ def cmd_delta(args):
 
 
 def _subsets(data):
-    """Cone-off subsets; members are ints or strings, as in graph JSON."""
-    for v in (v for s in data for v in s):
-        if type(v) not in (int, str):
-            raise ValueError("subset vertex %r is not an int or a string" % (v,))
-    return [sorted(set(s)) for s in data]
+    """Cone-off subsets; members are vertex names, as in graph JSON."""
+    return [sorted({hyperbolicity.vertex_name(v) for v in s}) for s in data]
 
 
 def cmd_cone_off(args):
@@ -226,14 +223,16 @@ def cmd_cone_off(args):
 def cmd_thin_check(args):
     t0 = time.time()
     g = _load_json(args.infile, hyperbolicity.FiniteGraph.from_json_dict)
+    name = hyperbolicity.vertex_name
     paths = _load_json(args.paths, lambda data: {
-        (entry["from"], entry["to"]): tuple(entry["path"]) for entry in data
+        (name(entry["from"]), name(entry["to"])): tuple(map(name, entry["path"]))
+        for entry in data
     })
     if args.phi == "median":
         phi = hyperbolicity.median_map(g)
     else:
         phi = _load_json(args.phi, lambda data: {
-            tuple(entry["triple"]): entry["center"] for entry in data
+            tuple(map(name, entry["triple"])): name(entry["center"]) for entry in data
         })
     report = hyperbolicity.check_thin_triangles(
         g,

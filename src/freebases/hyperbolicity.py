@@ -37,6 +37,14 @@ SLIM_BUDGET_BYTES = 256 * 2**20  # for delta_slim's n^3 int32 array
 _BLOCK = 1 << 15  # elements of one temporary in the blocked scans (128 KiB of int32)
 
 
+def vertex_name(v):
+    """v, if it can name a vertex read from JSON: an int or a string, not a
+    bool (JSON true would equal 1) or a float."""
+    if type(v) not in (int, str):
+        raise ValueError("vertex name %r is not an int or a string" % (v,))
+    return v
+
+
 class FiniteGraph:
     """Simple connected graph with unit edge lengths.
 
@@ -101,13 +109,10 @@ class FiniteGraph:
 
     @classmethod
     def from_json_dict(cls, data):
-        """Vertex names and edge ends must be ints or strings (JSON true
-        would equal 1), and no vertex name may repeat."""
-        names = list(data["vertices"])
-        edges = [tuple(e) for e in data["edges"]]
-        for v in names + [v for e in edges for v in e]:
-            if type(v) not in (int, str):
-                raise ValueError("vertex name %r is not an int or a string" % (v,))
+        """Vertex names and edge ends must pass ``vertex_name``, and no
+        vertex name may repeat."""
+        names = [vertex_name(v) for v in data["vertices"]]
+        edges = [tuple(vertex_name(v) for v in e) for e in data["edges"]]
         seen = set()
         for v in names:
             if v in seen:

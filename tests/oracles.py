@@ -4,9 +4,11 @@ the library code it checks.
 A definition computes its answer the way the quantity is defined, by brute
 force or exhaustive search, and so shares no shortcut with the kernel it
 checks.  An earlier version is the library's own code before a rewrite; the
-ones kept pin a convention (an order, a numbering, a choice of tree) that no
-definition here checks.  An oracle is retired only when the mutation score
-(tools/mutate.py; see README, Tests) of the code it checks holds without it.
+ones kept pin a convention (an order, a numbering, the spanning tree at the
+base) that no definition here checks.  Which tree spanning_tree picks at
+any other root is not checked, only that it spans.  An oracle is retired
+only when the mutation score (tools/mutate.py; see README, Tests) of the
+code it checks holds without it.
 
 Definitions:
 - naive_folded_graph: fold_to_rose, fold_completely, is_basis.  It merges
@@ -14,8 +16,11 @@ Definitions:
   confluent, so every order lands on one graph up to labeled isomorphism.
 - bfs_distance_matrix: apsp, one pure-Python search per source.
 - brute_four_point_delta: delta_four_point, over every quadruple.
-- brute_slim_delta: delta_slim, over every geodesic that _all_geodesics
-  walks down the distance gradient.
+- triangle_slim_delta: delta_slim, over every triangle and every choice of
+  its three sides among the geodesics that _all_geodesics walks down the
+  distance gradient; small graphs only.
+- brute_slim_delta: delta_slim on the larger corpora, the same geodesics
+  with each point's two other sides chosen independently.
 - least_geodesic_family: geodesic_family.  A breadth-first tree with sorted
   neighbour scans reaches each vertex along its least geodesic.
 - per_pair_is_quasiconvex: is_quasiconvex, one interval per member pair.
@@ -51,16 +56,16 @@ Earlier versions:
 - fold_pairs, rebuild_maximal_fold, rebuild_fold_to_rose: fold_to_rose's
   choice of fold site, chains walked on whole graphs, folds by union_find_fold.
 - chain_walk_smooth: smooth's edge numbering.
-- two_search_basis_from_tree: basis_from_tree, tree and words from two
-  searches.
-- queue_tau: tau's tree and words, from list.pop(0) queues.
+- two_search_basis_from_tree: basis_from_tree, tree (rooted at the base)
+  and words from two searches.
+- queue_tau: tau's tree at the base and words, from list.pop(0) queues.
 
 Test-only helpers: num_topological_edges, check_spanning_tree,
 marking_isomorphic (by expansion) and conjugate_related.
 """
 
 import random
-from itertools import permutations, product
+from itertools import combinations_with_replacement, permutations, product
 
 import numpy as np
 
@@ -192,14 +197,32 @@ def bfs_distance_matrix(g):
     return np.array([[dist[x][y] for y in g.vertex_list] for x in g.vertex_list], dtype=np.int32)
 
 
-def brute_slim_delta(g):
-    """Smallest delta with every geodesic side in the delta-neighborhood of
-    the union of the other two, over all triples and all geodesic choices.
+def triangle_slim_delta(g):
+    """Smallest delta with every side of every geodesic triangle in the
+    delta-neighborhood of the union of the other two: every triple of
+    corners, every choice of the three sides, every point of each side.  A
+    triangle's sides do not depend on the order of its corners, so the
+    corners run over x <= y <= z in vertex_list order."""
+    dist = _bfs_distances(g)
+    best = 0
+    for x, y, z in combinations_with_replacement(g.vertex_list, 3):
+        for sides in product(_all_geodesics(g, dist, x, y), _all_geodesics(g, dist, y, z),
+                             _all_geodesics(g, dist, z, x)):
+            for k, side in enumerate(sides):
+                others = sides[k - 1] + sides[k - 2]
+                for p in side:
+                    best = max(best, min(dist[p][q] for q in others))
+    return best
 
-    The two other sides are chosen independently, so the worst choice for a
-    point p on an x-y geodesic is min(far[x, z, p], far[y, z, p]), where
-    far[a, b, p] is the largest distance from p to an a-b geodesic, taken
-    over every geodesic that ``_all_geodesics`` lists."""
+
+def brute_slim_delta(g):
+    """triangle_slim_delta, factored so it runs on the larger corpora.
+
+    It relies on the two other sides of a triangle being chosen
+    independently of each other: the worst choice for a point p on an x-y
+    geodesic is then min(far[x, z, p], far[y, z, p]), where far[a, b, p] is
+    the largest distance from p to an a-b geodesic, taken over every
+    geodesic that ``_all_geodesics`` lists."""
     dist = _bfs_distances(g)
     d = bfs_distance_matrix(g)
     n = len(d)

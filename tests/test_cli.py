@@ -415,6 +415,26 @@ def test_thin_check_refuses_negative_arguments(tmp_path, capsys, flag):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("where", ["paths", "phi"])
+def test_thin_check_refuses_true_as_a_vertex_name(tmp_path, capsys, where):
+    # JSON true would equal vertex 1, as in graph JSON
+    entries = json.loads((DATA / "c6-paths.json").read_text())
+    phi = [{"triple": [0, 1, 2], "center": 1}]
+    if where == "paths":
+        entries = [{**e, "path": [True if v == 1 else v for v in e["path"]]} for e in entries]
+    else:
+        phi[0]["center"] = True
+    (tmp_path / "paths.json").write_text(json.dumps(entries))
+    (tmp_path / "phi.json").write_text(json.dumps(phi))
+    out = tmp_path / "thin.json"
+    rc = main(["thin-check", "--in", str(DATA / "c6.json"), "--paths", str(tmp_path / "paths.json"),
+               "--phi", str(tmp_path / "phi.json"), "--b1", "1", "--json", str(out)])
+    error = json.loads(capsys.readouterr().err)["error"]
+    assert (rc, error["type"], error["message"]) == (
+        2, "ValueError", "vertex name True is not an int or a string")
+    assert not out.exists()
+
+
 # -- experiment ---------------------------------------------------------------
 
 

@@ -1,20 +1,19 @@
 """Mutation score of chosen functions against a test file, run by hand.
 
     python tools/mutate.py src/freebases/words.py least_rotation \
-        --tests tests/test_words.py [--jobs 2] [--timeout S] [--out FILE]
+        --tests tests/test_words.py > least_rotation.json
 
 Each mutant makes one change inside one named function (``Class.method``
 names a method): it flips a comparison (< and <=, > and >=, == and !=, in
 and not in, is and is not), swaps + and - or // and *, adds 1 to an integer
 constant, or replaces a statement with ``pass``.  Every mutant runs
-``pytest -x`` on the named test files in a temporary copy of src/, tests/
-and pyproject.toml, one mutant per copy at a time, under one fixed timeout
-(three times the clean run plus 10 s unless given); the checkout itself is
-never written.  The JSON written per function counts mutants, killed,
-survived and timed out, and lists each survivor and time-out with its line,
-operator and change; survivors judged equivalent in
-tools/equivalent_mutants.json carry that entry's reason.  ``--list`` prints
-the mutants without running anything.
+``pytest -x`` on the named test files in one temporary copy of src/, tests/
+and pyproject.toml, one mutant at a time, under one fixed timeout: three
+times the clean run plus 10 s.  The checkout itself is never written.  The
+JSON printed per function counts mutants, killed, survived and timed out,
+and lists each survivor and time-out with its line, operator and change;
+survivors judged equivalent in tools/equivalent_mutants.json carry that
+entry's reason.  ``--list`` prints the mutants without running anything.
 """
 
 import argparse
@@ -22,13 +21,11 @@ import ast
 import copy
 import json
 import os
-import queue
 import shutil
 import subprocess
 import sys
 import tempfile
 import time
-from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -124,44 +121,28 @@ def main(argv=None):
     ap.add_argument("module")
     ap.add_argument("functions", nargs="+")
     ap.add_argument("--tests", nargs="+", default=[])
-    ap.add_argument("--jobs", type=int, default=1)
-    ap.add_argument("--timeout", type=float)
-    ap.add_argument("--out")
     ap.add_argument("--list", action="store_true")
     args = ap.parse_args(argv)
-    if args.jobs < 1:
-        ap.error("--jobs must be at least 1")
     source = (ROOT / args.module).read_text()
     found = {name: mutants(source, name) for name in args.functions}
     if args.list:
         print(json.dumps(found, indent=1))
         return
     with tempfile.TemporaryDirectory() as tmp:
-        copies = queue.Queue()
-        for j in range(args.jobs):
-            work = Path(tmp, str(j))
-            for part in ("src", "tests"):
-                shutil.copytree(ROOT / part, work / part, ignore=shutil.ignore_patterns(
-                    "__pycache__", ".pytest_cache", ".hypothesis"))
-            shutil.copy(ROOT / "pyproject.toml", work)
-            copies.put(work)
+        work = Path(tmp)
+        for part in ("src", "tests"):
+            shutil.copytree(ROOT / part, work / part, ignore=shutil.ignore_patterns(
+                "__pycache__", ".pytest_cache", ".hypothesis"))
+        shutil.copy(ROOT / "pyproject.toml", work)
         start = time.perf_counter()
         if _pytest(work, args.tests, None) != "survived":
             sys.exit("the tests fail on the unmutated code")
-        timeout = args.timeout or 3 * (time.perf_counter() - start) + 10
-
-        def run(job):
-            work = copies.get()
-            try:
-                (work / args.module).write_text(mutated_source(source, *job))
-                return _pytest(work, args.tests, timeout)
-            finally:
-                (work / args.module).write_text(source)
-                copies.put(work)
-
-        jobs = [(name, m["index"]) for name in args.functions for m in found[name]]
-        with ThreadPoolExecutor(args.jobs) as pool:
-            outcomes = dict(zip(jobs, pool.map(run, jobs)))
+        timeout = 3 * (time.perf_counter() - start) + 10
+        outcomes = {}
+        for name in args.functions:
+            for m in found[name]:
+                (work / args.module).write_text(mutated_source(source, name, m["index"]))
+                outcomes[name, m["index"]] = _pytest(work, args.tests, timeout)
     known = {(e["function"], e["mutant"]): e["reason"] for e in json.loads(EQUIVALENT.read_text())
              if e["module"] == args.module}
     report = {"module": args.module, "tests": args.tests, "timeout_s": round(timeout, 1),
@@ -178,10 +159,7 @@ def main(argv=None):
             elif outcome == "timed_out":
                 row["timeouts"].append(entry)
         report["functions"][name] = row
-    text = json.dumps(report, indent=1)
-    if args.out:
-        Path(args.out).write_text(text + "\n")
-    print(text)
+    print(json.dumps(report, indent=1))
 
 
 if __name__ == "__main__":
