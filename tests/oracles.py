@@ -16,11 +16,9 @@ Definitions:
   confluent, so every order lands on one graph up to labeled isomorphism.
 - bfs_distance_matrix: apsp, one pure-Python search per source.
 - brute_four_point_delta: delta_four_point, over every quadruple.
-- triangle_slim_delta: delta_slim, over every triangle and every choice of
-  its three sides among the geodesics that _all_geodesics walks down the
-  distance gradient; small graphs only.
-- brute_slim_delta: delta_slim on the larger corpora, the same geodesics
-  with each point's two other sides chosen independently.
+- brute_slim_delta: delta_slim, over every triangle and every choice of its
+  three sides among the geodesics that _all_geodesics walks down the
+  distance gradient.
 - least_geodesic_family: geodesic_family.  A breadth-first tree with sorted
   neighbour scans reaches each vertex along its least geodesic.
 - per_pair_is_quasiconvex: is_quasiconvex, one interval per member pair.
@@ -197,46 +195,22 @@ def bfs_distance_matrix(g):
     return np.array([[dist[x][y] for y in g.vertex_list] for x in g.vertex_list], dtype=np.int32)
 
 
-def triangle_slim_delta(g):
+def brute_slim_delta(g):
     """Smallest delta with every side of every geodesic triangle in the
     delta-neighborhood of the union of the other two: every triple of
     corners, every choice of the three sides, every point of each side.  A
     triangle's sides do not depend on the order of its corners, so the
     corners run over x <= y <= z in vertex_list order."""
     dist = _bfs_distances(g)
+    vs = g.vertex_list
+    geodesics = {(x, y): _all_geodesics(g, dist, x, y) for x in vs for y in vs}
     best = 0
-    for x, y, z in combinations_with_replacement(g.vertex_list, 3):
-        for sides in product(_all_geodesics(g, dist, x, y), _all_geodesics(g, dist, y, z),
-                             _all_geodesics(g, dist, z, x)):
+    for x, y, z in combinations_with_replacement(vs, 3):
+        for sides in product(geodesics[x, y], geodesics[y, z], geodesics[z, x]):
             for k, side in enumerate(sides):
                 others = sides[k - 1] + sides[k - 2]
                 for p in side:
                     best = max(best, min(dist[p][q] for q in others))
-    return best
-
-
-def brute_slim_delta(g):
-    """triangle_slim_delta, factored so it runs on the larger corpora.
-
-    It relies on the two other sides of a triangle being chosen
-    independently of each other: the worst choice for a point p on an x-y
-    geodesic is then min(far[x, z, p], far[y, z, p]), where far[a, b, p] is
-    the largest distance from p to an a-b geodesic, taken over every
-    geodesic that ``_all_geodesics`` lists."""
-    dist = _bfs_distances(g)
-    d = bfs_distance_matrix(g)
-    n = len(d)
-    far = np.zeros((n, n, n), dtype=np.int32)
-    for i, x in enumerate(g.vertex_list):
-        for j, y in enumerate(g.vertex_list):
-            for geo in _all_geodesics(g, dist, x, y):
-                cols = [g.vindex[p] for p in geo]
-                np.maximum(far[i, j], d[:, cols].min(axis=1), out=far[i, j])
-    best = 0
-    for i in range(n):
-        for j in range(n):
-            on = d[i] + d[j] == d[i, j]  # p on some x-y geodesic
-            best = max(best, int(np.minimum(far[i], far[j])[:, on].max()))
     return best
 
 

@@ -44,7 +44,6 @@ from oracles import (
     ix_hausdorff_distance,
     per_pair_is_quasiconvex,
     per_tuple_check_thin_triangles,
-    triangle_slim_delta,
 )
 
 
@@ -180,7 +179,7 @@ def test_slim_sweep_keeps_the_arcs_of_a_row_split_across_chunks(monkeypatch):
     monkeypatch.setattr(hyperbolicity, "_BLOCK", 1)
     for g, value in ((cone_off(grid_graph(3, 3), [[0, 5]]), 2),
                      (cone_off(grid_graph(4, 4), [[0, 6]]), 3)):
-        assert delta_slim(g) == triangle_slim_delta(g) == value
+        assert delta_slim(g) == brute_slim_delta(g) == value
 
 
 def test_deltas_on_a_ball_at_the_production_block(monkeypatch):
@@ -234,7 +233,7 @@ def test_slim_matches_brute_force():
         random_tree(8, 5),
     ]
     for g in cases:
-        assert delta_slim(g) == triangle_slim_delta(g)
+        assert delta_slim(g) == brute_slim_delta(g)
 
 
 def test_quasiconvex_subtree():
@@ -551,7 +550,7 @@ def test_slim_sweep_runs_from_the_first_vertex():
     # only on a side ending at vertex 0, the first source of the sweep
     edges = [(0, 1), (0, 2), (1, 8), (2, 3), (3, 4), (4, 5), (4, 7), (5, 6), (6, 7), (7, 8)]
     g = FiniteGraph(range(9), edges)
-    assert delta_slim(g) == triangle_slim_delta(g) == 2
+    assert delta_slim(g) == brute_slim_delta(g) == 2
 
 
 def _random_graph(rng, family):
@@ -606,8 +605,6 @@ def test_hyperbolicity_agrees_with_per_pair_oracles():
         g = _random_graph(rng, families[k % len(families)])
         assert delta_four_point(g) == brute_four_point_delta(g)
         assert delta_slim(g) == brute_slim_delta(g)
-        if len(g) <= 8:
-            assert delta_slim(g) == triangle_slim_delta(g)
 
         fam = geodesic_family(g) if k % 3 else _detour_family(g, rng)
         vs = g.vertex_list
