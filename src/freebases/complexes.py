@@ -23,6 +23,7 @@ from .errors import DomainError, FoldabilityError, NotABasisError, TrivialFactor
 from .folding import _find, _fold_path, ensure_foldable, is_basis, random_basis
 from .hyperbolicity import FiniteGraph
 from .words import (
+    check_letters,
     concat,
     concat_all,
     conjugate,
@@ -86,7 +87,13 @@ class FBVertex:
         """
         index = {}
         for pos, w in enumerate(self.basis):
-            core, _ = cyclic_reduce(w)
+            check_letters(w, None)
+            # w is reduced, so its core is w less its conjugating ends
+            lo, hi = 0, len(w)
+            while hi - lo >= 2 and w[lo] == -w[hi - 1]:
+                lo += 1
+                hi -= 1
+            core = tuple(w[lo:hi])
             inv = invert(core)
             i, j = least_rotation(core), least_rotation(inv)
             forward = core[i:] + core[:i]

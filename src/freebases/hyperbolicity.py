@@ -14,10 +14,13 @@ product.  ``_intervals`` enumerates geodesic intervals and
 ``_hausdorff_rows`` measures Hausdorff distances for every caller.  Both
 deltas, the median map's center table and the thin-triangles checker run
 on numpy arrays in blocks of about _BLOCK elements (see each docstring);
-Python loops run per block, per BFS level and, in the checker, per sampled
-draw and per ordered triple read from the center map, never per distance
-computed.  Their whole-graph arrays are n x n distances and, for the
-checker, n^3 int32 profiles and centers.  The test suite checks them
+Python loops run per block and per BFS level, never per distance
+computed, except two in the checker: the sampled draws, one plain loop
+over ints (``_draw_tuples``), and the read of a center map other than
+``median_map``'s, once per ordered triple.  Their whole-graph arrays are
+n x n distances, delta_slim's n^3 maxgeo at one byte an entry (two past
+diameter 127) and, for the checker, n^3 int32 profiles and centers (the
+median map's own table when it is given).  The test suite checks them
 against definitions: quadruple and all-geodesics scans for the deltas, a
 pure-Python BFS for the distances, the per-tuple checker and the per-call
 median map (tests/oracles.py lists them).
@@ -33,7 +36,7 @@ import numpy as np
 from .agraph import bfs
 from .errors import DomainError
 
-SLIM_BUDGET_BYTES = 256 * 2**20  # for delta_slim's n^3 int32 array
+SLIM_BUDGET_BYTES = 256 * 2**20  # for delta_slim's n^3 int8 or int16 array
 _BLOCK = 1 << 15  # elements of one temporary in the blocked scans (128 KiB of int32)
 
 
@@ -189,7 +192,7 @@ def apsp(g):
     frontier neighbours, exactly while n < 2^24."""
     n = len(g)
     ends = [(g.vindex[u], g.vindex[v]) for u, v in g.edges]
-    tail, head = np.array(ends, dtype=np.intp).reshape(-1, 2).T
+    tail, head = np.array(ends, dtype=np.intp).reshape(len(ends), 2).T
     adj = np.zeros((n, n), dtype=np.float32)
     adj[tail, head] = adj[head, tail] = 1
     dist = np.full((n, n), -1, dtype=np.int32)
@@ -274,51 +277,76 @@ def delta_slim(g):
     bottleneck values, and triples with repeated vertices come along for
     free (they never dominate).
 
-    maxgeo[p, q, v], the largest over p-q geodesics of d(v, geodesic), comes
+    maxgeo(p, q, v), the largest over p-q geodesics of d(v, geodesic), comes
     from a max-min sweep of the geodesic dag from p.  If u lies on a p-q
     geodesic, so does every neighbour w of u with d(p, w) = d(p, u) - 1, so
     one sweep per source, in BFS order, best[u] = min(d[u], max of best[w])
-    gives maxgeo[p, q] = best[q] for all q.  The n^3 int32 maxgeo must fit
-    SLIM_BUDGET_BYTES (256 MiB, so n <= 406), else DomainError.  The
-    defect scan gathers n-element rows of maxgeo per ``_intervals`` entry.
+    gives maxgeo(p, q, v) = best[q][v] for all q.  The sweep writes a block
+    of sources as rows (p, q) over v, then transposes each source's slab in
+    place, so the array holds row (p, v) over q and the defect scan of
+    ``_intervals`` entry (x, y, v) reads the contiguous rows (x, v) and (y,
+    v).  The n^3 array takes the smallest signed int that holds the
+    diameter, int8 up to 127, else int16, and must fit SLIM_BUDGET_BYTES
+    (256 MiB: n <= 645 at int8, n <= 512 at int16), else DomainError, raised
+    before the distances are computed when not even int8 fits.
     """
     n = len(g)
-    if 4 * n**3 > SLIM_BUDGET_BYTES:
-        raise DomainError("delta_slim on %d vertices needs a %d-byte array, over "
-                          "the %d-byte budget" % (n, 4 * n**3, SLIM_BUDGET_BYTES))
+    _slim_budget(n, 1)
     d = g.distance_matrix()
+    cap = d.astype(np.int8 if d.max() <= 127 else np.int16)
+    _slim_budget(n, cap.itemsize)
     deep, up = np.nonzero(d == 1)  # arcs by (target, source)
-    maxgeo = np.zeros((n, n, n), dtype=np.int32)
+    maxgeo = np.empty((n, n, n), dtype=cap.dtype)
     rows = maxgeo.reshape(n * n, n)  # row p * n + u: best[u] of the sweep from p
-    rows[np.arange(n) * (n + 1)] = d
+    rows[np.arange(n) * (n + 1)] = cap
     step = max(1, _BLOCK // max(1, len(up)))
     chunk = max(1, _BLOCK // max(1, n))  # arcs of one gather
     for lo in range(0, n, step):
         # blocks of sources, one BFS level at a time: each arc w -> u one
         # level down from a source, as the rows it reads and writes, listed
-        # by (source, u) within a level
-        src = np.arange(lo, min(lo + step, n))
-        down = d[src[:, None], deep]
-        s, e = np.nonzero(d[src[:, None], up] + 1 == down)
-        order = np.argsort(down[s, e], kind="stable")
-        level = down[s, e][order]
-        to_row = (src[s] * n + deep[e])[order]
-        from_row = (src[s] * n + up[e])[order]
-        bounds = np.searchsorted(level, np.arange(1, level.max(initial=0) + 2))
-        for a, b in zip(bounds[:-1], bounds[1:]):
-            for c in range(a, b, chunk):
-                k = to_row[c : min(c + chunk, b)]
-                first = np.flatnonzero(np.r_[True, k[1:] != k[:-1]])
-                best = np.maximum.reduceat(rows[from_row[c : c + len(k)]], first)
-                # rows start at 0 and each is written at its level only, so
-                # the one row an earlier chunk may have written is the first
-                np.maximum(best[0], rows[k[0]], out=best[0])
-                tops = k[first]
-                rows[tops] = np.minimum(d[tops % n], best)
+        # by (source, u) within a level, so the arcs into one row are a run
+        down = d[lo : lo + step, deep]
+        s, e = np.nonzero(d[lo : lo + step, up] + 1 == down)
+        level = down[s, e]
+        order = np.argsort(level, kind="stable")
+        level = level[order]
+        s += lo
+        s *= n
+        to_row = (s + deep[e])[order]
+        from_row = (s + up[e])[order]
+        # runs of arcs into one row; a piece is the runs of one level whose
+        # first arcs lie in one stretch of chunk arcs from the level's start
+        # (a stretch number is at least its level's start and below the
+        # next level's), so no run is split and each piece is one gather
+        run = np.ones(len(to_row), dtype=bool)
+        run[1:] = to_row[1:] != to_row[:-1]
+        run = np.flatnonzero(run)
+        start = np.searchsorted(level, level[run])
+        stretch = start + (run - start) // chunk
+        cut = np.ones(len(run), dtype=bool)
+        cut[1:] = stretch[1:] != stretch[:-1]
+        cut = np.flatnonzero(cut)
+        groups, arcs = cut.tolist(), run[cut].tolist()
+        tops = to_row[run]
+        ends = tops % n
+        for ga, gb, a, b in zip(groups, groups[1:] + [len(run)], arcs, arcs[1:] + [len(to_row)]):
+            best = np.maximum.reduceat(rows[from_row[a:b]], run[ga:gb] - a)
+            rows[tops[ga:gb]] = np.minimum(cap[ends[ga:gb]], best, out=best)
+        blk = maxgeo[lo : lo + step]
+        blk[...] = blk.transpose(0, 2, 1)
 
-    # v's defect: the largest over z of the smaller bottleneck value
-    return max((int(np.minimum(maxgeo[x, :, v], maxgeo[y, :, v]).max())
+    # row x * n + v is now maxgeo(x, z, v) over z, and v's defect the
+    # largest over z of the smaller bottleneck value
+    return max((int(np.minimum(rows[x * n + v], rows[y * n + v]).max())
                 for x, y, v in _intervals(d, *np.triu_indices(n, 1), n)), default=0)
+
+
+def _slim_budget(n, itemsize):
+    """Refuse delta_slim's n^3 array at ``itemsize`` bytes an entry when it
+    is over SLIM_BUDGET_BYTES."""
+    if itemsize * n**3 > SLIM_BUDGET_BYTES:
+        raise DomainError("delta_slim on %d vertices needs a %d-byte array, over "
+                          "the %d-byte budget" % (n, itemsize * n**3, SLIM_BUDGET_BYTES))
 
 
 def _intervals(d, x, y, width):
@@ -405,7 +433,10 @@ def median_map(g):
     vertices of d[a] + d[b] + d[c] for a block of (a, b) rows and every c
     at once (each temporary about _BLOCK elements), and kept as nested
     lists of vertices (8 bytes per triple), so the returned map is a lookup
-    of about 0.2 us a call."""
+    of about 0.2 us a call.  The map also carries the int32 table itself,
+    ``phi.table[i, j, k]`` the index of the center of the triple of vertex
+    indices (i, j, k), with the vertex order it indexes,
+    ``phi.vertex_list``."""
     d = g.distance_matrix()
     n = len(g)
     table = np.empty((n * n, n), dtype=np.int32)
@@ -423,11 +454,13 @@ def median_map(g):
     def phi(a, b, c):
         return centers[vindex[a]][vindex[b]][vindex[c]]
 
+    phi.table, phi.vertex_list = table.reshape(n, n, n), g.vertex_list
     return phi
 
 
 def check_path_family(g, paths):
     """Validate that ``paths`` is an edge-path per ordered vertex pair."""
+    arcs = g.edges | {(v, u) for u, v in g.edges}
     for x in g.vertex_list:
         for y in g.vertex_list:
             p = paths.get((x, y))
@@ -435,11 +468,9 @@ def check_path_family(g, paths):
                 raise ValueError("path family has no entry for (%r, %r)" % (x, y))
             if p[0] != x or p[-1] != y:
                 raise ValueError("path for (%r, %r) has wrong endpoints" % (x, y))
-            for u, v in zip(p, p[1:]):
-                if (min(u, v), max(u, v)) not in g.edges:
-                    raise ValueError(
-                        "path for (%r, %r) uses a non-edge (%r, %r)" % (x, y, u, v)
-                    )
+            if not arcs.issuperset(zip(p, p[1:])):
+                u, v = next(step for step in zip(p, p[1:]) if step not in arcs)
+                raise ValueError("path for (%r, %r) uses a non-edge (%r, %r)" % (x, y, u, v))
 
 
 @dataclass
@@ -511,15 +542,48 @@ def _hausdorff_rows(d, p, q):
     return out
 
 
-def _randbelow(bits, m):
-    """A draw from range(m), m >= 1, off the stream of ``bits``, a bound
-    Random.getrandbits: m.bit_length() bits, drawn again while m or more.
-    Random.choice and Random.randrange(m) draw exactly so."""
-    k = m.bit_length()
-    r = bits(k)
-    while r >= m:
-        r = bits(k)
-    return r
+def _draw_tuples(bits, count, n, lens, pad, balls):
+    """``count`` sampled tuples (r, s, t, a, b) off the stream of ``bits``, a
+    bound Random.getrandbits: path row r = x * n + y, positions s <= t on
+    it, a in the ball balls[pad[r][s]] and b in balls[pad[r][t]].  Each draw
+    from range(m) takes m.bit_length() bits, drawn again while m or more,
+    as Random.randrange(m) and Random.choice draw, in the order x, y, s, t,
+    a, b.  Plain lists in, a list of tuples out."""
+    kn = n.bit_length()
+    out = []
+    for _ in range(count):
+        x = bits(kn)
+        while x >= n:
+            x = bits(kn)
+        y = bits(kn)
+        while y >= n:
+            y = bits(kn)
+        r = x * n + y
+        m = lens[r]
+        k = m.bit_length()
+        s = bits(k)
+        while s >= m:
+            s = bits(k)
+        t = bits(k)
+        while t >= m:
+            t = bits(k)
+        if s > t:
+            s, t = t, s
+        near = balls[pad[r][s]]
+        m = len(near)
+        k = m.bit_length()
+        a = bits(k)
+        while a >= m:
+            a = bits(k)
+        a = near[a]
+        near = balls[pad[r][t]]
+        m = len(near)
+        k = m.bit_length()
+        b = bits(k)
+        while b >= m:
+            b = bits(k)
+        out.append((r, s, t, a, near[b]))
+    return out
 
 
 def _segments(d, pad, r, s):
@@ -562,13 +626,15 @@ def check_thin_triangles(
     positions on the stored (x,y) path and a, b within b1 of the s/t
     points; when the full tuple count exceeds ``tuple_threshold`` a seeded
     subsample of ``sample_size`` tuples is measured instead, drawn as
-    Random(seed).choice and randrange would draw them.  The center map, a
-    callable or a mapping on ordered triples, is read once per triple in
-    loop order (KeyError at the first missing triple or center off the
-    graph), then must be cyclically symmetric (ValueError naming the first
-    asymmetric triple).  Each witness is the first tuple, in loop order (or
-    draw order), attaining its condition's value.  A negative b1, threshold
-    or sample size raises ValueError.
+    Random(seed).choice and randrange would draw them (``_draw_tuples``).
+    The center map, a callable or a mapping on ordered triples, is read once
+    per triple in loop order (KeyError at the first missing triple or center
+    off the graph), unless it carries the table of ``median_map`` for the
+    graph's vertex order, which is then read whole; the centers must be
+    cyclically symmetric (ValueError naming the first asymmetric triple).
+    Each witness is the first tuple, in loop order (or draw order),
+    attaining its condition's value.  A negative b1, threshold or sample
+    size raises ValueError.
 
     A path's profile is every vertex's distance to it; profiles and centers
     are n^3 int32 arrays.  Exhaustive checks enumerate the tuples of a block
@@ -601,9 +667,12 @@ def check_thin_triangles(
     k = int(np.argmax(vals))
     b2_h, wit_h = int(vals[k]), (vlist[xs[k]], vlist[ys[k]])
 
-    lookup = phi if callable(phi) else lambda a, b, c: phi[a, b, c]
-    centers = np.fromiter((g.vindex[lookup(a, b, c)] for a, b, c in product(vlist, repeat=3)),
-                          dtype=np.int32, count=n**3).reshape(n, n, n)
+    if getattr(phi, "vertex_list", None) == vlist:
+        centers = phi.table
+    else:
+        lookup = phi if callable(phi) else lambda a, b, c: phi[a, b, c]
+        centers = np.fromiter((g.vindex[lookup(a, b, c)] for a, b, c in product(vlist, repeat=3)),
+                              dtype=np.int32, count=n**3).reshape(n, n, n)
     a, b, c = np.arange(n)[:, None, None], np.arange(n)[:, None], np.arange(n)
     # a triple's rotations share its asymmetry, so the first is a least rotation
     bad = np.flatnonzero((centers != centers[b, c, a]) | (centers != centers[c, a, b]))
@@ -665,17 +734,8 @@ def check_thin_triangles(
         ball_lists = [ball.tolist() for ball in np.split(ball_flat, ball_start[1:])]
         pad_lists, len_list = pad.tolist(), lens.tolist()
         for lo in range(0, sample_size, chunk):
-            drawn = []
-            for _ in range(min(chunk, sample_size - lo)):
-                r = _randbelow(bits, n) * n + _randbelow(bits, n)
-                s = _randbelow(bits, len_list[r])
-                t = _randbelow(bits, len_list[r])
-                if s > t:
-                    s, t = t, s
-                near_s = ball_lists[pad_lists[r][s]]
-                near_t = ball_lists[pad_lists[r][t]]
-                drawn.append((r, s, t, near_s[_randbelow(bits, len(near_s))],
-                              near_t[_randbelow(bits, len(near_t))]))
+            drawn = _draw_tuples(bits, min(chunk, sample_size - lo), n, len_list, pad_lists,
+                                 ball_lists)
             r, s, t, a, b = np.array(drawn, dtype=np.intp).T
             part = pad[r[:, None], np.minimum(s[:, None] + np.arange(width), t[:, None])]
             record(_hausdorff_rows(d, pad[a * n + b], part), r, s, t, a, b)

@@ -312,6 +312,16 @@ def test_delta_slim_on_hexagon(tmp_path):
     assert report["vertices"] == 6
 
 
+def test_delta_slim_on_the_bundled_path_of_diameter_199(tmp_path):
+    # tests/data/p200.json, which CI also runs through the installed script:
+    # past diameter 127 the slim delta's array takes two bytes an entry
+    out = tmp_path / "delta.json"
+    rc = main(["delta", "--in", str(DATA / "p200.json"), "--method", "slim",
+               "--json", str(out), "--no-timings"])
+    assert rc == 0
+    assert (load(out)["delta"], load(out)["vertices"]) == (0, 200)
+
+
 def test_delta_four_point_matches_library(tmp_path):
     g = hyperbolicity.grid_graph(2, 3)
     infile = write_graph(tmp_path / "grid.json", g)
@@ -321,8 +331,10 @@ def test_delta_four_point_matches_library(tmp_path):
     assert load(out)["delta"] == hyperbolicity.delta_four_point(g)
 
 
-def test_delta_slim_over_memory_budget_exits_one(tmp_path):
-    infile = write_graph(tmp_path / "p407.json", hyperbolicity.path_graph(407))
+def test_delta_slim_over_memory_budget_exits_one(tmp_path, monkeypatch):
+    # 646^3 bytes is over the budget, so no distance is computed
+    monkeypatch.setattr(hyperbolicity, "apsp", None)
+    infile = write_graph(tmp_path / "p646.json", hyperbolicity.path_graph(646))
     rc = main(["delta", "--in", infile, "--method", "slim",
                "--json", str(tmp_path / "d.json"), "--no-timings"])
     assert rc == 1

@@ -1,6 +1,7 @@
 """Tests for the finite-graph toolkit: distances, delta constants,
 quasiconvexity, coning, and the thin-triangles checker."""
 
+import inspect
 import json
 import random
 from itertools import combinations
@@ -375,6 +376,34 @@ def test_check_path_family_messages():
         check_path_family(g, jumping)
 
 
+def test_thin_check_refuses_a_family_with_a_non_edge_naming_its_first():
+    # steps go either way along an edge; the first step off the edges is named
+    g = path_graph(4)
+    fam = geodesic_family(g)
+    fam[0, 3] = (0, 1, 3, 2, 3)
+    with pytest.raises(ValueError, match=r"path for \(0, 3\) uses a non-edge \(1, 3\)"):
+        check_thin_triangles(g, fam, median_map(g), 1)
+    fam[0, 3] = (0, 1, 2, 1, 2, 3)
+    assert check_thin_triangles(g, fam, median_map(g), 1).b2_hausdorff == 0
+
+
+def test_thin_check_defaults_sample_20000_draws_at_seed_0_past_a_million_tuples():
+    defaults = inspect.signature(check_thin_triangles).parameters
+    assert [defaults[k].default for k in ("tuple_threshold", "sample_size", "seed")] == [
+        1_000_000, 20_000, 0]
+    t = random_tree(100, 5)
+    fam, phi = geodesic_family(t), median_map(t)
+    report = check_thin_triangles(t, fam, phi, 2)
+    assert (report.mode, report.tuples_checked, report.tuples_total) == (
+        "sampled", 20_000, 47_984_674)
+    assert report == check_thin_triangles(t, fam, phi, 2, 1_000_000, 20_000, 0)
+    # a count equal to the threshold is still checked exhaustively
+    g = grid_graph(3, 3)
+    total = check_thin_triangles(g, geodesic_family(g), median_map(g), 1).tuples_total
+    exact = check_thin_triangles(g, geodesic_family(g), median_map(g), 1, total, 1)
+    assert (exact.mode, exact.tuples_checked) == ("exhaustive", total)
+
+
 def test_median_map_is_cyclic_and_central():
     t = random_tree(10, 3)
     phi = median_map(t)
@@ -467,6 +496,27 @@ def test_center_map_reads_every_triple_before_checking_symmetry():
     assert err.value.args == ("outside",)
 
 
+def test_median_map_table_is_read_only_in_its_own_vertex_order():
+    t = random_tree(7, 3)
+    fam = geodesic_family(t)
+    median = median_map(t)
+    vs = t.vertex_list
+    assert median.vertex_list == vs and median.table.shape == (7, 7, 7)
+    assert all(vs[median.table[i, j, k]] == median(vs[i], vs[j], vs[k])
+               for i in range(7) for j in range(7) for k in range(7))
+
+    def calls(a, b, c):
+        return median(a, b, c)
+
+    assert check_thin_triangles(t, fam, median, 2) == check_thin_triangles(t, fam, calls, 2)
+    # on vertices named otherwise the map is called per triple, as any map
+    shifted = FiniteGraph([v + 10 for v in vs], [(u + 10, v + 10) for u, v in t.edges])
+    moved = {(x + 10, y + 10): tuple(v + 10 for v in p) for (x, y), p in fam.items()}
+    with pytest.raises(KeyError) as err:
+        check_thin_triangles(shifted, moved, median, 2)
+    assert err.value.args == (10,)
+
+
 def test_condition2_uses_ordered_subsegments():
     t = path_graph(5)
     fam = geodesic_family(t)
@@ -532,17 +582,39 @@ def test_sample_fb_ball_agrees_with_scan_oracle():
 
 
 def test_delta_slim_refuses_arrays_over_budget():
-    assert 4 * 406**3 <= SLIM_BUDGET_BYTES < 4 * 407**3
-    with pytest.raises(DomainError, match="budget"):
-        delta_slim(path_graph(407))
+    # one byte per entry caps any graph at 645 vertices, refused before apsp;
+    # int16, for diameters past 127, caps paths at exactly 512 vertices
+    assert 645**3 <= SLIM_BUDGET_BYTES < 646**3
+    assert 2 * 512**3 == SLIM_BUDGET_BYTES
+    with pytest.raises(DomainError, match="646 vertices needs a 269586136-byte array"):
+        delta_slim(FiniteGraph(range(646), [], check=False))
+    with pytest.raises(DomainError, match="513 vertices needs a 270011394-byte array"):
+        delta_slim(path_graph(513))
 
 
 def test_delta_slim_budget_admits_exactly_its_bytes(monkeypatch):
-    # the n^3 int32 array of 12 vertices fills the budget to the byte
-    monkeypatch.setattr(hyperbolicity, "SLIM_BUDGET_BYTES", 4 * 12**3)
+    # the n^3 array fills the budget to the byte: at int8 for 12 vertices
+    # and for a path of diameter 127, at int16 for one of diameter 129; a
+    # path of diameter 128 already needs int16
+    monkeypatch.setattr(hyperbolicity, "SLIM_BUDGET_BYTES", 12**3)
     assert delta_slim(path_graph(12)) == 0
-    with pytest.raises(DomainError, match="13 vertices needs a 8788-byte array"):
+    with pytest.raises(DomainError, match="13 vertices needs a 2197-byte array"):
         delta_slim(path_graph(13))
+    monkeypatch.setattr(hyperbolicity, "SLIM_BUDGET_BYTES", 128**3)
+    assert delta_slim(path_graph(128)) == 0
+    monkeypatch.setattr(hyperbolicity, "SLIM_BUDGET_BYTES", 2 * 129**3 - 1)
+    with pytest.raises(DomainError, match="129 vertices needs a 4293378-byte array"):
+        delta_slim(path_graph(129))
+    monkeypatch.setattr(hyperbolicity, "SLIM_BUDGET_BYTES", 2 * 130**3)
+    assert delta_slim(path_graph(130)) == 0
+    with pytest.raises(DomainError, match="131 vertices needs a 4496182-byte array"):
+        delta_slim(path_graph(131))
+
+
+def test_slim_past_the_int8_range_on_paths_and_cycles():
+    # diameters 199 and 150 take int16; C_4k has slim delta k
+    assert delta_slim(path_graph(200)) == 0
+    assert delta_slim(cycle_graph(300)) == 75
 
 
 def test_slim_sweep_runs_from_the_first_vertex():
