@@ -37,7 +37,7 @@ from .agraph import bfs
 from .errors import DomainError
 
 SLIM_BUDGET_BYTES = 256 * 2**20  # for delta_slim's n^3 int8 or int16 array
-_BLOCK = 1 << 15  # elements of one temporary in the blocked scans (128 KiB of int32)
+_BLOCK = 1 << 15  # int32 elements (128 KiB) of one temporary in the blocked scans
 
 
 def vertex_name(v):
@@ -281,14 +281,20 @@ def delta_slim(g):
     from a max-min sweep of the geodesic dag from p.  If u lies on a p-q
     geodesic, so does every neighbour w of u with d(p, w) = d(p, u) - 1, so
     one sweep per source, in BFS order, best[u] = min(d[u], max of best[w])
-    gives maxgeo(p, q, v) = best[q][v] for all q.  The sweep writes a block
-    of sources as rows (p, q) over v, then transposes each source's slab in
+    gives maxgeo(p, q, v) = best[q][v] for all q.  Within a level the arcs
+    into one row (p, u) form a run: a run of one arc, every run on a tree,
+    copies its arc's row, and only runs of two or more arcs take a maximum,
+    one reduceat per piece of the level.  The sweep writes a block of
+    sources as rows (p, q) over v, then transposes each source's slab in
     place, so the array holds row (p, v) over q and the defect scan of
     ``_intervals`` entry (x, y, v) reads the contiguous rows (x, v) and (y,
     v).  The n^3 array takes the smallest signed int that holds the
     diameter, int8 up to 127, else int16, and must fit SLIM_BUDGET_BYTES
     (256 MiB: n <= 645 at int8, n <= 512 at int16), else DomainError, raised
-    before the distances are computed when not even int8 fits.
+    before the distances are computed when not even int8 fits.  The sweep's
+    pieces and the scan's blocks of entries are sized in bytes, about
+    _BLOCK int32 elements' worth of rows (128 KiB), so they hold twice as
+    many int8 rows as int16 ones.
     """
     n = len(g)
     _slim_budget(n, 1)
@@ -300,7 +306,8 @@ def delta_slim(g):
     rows = maxgeo.reshape(n * n, n)  # row p * n + u: best[u] of the sweep from p
     rows[np.arange(n) * (n + 1)] = cap
     step = max(1, _BLOCK // max(1, len(up)))
-    chunk = max(1, _BLOCK // max(1, n))  # arcs of one gather
+    width = max(1, n * cap.itemsize // 4)  # a row's bytes, in int32 elements
+    chunk = max(1, _BLOCK // width)  # arcs of one piece
     for lo in range(0, n, step):
         # blocks of sources, one BFS level at a time: each arc w -> u one
         # level down from a source, as the rows it reads and writes, listed
@@ -317,28 +324,47 @@ def delta_slim(g):
         # runs of arcs into one row; a piece is the runs of one level whose
         # first arcs lie in one stretch of chunk arcs from the level's start
         # (a stretch number is at least its level's start and below the
-        # next level's), so no run is split and each piece is one gather
-        run = np.ones(len(to_row), dtype=bool)
-        run[1:] = to_row[1:] != to_row[:-1]
-        run = np.flatnonzero(run)
+        # next level's), so no run is split
+        run = np.ones(len(to_row) + 1, dtype=bool)
+        run[1:-1] = to_row[1:] != to_row[:-1]
+        run = np.flatnonzero(run)  # the runs' first arcs, then len(to_row)
+        size = run[1:] - run[:-1]
+        run = run[:-1]
         start = np.searchsorted(level, level[run])
         stretch = start + (run - start) // chunk
         cut = np.ones(len(run), dtype=bool)
         cut[1:] = stretch[1:] != stretch[:-1]
-        cut = np.flatnonzero(cut)
-        groups, arcs = cut.tolist(), run[cut].tolist()
         tops = to_row[run]
         ends = tops % n
-        for ga, gb, a, b in zip(groups, groups[1:] + [len(run)], arcs, arcs[1:] + [len(to_row)]):
-            best = np.maximum.reduceat(rows[from_row[a:b]], run[ga:gb] - a)
-            rows[tops[ga:gb]] = np.minimum(cap[ends[ga:gb]], best, out=best)
+        firsts = from_row[run]
+        # a run of one arc is its first arc's row, one take per piece; only
+        # the wide runs, of two or more arcs, go through reduceat, over their
+        # arcs listed apart (wide[i] a wide run's number, its arcs
+        # wide_from[at[i] : at[i + 1]]), and pieces without one skip it
+        wide = np.flatnonzero(size > 1)
+        at = np.zeros(len(wide) + 1, dtype=np.intp)
+        np.cumsum(size[wide], out=at[1:])
+        wide_from = from_row[np.repeat(size > 1, size)]
+        groups = np.flatnonzero(cut).tolist() + [len(run)]
+        spans = np.searchsorted(wide, groups).tolist()
+        for ga, gb, wa, wb in zip(groups, groups[1:], spans, spans[1:]):
+            best = rows.take(firsts[ga:gb], axis=0)
+            if wa < wb:
+                bounds = at[wa : wb + 1]
+                best[wide[wa:wb] - ga] = np.maximum.reduceat(
+                    rows.take(wide_from[bounds[0] : bounds[-1]], axis=0), bounds[:-1] - bounds[0])
+            rows[tops[ga:gb]] = np.minimum(cap.take(ends[ga:gb], axis=0), best, out=best)
         blk = maxgeo[lo : lo + step]
         blk[...] = blk.transpose(0, 2, 1)
 
     # row x * n + v is now maxgeo(x, z, v) over z, and v's defect the
     # largest over z of the smaller bottleneck value
-    return max((int(np.minimum(rows[x * n + v], rows[y * n + v]).max())
-                for x, y, v in _intervals(d, *np.triu_indices(n, 1), n)), default=0)
+    ids = np.arange(n)
+    delta = 0
+    for x, y, v in _intervals(d, *np.nonzero(ids[:, None] < ids), width):
+        side = rows.take(x * n + v, axis=0)
+        delta = max(delta, int(np.minimum(side, rows.take(y * n + v, axis=0), out=side).max()))
+    return delta
 
 
 def _slim_budget(n, itemsize):
@@ -357,7 +383,7 @@ def _intervals(d, x, y, width):
     entries = max(1, _BLOCK // width)
     for lo in range(0, len(x), pairs):
         bx, by = x[lo : lo + pairs], y[lo : lo + pairs]
-        k, v = np.nonzero(d[bx] + d[by] == d[bx, by][:, None])
+        k, v = np.nonzero(d.take(bx, axis=0) + d.take(by, axis=0) == d[bx, by][:, None])
         for e in range(0, len(k), entries):
             part = slice(e, e + entries)
             yield bx[k[part]], by[k[part]], v[part]
@@ -404,7 +430,11 @@ def _path_indices(g, p):
 
 
 def hausdorff_distance(p, q, g):
-    """Hausdorff distance between the vertex sets of two paths."""
+    """Hausdorff distance between the vertex sets of two paths, neither of
+    them empty."""
+    for name, path in (("first", p), ("second", q)):
+        if len(path) == 0:
+            raise ValueError("the %s path is empty" % name)
     rows = [np.array([_path_indices(g, path)], dtype=np.intp) for path in (p, q)]
     return int(_hausdorff_rows(g.distance_matrix(), *rows)[0])
 
@@ -443,7 +473,7 @@ def median_map(g):
     step = max(1, _BLOCK // max(1, n * n))
     for lo in range(0, n * n, step):
         rows = np.arange(lo, min(lo + step, n * n))
-        pair = d[rows // n] + d[rows % n]
+        pair = d.take(rows // n, axis=0) + d.take(rows % n, axis=0)
         table[rows] = (pair[:, None, :] + d).argmin(axis=2)
     verts = np.empty(n, dtype=object)
     for i, v in enumerate(g.vertex_list):
@@ -466,6 +496,8 @@ def check_path_family(g, paths):
             p = paths.get((x, y))
             if p is None:
                 raise ValueError("path family has no entry for (%r, %r)" % (x, y))
+            if len(p) == 0:
+                raise ValueError("path for (%r, %r) is empty" % (x, y))
             if p[0] != x or p[-1] != y:
                 raise ValueError("path for (%r, %r) has wrong endpoints" % (x, y))
             if not arcs.issuperset(zip(p, p[1:])):
@@ -515,7 +547,9 @@ class ThinReport:
 
 def condition2_value(g, paths, x, y, s, t, a, b):
     """Hausdorff distance between the stored (a,b) path and the [s,t]
-    subsegment of the stored (x,y) path."""
+    subsegment of the stored (x,y) path, which must not be empty."""
+    if len(paths[x, y][s : t + 1]) == 0:
+        raise ValueError("subsegment [%r, %r] of the path for (%r, %r) is empty" % (s, t, x, y))
     return hausdorff_distance(paths[a, b], paths[x, y][s : t + 1], g)
 
 
@@ -536,7 +570,7 @@ def _hausdorff_rows(d, p, q):
     out = np.empty(len(p), dtype=d.dtype)
     step = max(1, _BLOCK // max(1, p.shape[1] * q.shape[1]))
     for lo in range(0, len(p), step):
-        sub = d[p[lo : lo + step, :, None], q[lo : lo + step, None, :]]
+        sub = d.take(p[lo : lo + step, :, None] * d.shape[1] + q[lo : lo + step, None, :])
         out[lo : lo + step] = np.maximum(sub.min(axis=2).max(axis=1),
                                          sub.min(axis=1).max(axis=1))
     return out
@@ -594,8 +628,8 @@ def _segments(d, pad, r, s):
     seg[c * n + u], flat, is u's distance to the subpath, one running
     minimum per pair."""
     width = pad.shape[1]
-    walk = pad[r[:, None], np.minimum(s[:, None] + np.arange(width), width - 1)]
-    seg = d[walk]
+    walk = pad.take(r[:, None] * width + np.minimum(s[:, None] + np.arange(width), width - 1))
+    seg = d.take(walk, axis=0)
     np.minimum.accumulate(seg, axis=1, out=seg)
     steps = np.arange(width)
     sub = walk[:, np.minimum(steps, steps[:, None])].reshape(-1, width)
@@ -609,10 +643,10 @@ def _subsegment_values(prof, pad_t, sub, seg, c, ab):
     vertex of the subpath from path ab (the ab profile at the subpath).
     Each is one gather of W entries per q, laid out W by q so that the
     maxima run along rows."""
-    at = pad_t[:, ab]
+    at = pad_t.take(ab, axis=1)
     at += c * prof.shape[1]
     to_sub = seg.take(at).max(axis=0)
-    at = sub[:, c]
+    at = sub.take(c, axis=1)
     at += ab * prof.shape[1]
     return np.maximum(to_sub, prof.take(at).max(axis=0))
 
@@ -658,12 +692,13 @@ def check_thin_triangles(
     n = len(vlist)
     pad, lens = _padded_paths(g, paths)
     width = pad.shape[1]
-    prof = d[pad[:, 0]]
+    prof = d.take(pad[:, 0], axis=0)
     for col in range(1, width):
-        np.minimum(prof, d[pad[:, col]], out=prof)
+        np.minimum(prof, d.take(pad[:, col], axis=0), out=prof)
 
-    xs, ys = np.triu_indices(n)
-    vals = _hausdorff_rows(d, pad[xs * n + ys], pad[ys * n + xs])
+    ids = np.arange(n)
+    xs, ys = np.nonzero(ids[:, None] <= ids)
+    vals = _hausdorff_rows(d, pad.take(xs * n + ys, axis=0), pad.take(ys * n + xs, axis=0))
     k = int(np.argmax(vals))
     b2_h, wit_h = int(vals[k]), (vlist[xs[k]], vlist[ys[k]])
 
@@ -673,7 +708,7 @@ def check_thin_triangles(
         lookup = phi if callable(phi) else lambda a, b, c: phi[a, b, c]
         centers = np.fromiter((g.vindex[lookup(a, b, c)] for a, b, c in product(vlist, repeat=3)),
                               dtype=np.int32, count=n**3).reshape(n, n, n)
-    a, b, c = np.arange(n)[:, None, None], np.arange(n)[:, None], np.arange(n)
+    a, b, c = ids[:, None, None], ids[:, None], ids
     # a triple's rotations share its asymmetry, so the first is a least rotation
     bad = np.flatnonzero((centers != centers[b, c, a]) | (centers != centers[c, a, b]))
     if len(bad):
@@ -737,8 +772,9 @@ def check_thin_triangles(
             drawn = _draw_tuples(bits, min(chunk, sample_size - lo), n, len_list, pad_lists,
                                  ball_lists)
             r, s, t, a, b = np.array(drawn, dtype=np.intp).T
-            part = pad[r[:, None], np.minimum(s[:, None] + np.arange(width), t[:, None])]
-            record(_hausdorff_rows(d, pad[a * n + b], part), r, s, t, a, b)
+            part = pad.take(r[:, None] * width
+                            + np.minimum(s[:, None] + np.arange(width), t[:, None]))
+            record(_hausdorff_rows(d, pad.take(a * n + b, axis=0), part), r, s, t, a, b)
 
     return ThinReport(
         b1=b1, b2_hausdorff=b2_h, b2_subsegment=b2_s, b2_center=b2_c,

@@ -447,6 +447,18 @@ def test_thin_check_refuses_true_as_a_vertex_name(tmp_path, capsys, where):
     assert not out.exists()
 
 
+def test_thin_check_refuses_an_empty_path(tmp_path, capsys):
+    entries = json.loads((DATA / "c6-paths.json").read_text())
+    entries = [{**e, "path": []} if (e["from"], e["to"]) == (0, 1) else e for e in entries]
+    (tmp_path / "paths.json").write_text(json.dumps(entries))
+    out = tmp_path / "thin.json"
+    rc = main(["thin-check", "--in", str(DATA / "c6.json"), "--paths", str(tmp_path / "paths.json"),
+               "--phi", "median", "--b1", "1", "--json", str(out)])
+    error = json.loads(capsys.readouterr().err)["error"]
+    assert (rc, error["type"], error["message"]) == (2, "ValueError", "path for (0, 1) is empty")
+    assert not out.exists()
+
+
 # -- experiment ---------------------------------------------------------------
 
 

@@ -183,12 +183,51 @@ def test_slim_sweep_keeps_the_arcs_of_a_row_split_across_chunks(monkeypatch):
         assert delta_slim(g) == brute_slim_delta(g) == value
 
 
+def _arcs_into_rows(d):
+    """into[p, u]: the arcs w -> u of the geodesic dag from p, the arcs the
+    slim sweep reduces into row (p, u)."""
+    return ((d[:, :, None] == d[:, None, :] + 1) & (d == 1)).sum(axis=2)
+
+
+def test_slim_sweep_mixes_one_arc_and_wide_runs_in_a_piece(monkeypatch):
+    # a run of one arc is read by take alone, a wider one through reduceat;
+    # an even cycle's antipode has two arcs into it and every other vertex
+    # one, and on the fan, the coned grids and the ball some level of one
+    # source has rows of both kinds, which one piece holds once the chunk
+    # spans the level.  The fan is three squares around vertex 6, each
+    # sharing an edge with the next: its slim delta is 2, and the sweep
+    # reads 1 if a row takes only its first arc
+    fan = FiniteGraph(range(8), [(0, 1), (0, 2), (1, 5), (1, 6), (2, 6), (3, 5), (3, 6), (3, 7),
+                                 (4, 6), (4, 7)])
+    assert brute_slim_delta(fan) == 2
+    center = FBVertex(((1,), (2,), (3,)))
+    mixed = [fan, cone_off(grid_graph(3, 4), [[0, 7]]),
+             cone_off(grid_graph(4, 4), [[1, 14], [3, 12]]),
+             sample_fb_ball(center, range(2, 4), 10)[0]]
+    for g in mixed:
+        d = g.distance_matrix()
+        into = _arcs_into_rows(d)
+        assert any(into[p][d[p] == level].min() == 1 < into[p][d[p] == level].max()
+                   for p in range(len(g)) for level in range(1, d[p].max() + 1))
+    for block in (1, 5, 40, 300):
+        monkeypatch.setattr(hyperbolicity, "_BLOCK", block)
+        for g in [cycle_graph(8), cycle_graph(12), cycle_graph(14)] + mixed:
+            assert delta_slim(g) == brute_slim_delta(g)
+
+
 def test_deltas_on_a_ball_at_the_production_block(monkeypatch):
-    # 243 vertices: a slim sweep chunk is 134 arcs at the default block, so
-    # each level's arcs span many chunks; at 2^20 no level splits
+    # 243 vertices at one byte an entry: a slim sweep chunk is 546 arcs at
+    # the default block (2^17 bytes of 243-byte rows), and every source's
+    # widest level is wider, most of them four chunks or more, so levels
+    # span many chunks; at 2^20 no level splits
     g, _ = sample_fb_ball(FBVertex(((1,), (2,), (3,))), range(64), 10)
     assert (len(g), len(g.edges)) == (243, 13069)
-    assert hyperbolicity._BLOCK // len(g) == 134
+    chunk = hyperbolicity._BLOCK // (len(g) // 4)
+    assert chunk == 546
+    d = g.distance_matrix()
+    into = _arcs_into_rows(d)
+    widest = [np.bincount(d[p], weights=into[p]).max() for p in range(len(g))]
+    assert min(widest) > chunk and np.median(widest) > 4 * chunk
     values = (delta_slim(g), delta_four_point(g))
     monkeypatch.setattr(hyperbolicity, "_BLOCK", 1 << 20)
     assert (delta_slim(g), delta_four_point(g)) == values == (2, 1.0)
@@ -349,6 +388,17 @@ def test_hausdorff_distance_agrees_with_ix_oracle(monkeypatch):
         assert hausdorff_distance(p, q, g) == want == hausdorff_distance(q, p, g)
         values.add(want)
     assert set(range(5)) <= values
+
+
+def test_hausdorff_distance_refuses_an_empty_path():
+    g = path_graph(4)
+    for p, q, which in (((), (0, 1), "first"), ((2, 3), [], "second")):
+        with pytest.raises(ValueError, match="the %s path is empty" % which):
+            hausdorff_distance(p, q, g)
+    fam = geodesic_family(g)
+    assert condition2_value(g, fam, 0, 3, 2, 2, 0, 1) == 2
+    with pytest.raises(ValueError, match=r"subsegment \[3, 2\] of the path for \(0, 3\) is empty"):
+        condition2_value(g, fam, 0, 3, 3, 2, 0, 1)
 
 
 def test_geodesic_family_is_valid_and_geodesic():
