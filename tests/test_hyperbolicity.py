@@ -416,6 +416,10 @@ def test_check_path_family_messages():
     del incomplete[0, 2]
     with pytest.raises(ValueError, match="no entry"):
         check_path_family(g, incomplete)
+    empty = dict(fam)
+    empty[0, 2] = ()
+    with pytest.raises(ValueError, match=r"path for \(0, 2\) is empty"):
+        check_path_family(g, empty)
     wrong = dict(fam)
     wrong[0, 2] = (0, 1)
     with pytest.raises(ValueError, match="wrong endpoints"):
