@@ -1,8 +1,9 @@
 """Finite graphs with oriented edges labeled by free-group letters.
 
-An edge is an oriented object with an involution partner carrying the
-inverse label, so each topological edge is stored twice.  Vertices are
-integers; an optional base vertex marks graphs that present a subgroup.
+An edge is a flat record (inv, src, dst, label) with an involution partner
+carrying the inverse label, so each topological edge is stored twice; a
+graph builds ``Edge`` objects only when read, and is immutable.  Vertices
+are integers; an optional base vertex marks graphs that present a subgroup.
 
 A graph is *folded* when no vertex has two distinct outgoing edges with the
 same label; folded graphs immerse into the rose.
@@ -51,27 +52,39 @@ def bfs(roots, step, reached=None):
 
 
 class _Graph:
-    """Vertices, edges by id, and each vertex's outgoing edges in id order:
-    the involution graph that letter- and word-labeled graphs share.  An edge
-    is a record (id, inv, src, dst, label), its partner ``inv`` another edge
-    from dst back to src with the inverse label.  Subclasses say what a label
-    is and add shape rules.  All are checked at construction, unless the
-    library built the graph from checked input (``check=False``).
-    """
+    """The involution graph that letter- and word-labeled graphs share.  Its
+    store is one record per edge, id -> (inv, src, dst, label), the partner
+    ``inv`` an edge from dst back to src with the inverse label; ``edges``
+    (id -> edge object) and the out-edges in id order are views built on
+    first read (from edge objects given, the records are).  No code writes
+    to a graph, so it is immutable and the views never go stale.  Subclasses
+    say what a label is and add shape rules.  All are checked at
+    construction, unless the library built the graph from checked input
+    (``check=False``)."""
 
-    __slots__ = ("vertices", "edges", "_out")
+    __slots__ = ("vertices", "_records", "_edges", "_out")
 
     def __init__(self, vertices, edges, check=True):
         self.vertices = frozenset(vertices)
-        self.edges = dict(edges) if isinstance(edges, dict) else {e.id: e for e in edges}
-        problems = check and self._edge_problems()  # first: out-edge lists need the ends
-        if not problems:
-            self._out = {v: [] for v in self.vertices}
-            for e in sorted(self.edges.values(), key=itemgetter(0)):
-                self._out[e.src].append(e)
-            problems = check and self._shape_problems()
+        self._edges = dict(edges) if isinstance(edges, dict) else {e.id: e for e in edges}
+        self._records = self._out = None
+        problems = check and self.validate()
         if problems:
             raise ValueError("invalid %s: %s" % (self._kind, "; ".join(problems)))
+
+    def records(self):
+        """The store: edge id -> (inv, src, dst, label).  Read only."""
+        if self._records is None:
+            self._records = {e.id: e[1:] for e in self._edges.values()}
+        return self._records
+
+    @property
+    def edges(self):
+        """Edge id -> edge record object (``Edge``, ``MarkingEdge``)."""
+        if self._edges is None:
+            make = self._edge
+            self._edges = {x: make(x, *rec) for x, rec in self._records.items()}
+        return self._edges
 
     def validate(self):
         """All invariant violations as strings; shape rules once the edges hold."""
@@ -99,10 +112,14 @@ class _Graph:
         return problems
 
     def out_edges(self, v):
+        if self._out is None:
+            self._out = {v: [] for v in self.vertices}
+            for e in sorted(self.edges.values(), key=itemgetter(0)):
+                self._out[e.src].append(e)
         return self._out[v]
 
     def degree(self, v):
-        return len(self._out[v])
+        return len(self.out_edges(v))
 
     def topological_edges(self):
         """One id pair (e, e.inv) per topological edge, e the lower id."""
@@ -146,7 +163,7 @@ class AGraph(_Graph):
     Edge, each label a letter within ``rank``; the graph is nonempty and
     connected, and the base, when given, is a vertex."""
 
-    __slots__ = ("base", "rank")
+    __slots__ = ("base", "rank", "_step")
     _kind, _label_key, _edge = "graph", "label", Edge
     _inverse = staticmethod(neg)
     _show_label = staticmethod(letter_str)
@@ -156,6 +173,16 @@ class AGraph(_Graph):
         self.rank = rank
         super().__init__(vertices, edges, check)
 
+    @classmethod
+    def _of(cls, vertices, records, base=None, rank=DEFAULT_RANK):
+        """The unchecked graph that stores a tuple copy of the records
+        (lists or tuples): the library's graphs from checked input."""
+        g = cls.__new__(cls)
+        g.vertices, g.base, g.rank = frozenset(vertices), base, rank
+        g._records = dict(zip(records, map(tuple, records.values())))
+        g._edges = g._out = None
+        return g
+
     def _label_ok(self, label):
         return 0 < abs(label) <= self.rank
 
@@ -164,11 +191,11 @@ class AGraph(_Graph):
             return ["graph has no vertices"]
         if self.base is not None and self.base not in self.vertices:
             return ["base %r is not a vertex" % (self.base,)]
-        reached = bfs([min(self.vertices)], lambda v: [(e, e.dst) for e in self._out[v]])
+        reached = bfs([min(self.vertices)], lambda v: [(e, e.dst) for e in self.out_edges(v)])
         return [] if reached.keys() == self.vertices else ["graph is not connected"]
 
     def with_base(self, base):
-        return AGraph(self.vertices, self.edges, base=base, rank=self.rank, check=False)
+        return AGraph._of(self.vertices, self.records(), base=base, rank=self.rank)
 
     def to_json_dict(self):
         data = super().to_json_dict()
@@ -201,18 +228,14 @@ class AGraph(_Graph):
 
 def rose(rank=DEFAULT_RANK):
     """Wedge of ``rank`` loops at vertex 0, loop i labeled x_i."""
-    edges = {}
-    for i in range(1, rank + 1):
-        a, b = 2 * (i - 1), 2 * (i - 1) + 1
-        edges[a] = Edge(a, b, 0, 0, i)
-        edges[b] = Edge(b, a, 0, 0, -i)
-    return AGraph([0], edges, base=0, rank=rank, check=False)
+    _, records = _subdivide([(0, 0, (i,)) for i in range(1, rank + 1)], 1)
+    return AGraph._of([0], records, base=0, rank=rank)
 
 
 def is_rose(g):
     """Is g the rose of its rank?  A folded graph with one vertex and
     2·rank edges carries every letter once there, so it is."""
-    return len(g.vertices) == 1 and len(g.edges) == 2 * g.rank and is_folded(g)
+    return len(g.vertices) == 1 and len(g.records()) == 2 * g.rank and is_folded(g)
 
 
 def core(g):
@@ -244,9 +267,11 @@ def is_folded(g):
 
 
 def _records(g):
-    """g's edges as records id -> (inv, src, dst, label), and its out-edge ids."""
-    return ({e.id: e[1:] for e in g.edges.values()},
-            {v: [e.id for e in es] for v, es in g._out.items()})
+    """g's records id -> (inv, src, dst, label), and its out-edge ids."""
+    edge, out = g.records(), {v: [] for v in g.vertices}
+    for x, rec in edge.items():
+        out[rec[1]].append(x)
+    return edge, out
 
 
 def _label_tree(edge, out, root):
@@ -318,18 +343,18 @@ def _tree_basis(edge, out, base, rank):
 
 def _subdivide(chains, next_v):
     """Spell each ``(src, dst, word)`` chain one letter per edge pair, through
-    new interior vertices numbered on from ``next_v``; edge ids run from 0 in
-    chain order.  Returns ``(vertex count, edges)``."""
-    edges = {}
+    new interior vertices numbered on from ``next_v``: the k-th letter in
+    chain order is edge 2k, its inverse 2k + 1.  Returns ``(vertex count,
+    records)``, the records id -> [inv, src, dst, label] in id order, as the
+    lists that the fold engine folds in place."""
+    edge = {}
     for src, dst, word in chains:
-        inner = range(next_v, next_v + len(word) - 1)
-        next_v += len(inner)
-        stops = [src, *inner, dst]
-        for k, letter in enumerate(word):
-            a = len(edges)
-            edges[a] = Edge(a, a + 1, stops[k], stops[k + 1], letter)
-            edges[a + 1] = Edge(a + 1, a, stops[k + 1], stops[k], -letter)
-    return next_v, edges
+        stops = [src, *range(next_v, next_v + len(word) - 1), dst]
+        next_v += len(word) - 1
+        for a, b, letter in zip(stops, stops[1:], word):
+            x = len(edge)
+            edge[x], edge[x + 1] = [x + 1, a, b, letter], [x, b, a, -letter]
+    return next_v, edge
 
 
 class MarkingEdge(NamedTuple):
@@ -361,9 +386,9 @@ class MarkingGraph(_Graph):
         AGraph at the least rank that holds its letters."""
         vmap = {v: i for i, v in enumerate(sorted(self.vertices))}
         tops = [self.edges[eid] for eid, _ in sorted(self.topological_edges())]
-        n, edges = _subdivide([(vmap[e.src], vmap[e.dst], e.word) for e in tops], len(vmap))
-        least = max([DEFAULT_RANK] + [abs(e.label) for e in edges.values()])
-        return AGraph(range(n), edges, rank=least, check=False)
+        n, records = _subdivide([(vmap[e.src], vmap[e.dst], e.word) for e in tops], len(vmap))
+        least = max([DEFAULT_RANK] + [abs(rec[3]) for rec in records.values()])
+        return AGraph._of(range(n), records, rank=least)
 
     @classmethod
     def from_json_dict(cls, data, rank=None):
@@ -446,36 +471,40 @@ def canonical_code(g, base=None):
 
 
 def _step_table(g):
-    """The label -> {src: dst} table, or None when g is not folded (two
-    out-edges share a label at one vertex, so the table is short)."""
-    step = {}
-    for _, _, src, dst, label in g.edges.values():
-        step.setdefault(label, {})[src] = dst
-    return step if sum(map(len, step.values())) == len(g.edges) else None
+    """The letter -> {src: dst} table over g's rank, or None when g is not
+    folded (two out-edges share a label at one vertex, so the table is
+    short).  Built from the records once per graph and kept, None included."""
+    if not hasattr(g, "_step"):
+        step, edge = {x: {} for i in range(1, g.rank + 1) for x in (i, -i)}, g.records()
+        for _, src, dst, label in edge.values():
+            step[label][src] = dst
+        g._step = step if sum(map(len, step.values())) == len(edge) else None
+    return g._step
 
 
-def _folded_isomorphic(g1, g2, step2):
-    """Walk g1 from its base and g2 from its base together.  Folded graphs
-    admit at most one based labeled map, so each edge of g1 forces its image
-    through g2's table; a missing label, a clash or two vertices sent to one
-    refute it.  Equal counts and a connected g1 make the map a bijection."""
+def _folded_isomorphic(g1, g2, step1, step2):
+    """Walk g1 from its base and g2 from its base together, each through its
+    step table.  Folded graphs admit at most one based labeled map, so each
+    edge of g1 forces its image through g2's table; a missing label, a clash
+    or two vertices sent to one refute it.  Equal counts and a connected g1
+    make the map a bijection."""
+    tables = [(ahead, step2.get(label, {})) for label, ahead in step1.items() if ahead]
     image = {g1.base: g2.base}
     hit = {g2.base}
     queue = [g1.base]
     for v in queue:
         w = image[v]
-        for e in g1.out_edges(v):
-            try:
-                t = step2[e.label][w]
-            except KeyError:
-                return False
-            s = image.get(e.dst)
+        for ahead, image_ahead in tables:
+            d = ahead.get(v)
+            if d is None:
+                continue
+            t, s = image_ahead.get(w), image.get(d)
             if s is None:
-                if t in hit:
+                if t is None or t in hit:
                     return False
-                image[e.dst] = t
+                image[d] = t
                 hit.add(t)
-                queue.append(e.dst)
+                queue.append(d)
             elif s != t:
                 return False
     return True
@@ -491,19 +520,17 @@ def labeled_isomorphic(g1, g2):
     """
     if (g1.base is None) != (g2.base is None):
         return False
-    if len(g1.vertices) != len(g2.vertices) or len(g1.edges) != len(g2.edges):
+    if len(g1.vertices) != len(g2.vertices) or len(g1.records()) != len(g2.records()):
         return False
     if g1.base is not None:
-        step2 = _step_table(g2)
-        if step2 is not None and _step_table(g1) is not None:
-            return _folded_isomorphic(g1, g2, step2)
-    if sorted(map(lambda e: letter_key(e.label), g1.edges.values())) != sorted(
-        map(lambda e: letter_key(e.label), g2.edges.values())
-    ):
-        return False
+        step1, step2 = _step_table(g1), _step_table(g2)
+        if step1 is not None and step2 is not None:
+            return _folded_isomorphic(g1, g2, step1, step2)
+    letters = lambda g: sorted(letter_key(rec[3]) for rec in g.records().values())
+    same = letters(g1) == letters(g2)
     if g1.base is not None:
-        return _canonical_code(g1, g1.base) == _canonical_code(g2, g2.base)
-    return canonical_code(g1) == canonical_code(g2)
+        return same and _canonical_code(g1, g1.base) == _canonical_code(g2, g2.base)
+    return same and canonical_code(g1) == canonical_code(g2)
 
 
 def has_loop_labeled(g, v, letter):

@@ -2,6 +2,8 @@
 
 One engine runs every fold: ``_LiveGraph`` folds one graph in place, from
 flat per-edge records, and builds an ``AGraph`` only when a result is read.
+An ``AGraph`` stores the same records, so the engine copies a graph in
+and hands a snapshot out without building an ``Edge``.
 It folds a given list of edge pairs (``single_fold``, and the replay of a
 recorded folding path), the maximal folds of the paper's order
 (``fold_to_rose`` keeps one live graph for the whole path, and
@@ -28,9 +30,10 @@ the next natural vertex.  The engine holds the only copy of both rules:
 import random
 from collections.abc import Sequence
 from dataclasses import dataclass
+from operator import add
 from typing import NamedTuple
 
-from .agraph import AGraph, Edge, MarkingEdge, MarkingGraph, _step_table, _subdivide, _tree_basis
+from .agraph import AGraph, MarkingEdge, MarkingGraph, _step_table, _subdivide, _tree_basis
 from .errors import DomainError, FoldabilityError
 from .words import (
     DEFAULT_RANK,
@@ -147,8 +150,8 @@ def wedge_graph(b, rank=DEFAULT_RANK):
     reduced letters within the rank.  The graph is built once, unchecked:
     the words are checked here and the involution holds by construction.
     """
-    n, edges = _subdivide([(0, 0, w) for w in _wedge_words(b, rank)], 1)
-    return AGraph(range(n), edges, base=0, rank=rank, check=False)
+    n, records = _subdivide([(0, 0, w) for w in _wedge_words(b, rank)], 1)
+    return AGraph._of(range(n), records, base=0, rank=rank)
 
 
 def ensure_foldable(b, rank=DEFAULT_RANK):
@@ -219,13 +222,13 @@ def single_fold(g, e1_id, e2_id):
     Returns ``(graph, FoldStep)``.  Kind I merges the two endpoints; kind II
     (endpoints already equal) just deletes the duplicate edge.
     """
+    edge = g.records()
     for eid in (e1_id, e2_id):
-        if eid not in g.edges:
+        if eid not in edge:
             raise ValueError("edge %r not in graph" % (eid,))
-    e1, e2 = g.edges[e1_id], g.edges[e2_id]
-    if e1.id == e2.id:
+    if e1_id == e2_id:
         raise ValueError("cannot fold an edge with itself")
-    if e1.src != e2.src or e1.label != e2.label:
+    if edge[e1_id][1::2] != edge[e2_id][1::2]:  # (src, label)
         raise ValueError("edges %d, %d are not foldable together" % (e1_id, e2_id))
     live = _LiveGraph.of(g)
     (step,) = live.fold([(e1_id, e2_id)])
@@ -257,19 +260,14 @@ class _LiveGraph:
 
     @classmethod
     def of(cls, g):
-        edge = {x: [inv, src, dst, label] for x, inv, src, dst, label in g.edges.values()}
-        return cls(edge, g.vertices, g.base, g.rank)
+        """A live copy of g: its records, as lists."""
+        rec = g.records()
+        return cls(dict(zip(rec, map(list, rec.values()))), g.vertices, g.base, g.rank)
 
     @classmethod
     def wedge(cls, words, rank):
-        """The wedge of checked words, numbered as in ``wedge_graph``."""
-        edge, n = {}, 1
-        for w in words:
-            stops = [0, *range(n, n + len(w) - 1), 0]
-            n += len(w) - 1
-            for src, dst, letter in zip(stops, stops[1:], w):
-                a = len(edge)
-                edge[a], edge[a + 1] = [a + 1, src, dst, letter], [a, dst, src, -letter]
+        """The wedge of checked words, as ``wedge_graph`` numbers it."""
+        n, edge = _subdivide([(0, 0, w) for w in words], 1)
         return cls(edge, range(n), 0, rank)
 
     def is_rose(self):
@@ -395,8 +393,8 @@ class _LiveGraph:
         return steps
 
     def graph(self):
-        edges = {eid: Edge(eid, *rec) for eid, rec in self.edge.items()}
-        return AGraph(self.out, edges, base=self.base, rank=self.rank, check=False)
+        """A snapshot of the graph as it stands; the records fold on."""
+        return AGraph._of(self.out, self.edge, base=self.base, rank=self.rank)
 
 
 def maximal_fold(g):
@@ -526,9 +524,12 @@ def subgroup_membership(w, g):
 
     Requires a folded graph with a base vertex.  The word walks as given: in
     a folded graph a letter and its inverse step back where they started, so
-    the walk ends where the reduced word's does.  Where a letter falls off,
-    the rest is checked, reduced and walked on (the walk so far can be
-    retraced).  Linear in the edge count plus |w|.
+    the walk ends where the reduced word's does.  Say it stops at vertex v
+    on a letter x with no edge there.  The reduced prefix does not end in
+    x^-1, as its last edge's inverse would carry x out of v; so if the rest
+    (x on) is reduced, the reduced word falls off at x too: no member.
+    Otherwise the rest is checked, reduced and walked on (the walk so far
+    can be retraced).  Linear in |w|, after a step table the graph keeps.
     """
     if g.base is None:
         raise DomainError("membership needs a based graph")
@@ -538,6 +539,11 @@ def subgroup_membership(w, g):
     w = tuple(w)
     plain = set(map(type, w)) <= {int}  # else reduce's check judges each letter
     v, rest = _walk(step, g.base, w) if plain else (g.base, w)
+    if plain and rest:
+        letters = set(rest)
+        if (0 not in letters and max(map(abs, letters)) <= g.rank
+                and 0 not in map(add, rest, rest[1:])):
+            return False
     if rest:
         v, rest = _walk(step, v, reduce(rest, g.rank))
     return not rest and v == g.base

@@ -547,8 +547,11 @@ class ThinReport:
 
 def condition2_value(g, paths, x, y, s, t, a, b):
     """Hausdorff distance between the stored (a,b) path and the [s,t]
-    subsegment of the stored (x,y) path, which must not be empty."""
-    if len(paths[x, y][s : t + 1]) == 0:
+    subsegment of the stored (x,y) path: positions 0 <= s <= t on it."""
+    for pos in (s, t):
+        if not 0 <= pos < len(paths[x, y]):
+            raise ValueError("position %r is off the path for (%r, %r)" % (pos, x, y))
+    if s > t:
         raise ValueError("subsegment [%r, %r] of the path for (%r, %r) is empty" % (s, t, x, y))
     return hausdorff_distance(paths[a, b], paths[x, y][s : t + 1], g)
 

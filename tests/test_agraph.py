@@ -338,6 +338,37 @@ def test_smooth_expand_round_trip():
         assert marking_isomorphic(m, again)
 
 
+def test_graphs_stored_as_records_read_as_their_edge_copies():
+    """The library's graphs store flat records and build Edge objects and
+    out-edge lists on first read.  Wedges, their folded graphs and the
+    folding-path graphs at ranks 2-5, built from records, read exactly as
+    the same graphs built from their Edges; so does a rebased copy."""
+    rng = random.Random(24)
+    graphs = []
+    for rank in range(2, 6):
+        for _ in range(5):
+            b = random_basis(rng.randrange(10**6), 6, rank)
+            wedge = wedge_graph((reduce(b[0] + b[0]),) + b[1:], rank)
+            graphs += [wedge, fold_completely(wedge)[0], *fold_to_rose(b, rank).graphs]
+    graphs += [rose(4), graphs[1].with_base(max(graphs[1].vertices))]
+    for g in graphs:
+        assert g._edges is None and g._out is None  # nothing built yet
+        h = AGraph(g.vertices, g.edges, base=g.base, rank=g.rank)
+        assert h._records is None
+        assert g.records() == h.records() and g.edges == h.edges
+        assert all(type(e) is Edge for e in g.edges.values())
+        assert all(g.out_edges(v) == h.out_edges(v) for v in g.vertices)
+        assert [e.id for e in g.out_edges(g.base)] == sorted(e.id for e in g.out_edges(g.base))
+        assert g.to_json_dict() == h.to_json_dict() and g.to_dot() == h.to_dot()
+        assert g.validate() == h.validate() == []
+        assert spanning_tree(g) == spanning_tree(h)
+        assert basis_from_tree(g, g.base) == basis_from_tree(h, h.base)
+        assert core(g).to_json_dict() == core(h).to_json_dict()
+        assert canonical_code(g, g.base) == canonical_code(h, h.base)
+        assert labeled_isomorphic(g, h)
+    assert len(graphs) > 120
+
+
 def test_labeled_isomorphic_under_id_permutation():
     g = wedge_graph(parse_words("ab,b,c"))
     remap = {v: v + 10 for v in g.vertices}
@@ -448,9 +479,11 @@ def test_labeled_isomorphic_agrees_with_canonical_codes(monkeypatch):
             wedge = wedge_graph(gens + gens[:1], rank)
             pairs.append((wedge, _shuffled(wedge, rng), False))
             pairs.append((wedge, wedge_graph(squared + squared[:1], rank), False))
+            pairs.append((wedge, wedge.with_base(max(wedge.vertices)), False))
             unbased = g.with_base(None)
             pairs.append((unbased, _shuffled(unbased, rng), False))
             pairs.append((unbased, others[0].with_base(None), False))
+            pairs.append((unbased, g, False))
     # the a-cycle of length 2 walks onto the a-loop two-to-one, and a-loops
     # at both ends of a b-edge clash with that cycle plus a b-edge; counts
     # (and, for the second pair, letters) agree
@@ -459,6 +492,12 @@ def test_labeled_isomorphic_agrees_with_canonical_codes(monkeypatch):
     pairs.append((AGraph([0, 1], a_cycle, base=0), AGraph([0, 1], a_loop_b_edge, base=0), True))
     pairs.append((AGraph([0, 1], a_loop_b_edge + edge_pair(4, 1, 1, 1), base=0),
                   AGraph([0, 1], a_cycle + edge_pair(4, 0, 1, 2), base=0), True))
+    # a b-edge into an a-cycle of length 2 walks onto a b-edge into an
+    # a-loop, two-to-one away from the base, though every edge has an image
+    b_into_a_cycle = edge_pair(0, 0, 1, 2) + edge_pair(2, 1, 2, 1) + edge_pair(4, 2, 1, 1)
+    b_into_a_loop = edge_pair(0, 0, 1, 2) + edge_pair(2, 1, 1, 1) + edge_pair(4, 0, 2, 3)
+    pairs.append((AGraph([0, 1, 2], b_into_a_cycle, base=0),
+                  AGraph([0, 1, 2], b_into_a_loop, base=0), True))
 
     def code_equal(g1, g2):
         if (g1.base is None) != (g2.base is None):

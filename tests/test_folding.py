@@ -7,9 +7,11 @@ from collections import Counter
 
 import pytest
 
+from freebases import folding
 from freebases.agraph import (
     AGraph,
     Edge,
+    _step_table,
     has_loop_labeled,
     is_folded,
     is_rose,
@@ -121,6 +123,13 @@ def test_single_fold_requires_shared_origin_and_label():
         single_fold(g, 0, 2)
 
 
+def test_single_fold_refuses_to_fold_an_edge_with_itself():
+    g = wedge_graph(parse_words("ab,b,c"))
+    for eid in (0, 5):
+        with pytest.raises(ValueError, match="cannot fold an edge with itself"):
+            single_fold(g, eid, eid)
+
+
 def test_single_fold_refuses_an_edge_not_in_the_graph():
     g = wedge_graph(parse_words("ab,b,c"))
     for pair in ((0, 99), (99, 0), (-1, -1), (None, 2)):
@@ -157,8 +166,10 @@ def test_maximal_fold_follows_the_common_segment():
 
 
 def test_maximal_fold_rejects_folded_input():
-    with pytest.raises(DomainError):
-        maximal_fold(rose(3))
+    folded = fold_completely(wedge_graph(parse_words("aa,b,c")))[0]
+    for g in (rose(3), folded):
+        with pytest.raises(DomainError, match="already folded"):
+            maximal_fold(g)
 
 
 def test_fold_to_rose_trivial():
@@ -215,6 +226,7 @@ def test_subgroup_membership_agrees_with_scan_oracle():
                                Edge(2, 3, 0, 1, 1), Edge(3, 2, 1, 0, -1)], base=0)
     with pytest.raises(DomainError, match="folded"):
         subgroup_membership((1, -1), parallel)
+    assert _step_table(parallel) is None and parallel._step is None  # kept, not rebuilt
     graphs.append(parallel)
     gens = {}
     for rank in (2, 3, 4, 28):
@@ -222,6 +234,7 @@ def test_subgroup_membership_agrees_with_scan_oracle():
             b = random_basis(seed, 6, rank)
             for words in (b, (reduce(b[0] + b[0]),) + b[1:], b[1:]):
                 g = fold_completely(wedge_graph(words, rank))[0]
+                assert _step_table(g) is _step_table(g) is not None
                 graphs.append(g)
                 gens[id(g)] = words
     answers, kinds = set(), Counter()
@@ -263,6 +276,31 @@ def test_subgroup_membership_agrees_with_scan_oracle():
     assert answers == {("ok", True), ("ok", False), ("error", "DomainError"),
                        ("error", "ValueError")}
     assert kinds["falls off, then cancels"] >= 100, kinds
+
+
+def test_subgroup_membership_exit_after_the_walk_falls_off(monkeypatch):
+    """H = <aa, b, c>: the walk falls off at the second letter of each query
+    below.  A reduced rest of int letters answers False at once, without
+    ``reduce``; a rest that cancels back into the graph is reduced and walks
+    on; bad letters past the fall-off raise as in ``reduce``, and bools
+    read as today."""
+    g = fold_completely(wedge_graph(parse_words("aa,b,c")))[0]
+    cases = [((1, 2), False), ((1, 2, 3, -1, 2), False), ((1, 2, 1, 1, 2), False),
+             ((1, 2, -2, 1), True), ((1, 3, 2, -2, -3, 1), True), ((1, 2, 3, -3, -2, 1, 2), True),
+             ((1, 2, 4), ValueError), ((1, 2, -4, 4), ValueError), ((1, 2, 0), ValueError),
+             ((1, 2, 2.0), ValueError), ((1, 2, -2, 1.0), ValueError),
+             ((True, True), True), ((True, 2), False), ((1, 2, -2, True), True)]
+    real, reduced = folding.reduce, []
+    monkeypatch.setattr(folding, "reduce", lambda w, rank=None: reduced.append(w) or real(w, rank))
+    for q, want in cases:
+        del reduced[:]
+        outcome = _outcome(subgroup_membership, q, g)
+        assert (not reduced) == (want is False and {type(x) for x in q} == {int}), q
+        assert outcome == _outcome(scan_subgroup_membership, q, g), q
+        if want is ValueError:
+            assert outcome[:2] == ("error", "ValueError"), q
+        else:
+            assert outcome == ("ok", want), q
 
 
 def test_subgroup_membership_on_a_hundred_thousand_letters():

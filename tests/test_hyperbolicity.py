@@ -401,6 +401,18 @@ def test_hausdorff_distance_refuses_an_empty_path():
         condition2_value(g, fam, 0, 3, 3, 2, 0, 1)
 
 
+def test_condition2_value_refuses_positions_off_the_path():
+    """Positions -1 and 9 on the 4-vertex (0, 3) path are refused, not read
+    from the end or clipped to it."""
+    g = path_graph(4)
+    fam = geodesic_family(g)
+    assert condition2_value(g, fam, 0, 3, 0, 3, 0, 1) == 2
+    assert condition2_value(g, fam, 0, 3, 3, 3, 0, 1) == 3
+    for s, t, pos in ((-1, 2, -1), (0, 9, 9), (4, 4, 4), (-2, -1, -2), (0, -1, -1)):
+        with pytest.raises(ValueError, match=r"position %d is off the path for \(0, 3\)" % pos):
+            condition2_value(g, fam, 0, 3, s, t, 0, 1)
+
+
 def test_geodesic_family_is_valid_and_geodesic():
     g = grid_graph(3, 3)
     fam = geodesic_family(g)
