@@ -1,17 +1,17 @@
 """Finite graphs with oriented edges labeled by free-group letters.
 
 An edge is a flat record (inv, src, dst, label) with an involution partner
-carrying the inverse label, so each topological edge is stored twice; a
-graph builds ``Edge`` objects only when read, and is immutable.  Vertices
+carrying the inverse label, so each topological edge is stored twice; the
+records are a graph's only store, and a graph is immutable.  Vertices
 are integers; an optional base vertex marks graphs that present a subgroup.
 
 A graph is *folded* when no vertex has two distinct outgoing edges with the
 same label; folded graphs immerse into the rose.
 """
 
+from collections import Counter, namedtuple
 from itertools import permutations
-from operator import itemgetter, neg
-from typing import NamedTuple
+from operator import neg
 
 from .errors import ContractibleGraphError, DomainError
 from .words import (
@@ -26,12 +26,7 @@ from .words import (
 )
 
 
-class Edge(NamedTuple):
-    id: int
-    inv: int
-    src: int
-    dst: int
-    label: int
+Edge = namedtuple("Edge", "id inv src dst label")
 
 
 def bfs(roots, step, reached=None):
@@ -53,102 +48,129 @@ def bfs(roots, step, reached=None):
 
 class _Graph:
     """The involution graph that letter- and word-labeled graphs share.  Its
-    store is one record per edge, id -> (inv, src, dst, label), the partner
-    ``inv`` an edge from dst back to src with the inverse label; ``edges``
-    (id -> edge object) and the out-edges in id order are views built on
-    first read (from edge objects given, the records are).  No code writes
-    to a graph, so it is immutable and the views never go stale.  Subclasses
-    say what a label is and add shape rules.  All are checked at
-    construction, unless the library built the graph from checked input
-    (``check=False``)."""
+    one store is a record per edge, id -> (inv, src, dst, label), the partner
+    ``inv`` an edge from dst back to src with the inverse label.  The public
+    constructors turn the edge objects they are given into records and check
+    them; ``_of`` is the one unchecked constructor, for the graphs the library
+    builds from checked input.  No code writes to a graph, so the out-edge
+    index and the edge-object views (for outside callers) built on first
+    read never go stale.  Subclasses say what a label is and add shape rules."""
 
     __slots__ = ("vertices", "_records", "_edges", "_out")
 
-    def __init__(self, vertices, edges, check=True):
-        self.vertices = frozenset(vertices)
-        self._edges = dict(edges) if isinstance(edges, dict) else {e.id: e for e in edges}
-        self._records = self._out = None
-        problems = check and self.validate()
+    def __init__(self, vertices, edges):
+        edges = edges.values() if isinstance(edges, dict) else edges
+        self.vertices, self._edges, self._out = frozenset(vertices), None, None
+        self._records = {e.id: e[1:] for e in edges}
+        self._checked()
+
+    @classmethod
+    def _of(cls, vertices, records):
+        """The unchecked graph that stores a tuple copy of the records
+        (lists or tuples)."""
+        g = cls.__new__(cls)
+        g.vertices, g._edges, g._out = frozenset(vertices), None, None
+        g._records = dict(zip(records, map(tuple, records.values())))
+        return g
+
+    def _checked(self):
+        problems = self.validate()
         if problems:
             raise ValueError("invalid %s: %s" % (self._kind, "; ".join(problems)))
+        return self
 
     def records(self):
         """The store: edge id -> (inv, src, dst, label).  Read only."""
-        if self._records is None:
-            self._records = {e.id: e[1:] for e in self._edges.values()}
         return self._records
+
+    def out_index(self):
+        """Vertex -> its out-edge ids in id order.  Read only."""
+        if self._out is None:
+            self._out = {v: [] for v in self.vertices}
+            for x in sorted(self._records):
+                self._out[self._records[x][1]].append(x)
+        return self._out
 
     @property
     def edges(self):
-        """Edge id -> edge record object (``Edge``, ``MarkingEdge``)."""
+        """Edge id -> edge object (``Edge``, ``MarkingEdge``)."""
         if self._edges is None:
-            make = self._edge
-            self._edges = {x: make(x, *rec) for x, rec in self._records.items()}
+            self._edges = {x: self._edge(x, *rec) for x, rec in self._records.items()}
         return self._edges
+
+    def out_edges(self, v):
+        """v's out-edge objects, in id order."""
+        return [self.edges[x] for x in self.out_index()[v]]
 
     def validate(self):
         """All invariant violations as strings; shape rules once the edges hold."""
         return self._edge_problems() or self._shape_problems()
 
     def _edge_problems(self):
-        problems = []
-        for e in self.edges.values():
-            partner = self.edges.get(e.inv)
+        problems, edge = [], self._records
+        for x, (inv, src, dst, label) in edge.items():
+            partner = edge.get(inv)
             if partner is None:
-                problems.append("edge %d: involution partner %d missing" % (e.id, e.inv))
+                problems.append("edge %d: involution partner %d missing" % (x, inv))
                 continue
-            if partner.inv != e.id:
-                problems.append("edge %d: involution not symmetric" % e.id)
-            if e.inv == e.id:
-                problems.append("edge %d: involution has a fixed point" % e.id)
-            if partner[4] != self._inverse(e[4]):
-                problems.append("edge %d: partner label is not the inverse" % e.id)
-            if partner.src != e.dst or partner.dst != e.src:
-                problems.append("edge %d: partner does not reverse it" % e.id)
-            if e.src not in self.vertices or e.dst not in self.vertices:
-                problems.append("edge %d: endpoint not a vertex" % e.id)
-            if not self._label_ok(e[4]):
-                problems.append("edge %d: bad label %r" % (e.id, e[4]))
+            if partner[0] != x:
+                problems.append("edge %d: involution not symmetric" % x)
+            if inv == x:
+                problems.append("edge %d: involution has a fixed point" % x)
+            if partner[3] != self._inverse(label):
+                problems.append("edge %d: partner label is not the inverse" % x)
+            if partner[1] != dst or partner[2] != src:
+                problems.append("edge %d: partner does not reverse it" % x)
+            if src not in self.vertices or dst not in self.vertices:
+                problems.append("edge %d: endpoint not a vertex" % x)
+            if not self._label_ok(label):
+                problems.append("edge %d: bad label %r" % (x, label))
         return problems
 
-    def out_edges(self, v):
-        if self._out is None:
-            self._out = {v: [] for v in self.vertices}
-            for e in sorted(self.edges.values(), key=itemgetter(0)):
-                self._out[e.src].append(e)
-        return self._out[v]
-
     def degree(self, v):
-        return len(self.out_edges(v))
+        return len(self.out_index()[v])
 
     def topological_edges(self):
         """One id pair (e, e.inv) per topological edge, e the lower id."""
-        return [(e.id, e.inv) for e in self.edges.values() if e.id < e.inv]
+        return [(x, rec[0]) for x, rec in self._records.items() if x < rec[0]]
 
     def betti(self):
         """First Betti number (the graph is connected by invariant)."""
-        return len(self.edges) // 2 - len(self.vertices) + 1
+        return len(self._records) // 2 - len(self.vertices) + 1
 
     # -- serialization ----------------------------------------------------
 
     def to_json_dict(self):
         key, show = self._label_key, self._show_label
         edges = [
-            {"id": e.id, "inv": e.inv, "from": e.src, "to": e.dst, key: show(e[4])}
-            for e in sorted(self.edges.values(), key=itemgetter(0))
+            {"id": x, "inv": inv, "from": src, "to": dst, key: show(label)}
+            for x, (inv, src, dst, label) in sorted(self._records.items())
         ]
         return {"vertices": sorted(self.vertices), "edges": edges}
 
     @classmethod
-    def _read_edges(cls, data, read_label):
-        """The edges of a ``to_json_dict`` document, labels read by ``read_label``."""
-        edges = {}
+    def _read(cls, data, read_label):
+        """The vertices and records of a ``to_json_dict`` document, labels read by
+        ``read_label``; names and edge ids and ends are ints, no name or id twice."""
+        vertices = set()
+        for v in data["vertices"]:
+            if _json_int(v, "vertex name") in vertices:
+                raise ValueError("repeated vertex name %r" % (v,))
+            vertices.add(v)
+        records = {}
         for item in data["edges"]:
-            if item["id"] in edges:
-                raise ValueError("repeated edge id %r" % (item["id"],))
-            label = read_label(item[cls._label_key])
-            edges[item["id"]] = cls._edge(item["id"], item["inv"], item["from"], item["to"], label)
-        return edges
+            x, *ends = (_json_int(item[k], "edge " + k) for k in ("id", "inv", "from", "to"))
+            if x in records:
+                raise ValueError("repeated edge id %r" % (x,))
+            records[x] = (*ends, read_label(item[cls._label_key]))
+        return vertices, records
+
+
+def _json_int(value, what):
+    """value, if it is an int: not a bool (JSON true would equal 1) or a float."""
+    if type(value) is not int:
+        raise ValueError("%s %r is not an int" % (what, value))
+    return value
 
 
 def _read_letter(text):
@@ -159,28 +181,23 @@ def _read_letter(text):
 
 
 class AGraph(_Graph):
-    """Letter-labeled graph, optionally based: ``edges`` maps edge id ->
-    Edge, each label a letter within ``rank``; the graph is nonempty and
-    connected, and the base, when given, is a vertex."""
+    """Letter-labeled graph, optionally based: each label a letter within
+    ``rank``; the graph is nonempty and connected, and the base, when given,
+    is a vertex."""
 
     __slots__ = ("base", "rank", "_step")
     _kind, _label_key, _edge = "graph", "label", Edge
     _inverse = staticmethod(neg)
     _show_label = staticmethod(letter_str)
 
-    def __init__(self, vertices, edges, base=None, rank=DEFAULT_RANK, check=True):
-        self.base = base
-        self.rank = rank
-        super().__init__(vertices, edges, check)
+    def __init__(self, vertices, edges, base=None, rank=DEFAULT_RANK):
+        self.base, self.rank = base, rank
+        super().__init__(vertices, edges)
 
     @classmethod
     def _of(cls, vertices, records, base=None, rank=DEFAULT_RANK):
-        """The unchecked graph that stores a tuple copy of the records
-        (lists or tuples): the library's graphs from checked input."""
-        g = cls.__new__(cls)
-        g.vertices, g.base, g.rank = frozenset(vertices), base, rank
-        g._records = dict(zip(records, map(tuple, records.values())))
-        g._edges = g._out = None
+        g = super()._of(vertices, records)
+        g.base, g.rank = base, rank
         return g
 
     def _label_ok(self, label):
@@ -191,7 +208,8 @@ class AGraph(_Graph):
             return ["graph has no vertices"]
         if self.base is not None and self.base not in self.vertices:
             return ["base %r is not a vertex" % (self.base,)]
-        reached = bfs([min(self.vertices)], lambda v: [(e, e.dst) for e in self.out_edges(v)])
+        edge, out = self._records, self.out_index()
+        reached = bfs([min(self.vertices)], lambda v: [(x, edge[x][2]) for x in out[v]])
         return [] if reached.keys() == self.vertices else ["graph is not connected"]
 
     def with_base(self, base):
@@ -208,20 +226,22 @@ class AGraph(_Graph):
     def from_json_dict(cls, data, rank=None):
         """The graph of a ``to_json_dict`` document, at ``rank``, else the
         document's, else (older documents) the least that holds its letters."""
-        edges = cls._read_edges(data, _read_letter)
+        vertices, records = cls._read(data, _read_letter)
         if rank is None:
-            rank = data.get("rank", max([DEFAULT_RANK] + [abs(e.label) for e in edges.values()]))
-        return cls(data["vertices"], edges, base=data.get("base"), rank=rank)
+            rank = data.get("rank", max([DEFAULT_RANK] + [abs(r[3]) for r in records.values()]))
+        base = data.get("base")
+        base = base if base is None else _json_int(base, "base")
+        return cls._of(vertices, records, base=base, rank=rank)._checked()
 
     def to_dot(self, name="agraph"):
         lines = ["graph %s {" % name]
         for v in sorted(self.vertices):
             shape = ' [shape=doublecircle]' if v == self.base else ""
             lines.append("  %d%s;" % (v, shape))
-        for eid, _ in sorted(self.topological_edges()):
-            e = self.edges[eid]
-            rep = e if e.label > 0 else self.edges[e.inv]
-            lines.append('  %d -- %d [label="%s"];' % (rep.src, rep.dst, letter_str(rep.label)))
+        edge = self._records
+        for x, inv in sorted(self.topological_edges()):
+            _, src, dst, label = edge[x] if edge[x][3] > 0 else edge[inv]
+            lines.append('  %d -- %d [label="%s"];' % (src, dst, letter_str(label)))
         lines.append("}")
         return "\n".join(lines)
 
@@ -244,34 +264,28 @@ def core(g):
     Raises ContractibleGraphError for an unbased graph whose core would be
     empty (a tree).
     """
-    degree = {v: g.degree(v) for v in g.vertices}
+    edge, out = g.records(), g.out_index()
+    degree = {v: len(out[v]) for v in g.vertices}
     queue = [v for v in g.vertices if degree[v] <= 1 and v != g.base]
     gone = set(queue)
     for v in queue:
         # a stripped vertex has no loop, so its one live edge leads elsewhere
-        for e in g.out_edges(v):
-            if e.dst not in gone:
-                degree[e.dst] -= 1
-                if degree[e.dst] <= 1 and e.dst != g.base:
-                    gone.add(e.dst)
-                    queue.append(e.dst)
+        for x in out[v]:
+            dst = edge[x][2]
+            if dst not in gone:
+                degree[dst] -= 1
+                if degree[dst] <= 1 and dst != g.base:
+                    gone.add(dst)
+                    queue.append(dst)
     if len(gone) == len(g.vertices):
         raise ContractibleGraphError("core of a contractible graph without base")
-    edges = {e.id: e for e in g.edges.values() if e.src not in gone and e.dst not in gone}
-    return AGraph(g.vertices - gone, edges, base=g.base, rank=g.rank, check=False)
+    kept = {x: rec for x, rec in edge.items() if rec[1] not in gone and rec[2] not in gone}
+    return AGraph._of(g.vertices - gone, kept, base=g.base, rank=g.rank)
 
 
 def is_folded(g):
     """No vertex has two distinct outgoing edges with the same label."""
     return _step_table(g) is not None
-
-
-def _records(g):
-    """g's records id -> (inv, src, dst, label), and its out-edge ids."""
-    edge, out = g.records(), {v: [] for v in g.vertices}
-    for x, rec in edge.items():
-        out[rec[1]].append(x)
-    return edge, out
 
 
 def _label_tree(edge, out, root):
@@ -298,7 +312,7 @@ def spanning_tree(g, root=None):
     """
     if root is None:
         root = g.base if g.base is not None else min(g.vertices)
-    return _label_tree(*_records(g), root)[1]
+    return _label_tree(g.records(), g.out_index(), root)[1]
 
 
 def basis_from_tree(g, base):
@@ -312,7 +326,7 @@ def basis_from_tree(g, base):
     homotopy equivalence this is a free basis.  Raises DomainError when the
     Betti number differs from the graph's rank or base is not a vertex.
     """
-    return _tree_basis(*_records(g), base, g.rank)
+    return _tree_basis(g.records(), g.out_index(), base, g.rank)
 
 
 def _tree_basis(edge, out, base, rank):
@@ -357,12 +371,7 @@ def _subdivide(chains, next_v):
     return next_v, edge
 
 
-class MarkingEdge(NamedTuple):
-    id: int
-    inv: int
-    src: int
-    dst: int
-    word: tuple
+MarkingEdge = namedtuple("MarkingEdge", "id inv src dst word")
 
 
 class MarkingGraph(_Graph):
@@ -385,22 +394,22 @@ class MarkingGraph(_Graph):
         """Subdivide every edge word into single letters, giving an unchecked
         AGraph at the least rank that holds its letters."""
         vmap = {v: i for i, v in enumerate(sorted(self.vertices))}
-        tops = [self.edges[eid] for eid, _ in sorted(self.topological_edges())]
-        n, records = _subdivide([(vmap[e.src], vmap[e.dst], e.word) for e in tops], len(vmap))
+        tops = [self._records[x][1:] for x, _ in sorted(self.topological_edges())]
+        n, records = _subdivide([(vmap[a], vmap[b], word) for a, b, word in tops], len(vmap))
         least = max([DEFAULT_RANK] + [abs(rec[3]) for rec in records.values()])
         return AGraph._of(range(n), records, rank=least)
 
     @classmethod
     def from_json_dict(cls, data, rank=None):
-        edges = cls._read_edges(data, lambda text: parse_word(text, rank=rank))
-        return cls(data["vertices"], edges)
+        return cls._of(*cls._read(data, lambda text: parse_word(text, rank=rank)))._checked()
 
 
 # -- labeled isomorphism --------------------------------------------------
 
 
 def _vertex_signature(g, v):
-    return (g.degree(v), tuple(sorted(letter_key(e.label) for e in g.out_edges(v))))
+    edge, ids = g.records(), g.out_index()[v]
+    return (len(ids), tuple(sorted(letter_key(edge[x][3]) for x in ids)))
 
 
 def _canonical_code(g, base):
@@ -412,24 +421,21 @@ def _canonical_code(g, base):
     does not determine it.  Folded graphs never branch.  Pending branches
     wait on an explicit stack, so deep graphs need no deep recursion.
     """
+    edge, out = g.records(), g.out_index()
     best = None
     stack = [(0, 0, {base: 0}, [base], [])]
     while stack:
         idx, li, num, order, acc = stack.pop()
         while idx < len(order):
             by_label = {}
-            for e in g.out_edges(order[idx]):
-                by_label.setdefault(e.label, []).append(e)
+            for x in out[order[idx]]:
+                by_label.setdefault(edge[x][3], []).append(edge[x][2])
             labels = sorted(by_label, key=letter_key)
             for li in range(li, len(labels)):
                 lk = letter_key(labels[li])
-                group = by_label[labels[li]]
-                fixed = sorted(num[e.dst] for e in group if e.dst in num)
-                entries = [lk + (n,) for n in fixed]
-                fresh = {}
-                for e in group:
-                    if e.dst not in num:
-                        fresh[e.dst] = fresh.get(e.dst, 0) + 1
+                targets = by_label[labels[li]]
+                entries = sorted(lk + (num[t],) for t in targets if t in num)
+                fresh = Counter(t for t in targets if t not in num)
                 branches = list(permutations(sorted(fresh)))
                 # every branch but the first continues later from a copy
                 for perm in branches[1:]:
@@ -440,7 +446,7 @@ def _canonical_code(g, base):
             idx, li = idx + 1, 0
         if best is None or tuple(acc) < best:
             best = tuple(acc)
-    return (len(g.vertices), len(g.edges)) + (best,)
+    return (len(g.vertices), len(edge)) + (best,)
 
 
 def _number(perm, fresh, lk, entries, num, order, acc):
@@ -528,14 +534,10 @@ def labeled_isomorphic(g1, g2):
             return _folded_isomorphic(g1, g2, step1, step2)
     letters = lambda g: sorted(letter_key(rec[3]) for rec in g.records().values())
     same = letters(g1) == letters(g2)
-    if g1.base is not None:
-        return same and _canonical_code(g1, g1.base) == _canonical_code(g2, g2.base)
-    return same and canonical_code(g1) == canonical_code(g2)
+    return same and canonical_code(g1, g1.base) == canonical_code(g2, g2.base)
 
 
 def has_loop_labeled(g, v, letter):
     """Is there a loop edge at v labeled by the given letter (or its inverse)?"""
-    return any(
-        e.dst == v and (e.label == letter or e.label == -letter)
-        for e in g.out_edges(v)
-    )
+    edge = g.records()
+    return any(edge[x][2] == v and abs(edge[x][3]) == abs(letter) for x in g.out_index()[v])

@@ -196,8 +196,8 @@ class FFVertex:
             raise ValueError("free factor needs a nonempty generating subset")
         if len(self.subset) >= n:
             raise ValueError("free factor must be proper")
-        if not all(1 <= k <= n for k in self.subset):
-            raise ValueError("subset positions out of range")
+        if not all(type(k) is int and 1 <= k <= n for k in self.subset):
+            raise ValueError("subset positions must be ints from 1 to %d" % n)
 
     @property
     def words(self):
@@ -341,15 +341,13 @@ def witness_path_from_json(data):
         for v in data["vertices"]
     )
     rank = len(vertices[0].ambient) if vertices else None
-    steps = tuple(
-        FFStep(
-            s["kind"],
-            conjugator=parse_word(s.get("conjugator", "1"), rank),
-            sign=s.get("sign", 1),
-        )
-        for s in data["steps"]
-    )
-    return WitnessPath(data["kind"], vertices, steps)
+    steps = []
+    for s in data["steps"]:
+        sign = s.get("sign", 1)
+        if type(sign) is not int or sign not in (1, -1):
+            raise ValueError("step sign %r is not 1 or -1" % (sign,))
+        steps.append(FFStep(s["kind"], parse_word(s.get("conjugator", "1"), rank), sign))
+    return WitnessPath(data["kind"], vertices, tuple(steps))
 
 
 def check_step(u, w, step):
@@ -667,7 +665,7 @@ class SplittingVertex:
     edge: int
 
     def __post_init__(self):
-        if self.edge not in self.marking.edges:
+        if self.edge not in self.marking.records():
             raise ValueError("edge %r not in marking" % (self.edge,))
 
 
@@ -682,29 +680,30 @@ def tau(s):
     TrivialFactorError when the factor is trivial or improper.
     """
     m = s.marking
-    e = m.edges[s.edge]
+    edge, out = m.records(), m.out_index()
+    inv, origin, _, _ = edge[s.edge]
     n = m.betti()
-    drop = {e.id, e.inv}
+    drop = {s.edge, inv}
 
-    # spanning tree: BFS inside the origin's component, then on across e from all of it
-    via = bfs([e.src], lambda v: ((f, f.dst) for f in m.out_edges(v) if f.id not in drop))
+    # spanning tree: BFS inside the origin's component, then on across the edge from all of it
+    via = bfs([origin], lambda v: ((x, edge[x][2]) for x in out[v] if x not in drop))
     comp = set(via)
-    bfs(list(via), lambda v: ((f, f.dst) for f in m.out_edges(v)), via)
+    bfs(list(via), lambda v: ((x, edge[x][2]) for x in out[v]), via)
     if len(via) != len(m.vertices):
         raise DomainError("marking graph is not connected")
-    tree = {i for f in via.values() if f is not None for i in (f.id, f.inv)}
+    tree = {i for x in via.values() if x is not None for i in (x, edge[x][0])}
     words = {}
-    for v, f in via.items():
-        words[v] = () if f is None else concat(words[f.src], f.word)
+    for v, x in via.items():
+        words[v] = () if x is None else concat(words[edge[x][1]], edge[x][3])
 
     ambient = []
     subset = set()
-    for eid, inv_id in sorted(m.topological_edges()):
-        if eid in tree:
+    for x, _ in sorted(m.topological_edges()):
+        if x in tree:
             continue
-        f = m.edges[eid]
-        ambient.append(concat_all(words[f.src], f.word, invert(words[f.dst])))
-        if eid not in drop and f.src in comp and f.dst in comp:
+        _, src, dst, word = edge[x]
+        ambient.append(concat_all(words[src], word, invert(words[dst])))
+        if x not in drop and src in comp and dst in comp:
             subset.add(len(ambient))
     if len(ambient) != n:
         raise DomainError("marking has unexpected rank %d" % len(ambient))

@@ -33,7 +33,7 @@ from dataclasses import dataclass
 from operator import add
 from typing import NamedTuple
 
-from .agraph import AGraph, MarkingEdge, MarkingGraph, _step_table, _subdivide, _tree_basis
+from .agraph import AGraph, MarkingGraph, _step_table, _subdivide, _tree_basis
 from .errors import DomainError, FoldabilityError
 from .words import (
     DEFAULT_RANK,
@@ -461,7 +461,7 @@ def smooth(g):
     live = _LiveGraph.of(g).watch_sites()
     if not live.natural:
         raise DomainError("graph has no natural vertex")
-    edge, edges, walked = live.edge, {}, set()
+    edge, records, walked = live.edge, {}, set()
     for v in sorted(live.natural):
         for x in sorted(live.out[v], key=lambda x: (letter_key(edge[x][3]), x)):
             if x in walked:
@@ -471,10 +471,9 @@ def smooth(g):
             word = tuple(edge[y][3] for y in chain)
             if not is_reduced(word):
                 raise DomainError("the word of the chain from edge %d does not reduce" % x)
-            a, b, dst = len(edges), len(edges) + 1, edge[chain[-1]][2]
-            edges[a] = MarkingEdge(a, b, v, dst, word)
-            edges[b] = MarkingEdge(b, a, dst, v, invert(word))
-    return MarkingGraph(live.natural, edges, check=False)
+            a, b, dst = len(records), len(records) + 1, edge[chain[-1]][2]
+            records[a], records[b] = (b, v, dst, word), (a, dst, v, invert(word))
+    return MarkingGraph._of(live.natural, records)
 
 
 def fold_completely(g):

@@ -557,14 +557,14 @@ def union_find_fold(g, pairs=None):
                 else:
                     big[label] = eid
             out[kept] = big
-    edges = {
-        eid: Edge(eid, e.inv, _find(vroot, e.src), _find(vroot, e.dst), e.label)
+    records = {
+        eid: (e.inv, _find(vroot, e.src), _find(vroot, e.dst), e.label)
         for eid, e in g.edges.items()
         if eroot[eid] == eid
     }
     vertices = [v for v in g.vertices if vroot[v] == v]
     base = None if g.base is None else _find(vroot, g.base)
-    return AGraph(vertices, edges, base=base, rank=g.rank, check=False), steps
+    return AGraph._of(vertices, records, base=base, rank=g.rank), steps
 
 
 # -- hyperbolicity -----------------------------------------------------------

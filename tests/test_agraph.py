@@ -6,6 +6,7 @@ and ``FoldingPath.foldable`` beside the chain-walk oracles."""
 import json
 import random
 from collections import Counter
+from pathlib import Path
 
 import pytest
 
@@ -26,7 +27,8 @@ from freebases.agraph import (
     rose,
     spanning_tree,
 )
-from freebases.errors import ContractibleGraphError, DomainError
+from freebases.complexes import SplittingVertex, tau
+from freebases.errors import ContractibleGraphError, DomainError, TrivialFactorError
 from freebases.folding import (
     fold_completely,
     fold_to_rose,
@@ -50,6 +52,11 @@ def edge_pair(a, src, dst, label):
     return [Edge(a, a + 1, src, dst, label), Edge(a + 1, a, dst, src, -label)]
 
 
+def records_of(edges):
+    """The records id -> (inv, src, dst, label) of a list of edges."""
+    return {e.id: e[1:] for e in edges}
+
+
 def path_agraph(labels):
     """A based segment 0-1-2-... whose i-th edge is labeled labels[i]."""
     edges = []
@@ -70,14 +77,14 @@ def test_rose_is_valid_and_folded():
 def test_validate_names_the_bad_edge():
     edges = edge_pair(0, 0, 1, 1)
     edges[1] = Edge(1, 0, 1, 0, 1)  # partner label not inverted
-    g = AGraph([0, 1], edges, check=False)
+    g = AGraph._of([0, 1], records_of(edges))
     problems = g.validate()
     assert any("edge" in p and "label" in p for p in problems)
 
 
 def test_validate_rejects_disconnected():
     edges = edge_pair(0, 0, 0, 1) + edge_pair(2, 1, 1, 1)
-    g = AGraph([0, 1], edges, check=False)
+    g = AGraph._of([0, 1], records_of(edges))
     assert "graph is not connected" in g.validate()
 
 
@@ -221,6 +228,98 @@ def test_json_with_a_repeated_edge_id_is_refused():
             type(g).from_json_dict(data)
 
 
+@pytest.mark.parametrize("edit, message", [
+    (lambda d: d.update(vertices=[0, 0]), "repeated vertex name 0"),
+    (lambda d: d.update(vertices=[0.0]), "vertex name 0.0 is not an int"),
+    (lambda d: d.update(vertices=[False]), "vertex name False is not an int"),
+    (lambda d: d["edges"][0].update(id=0.0), "edge id 0.0 is not an int"),
+    (lambda d: d["edges"][1].update(inv=True), "edge inv True is not an int"),
+    (lambda d: d["edges"][0].update({"from": "0"}), "edge from '0' is not an int"),
+    (lambda d: d["edges"][0].update(to=0.0), "edge to 0.0 is not an int"),
+], ids=["repeated", "float-vertex", "false-vertex", "id", "inv", "from", "to"])
+def test_json_names_and_ids_must_be_distinct_ints(edit, message):
+    for g in (rose(2), smooth(rose(2))):
+        data = g.to_json_dict()
+        edit(data)
+        with pytest.raises(ValueError) as refused:
+            type(g).from_json_dict(data)
+        assert str(refused.value) == message
+
+
+def test_json_base_must_be_an_int():
+    data = rose(2).to_json_dict()
+    data["base"] = False
+    with pytest.raises(ValueError, match="^base False is not an int$"):
+        AGraph.from_json_dict(data)
+
+
+def test_shape_rules_refuse_an_empty_graph_and_a_base_off_the_graph():
+    with pytest.raises(ValueError) as refused:
+        AGraph([], {})
+    assert str(refused.value) == "invalid graph: graph has no vertices"
+    with pytest.raises(ValueError) as refused:
+        AGraph([0], {}, base=5)
+    assert str(refused.value) == "invalid graph: base 5 is not a vertex"
+    assert AGraph._of([0, 1], {}, base=1).validate() == ["graph is not connected"]
+
+
+def test_library_functions_build_no_edge_objects():
+    """The library reads a graph through its records and out-edge index
+    alone: after each reading below, no graph involved has built its edge
+    objects."""
+    b = random_basis(7, 8)
+    path = fold_to_rose(b)
+    wedge, folded = path.graphs[0], path.graphs[-1]
+    squared = (reduce(b[0] + b[0]),) + b[1:]
+    unfolded, again = wedge_graph(squared), wedge_graph(squared)
+    hung = path_agraph([1, 2, 1])  # from Edges, by the public constructor
+    marking = smooth(wedge)
+    with open(Path(__file__).parent / "data" / "marking.json") as fh:
+        read = MarkingGraph.from_json_dict(json.load(fh))
+    based = [wedge, folded, unfolded, again, hung, rose(3), core(hung), core(unfolded),
+             marking.expand()]
+    unbased = [g.with_base(None) for g in (wedge, unfolded, again)]
+    graphs = based + unbased + [marking, read]
+    for g in graphs:
+        assert g.validate() == []
+        v = min(g.vertices)
+        assert g.degree(v) == len(g.out_index()[v])
+        assert len(g.topological_edges()) == len(g.records()) // 2
+        assert g.betti() >= 0 and g.to_json_dict()["vertices"] == sorted(g.vertices)
+    for g in based + unbased:
+        assert g.to_dot().startswith("graph")
+        assert len(spanning_tree(g)) == 2 * (len(g.vertices) - 1)
+        assert canonical_code(g) and not has_loop_labeled(g, min(g.vertices), 4)
+    assert len(basis_from_tree(wedge, 0)) == len(basis_from_tree(folded, folded.base)) == 3
+    assert has_loop_labeled(folded, folded.base, 1) and is_folded(folded) and not is_folded(again)
+    assert labeled_isomorphic(folded, rose(3))  # the folded walk
+    assert labeled_isomorphic(unfolded, again)  # canonical codes, based
+    assert labeled_isomorphic(unbased[1], unbased[2])  # canonical codes, unbased
+    assert tau(SplittingVertex(read, 4)).subset == {1}
+    taus = 0
+    for x, _ in marking.topological_edges():
+        try:
+            taus += bool(tau(SplittingVertex(marking, x)))
+        except TrivialFactorError:
+            pass
+    assert taus
+    assert all(g._edges is None for g in graphs)
+
+
+def test_to_dot_draws_each_edge_once_along_its_positive_letter():
+    # edge 0 spells A from 0 to 1, so its partner, a from 1 to 0, is drawn
+    edges = edge_pair(0, 0, 1, -1) + edge_pair(2, 1, 1, 1) + edge_pair(4, 0, 0, 2)
+    assert AGraph([0, 1], edges, base=0).to_dot("g").splitlines() == [
+        "graph g {",
+        "  0 [shape=doublecircle];",
+        "  1;",
+        '  1 -- 0 [label="a"];',
+        '  1 -- 1 [label="a"];',
+        '  0 -- 0 [label="b"];',
+        "}",
+    ]
+
+
 def test_natural_vertices_of_rose():
     g = rose(3)
     m = smooth(g)
@@ -339,8 +438,8 @@ def test_smooth_expand_round_trip():
 
 
 def test_graphs_stored_as_records_read_as_their_edge_copies():
-    """The library's graphs store flat records and build Edge objects and
-    out-edge lists on first read.  Wedges, their folded graphs and the
+    """Graphs store flat records only, and build Edge objects and the
+    out-edge index on first read.  Wedges, their folded graphs and the
     folding-path graphs at ranks 2-5, built from records, read exactly as
     the same graphs built from their Edges; so does a rebased copy."""
     rng = random.Random(24)
@@ -354,7 +453,7 @@ def test_graphs_stored_as_records_read_as_their_edge_copies():
     for g in graphs:
         assert g._edges is None and g._out is None  # nothing built yet
         h = AGraph(g.vertices, g.edges, base=g.base, rank=g.rank)
-        assert h._records is None
+        assert h._edges is None  # records built once, no edge objects kept
         assert g.records() == h.records() and g.edges == h.edges
         assert all(type(e) is Edge for e in g.edges.values())
         assert all(g.out_edges(v) == h.out_edges(v) for v in g.vertices)

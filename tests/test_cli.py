@@ -202,6 +202,39 @@ def test_witness_verify_refuses_json_of_the_wrong_shape(tmp_path, capsys):
 
 
 
+def _verify_refusal(tmp_path, capsys, data):
+    path = tmp_path / "w.json"
+    path.write_text(json.dumps(data))
+    rc = main(["witness", "--verify", str(path), "--json", str(tmp_path / "v.json")])
+    error = json.loads(capsys.readouterr().err)["error"]
+    assert not (tmp_path / "v.json").exists()
+    return rc, error["type"], error["message"]
+
+
+def test_witness_verify_refuses_subset_positions_that_are_not_ints(tmp_path, capsys):
+    fractional = load(DATA / "witness-fractional.json")
+    assert [v["subset"] for v in fractional["vertices"]] == [[1.5, 2], [1.5]]
+    assert _verify_refusal(tmp_path, capsys, fractional) == (
+        2, "ValueError", "subset positions must be ints from 1 to 3")
+    for vertex in fractional["vertices"]:
+        vertex["subset"] = [True if k == 1.5 else k for k in vertex["subset"]]
+    assert _verify_refusal(tmp_path, capsys, fractional) == (
+        2, "ValueError", "subset positions must be ints from 1 to 3")
+
+
+def test_witness_verify_refuses_a_sign_other_than_one_or_minus_one(tmp_path, capsys):
+    cyclic = {"ambient": ["a", "b", "c"], "subset": [1]}
+    step = {"kind": "conjugate-cyclic", "cost": 0, "conjugator": "1", "sign": 7}
+    data = {"kind": "h-lipschitz", "length": 0, "vertices": [cyclic, cyclic], "steps": [step]}
+    assert _verify_refusal(tmp_path, capsys, data) == (
+        2, "ValueError", "step sign 7 is not 1 or -1")
+    step["sign"] = True
+    assert _verify_refusal(tmp_path, capsys, data)[:2] == (2, "ValueError")
+    step["sign"] = -1  # a read backwards is A, not a conjugate of a: no certificate
+    (tmp_path / "w.json").write_text(json.dumps(data))
+    assert main(["witness", "--verify", str(tmp_path / "w.json")]) == 1
+
+
 @pytest.mark.parametrize("rank", [3, 4, 5, 6])
 def test_witness_generate_then_verify_at_every_rank(tmp_path, rank):
     rest = "abcdef"[2:rank]
@@ -296,6 +329,31 @@ def test_tau_refuses_a_marking_of_the_wrong_shape(tmp_path, capsys):
     rc = main(["tau", "--marking", str(marking), "--edge", "0",
                "--json", str(tmp_path / "tau.json")])
     assert (rc, error_type(capsys)) == (2, "ValueError")
+
+
+def _edited_marking(edit):
+    data = load(DATA / "marking.json")
+    edit(data)
+    return data
+
+
+@pytest.mark.parametrize("edit, message", [
+    (lambda d: d.update(vertices=[0, 1, 0]), "repeated vertex name 0"),
+    (lambda d: d.update(vertices=[0, True]), "vertex name True is not an int"),
+    (lambda d: (d["edges"][0].update(id=0.0), d["edges"][1].update(inv=0.0)),
+     "edge id 0.0 is not an int"),
+    (lambda d: d["edges"][0].update(id="x"), "edge id 'x' is not an int"),
+    (lambda d: d["edges"][2].update({"from": True}), "edge from True is not an int"),
+], ids=["repeated-vertex", "true-vertex", "float-ids", "string-id", "true-end"])
+def test_tau_refuses_marking_names_and_ids_that_are_not_distinct_ints(
+        tmp_path, capsys, edit, message):
+    marking = tmp_path / "marking.json"
+    marking.write_text(json.dumps(_edited_marking(edit)))
+    rc = main(["tau", "--marking", str(marking), "--edge", "4",
+               "--json", str(tmp_path / "tau.json")])
+    error = json.loads(capsys.readouterr().err)["error"]
+    assert (rc, error["type"], error["message"]) == (2, "ValueError", message)
+    assert not (tmp_path / "tau.json").exists()
 
 
 # -- delta / cone-off ---------------------------------------------------------

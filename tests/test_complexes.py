@@ -108,6 +108,8 @@ def test_ffvertex_requires_proper_subset():
 
 def test_ffvertex_words():
     assert ff("a,b,c", {2, 3}).words == ((2,), (3,))
+    listed = FFVertex(parse_words("a,b,c"), [3, 2])
+    assert type(listed.subset) is frozenset and listed.words == ((2,), (3,))
 
 
 def test_fb_equivalent_common_conjugator():
@@ -446,11 +448,11 @@ def test_witness_paths_need_rank_three():
 
 
 def test_witness_json_round_trip():
-    path = hq_path(ff("ab,b,c", {2, 3}))
-    reread = witness_path_from_json(json.loads(json.dumps(path.to_json_dict())))
-    assert reread.kind == path.kind
-    assert reread.length == path.length
-    assert reread.validate() == []
+    for subset in ({2, 3}, {1}):  # {1} gives a path of one vertex and no step
+        path = hq_path(ff("ab,b,c", subset))
+        reread = witness_path_from_json(json.loads(json.dumps(path.to_json_dict())))
+        assert reread == path
+        assert reread.validate() == []
 
 
 def test_witness_json_round_trip_above_rank_three():
@@ -580,12 +582,27 @@ def test_tau_on_bridge_edge():
 
 
 def test_tau_rejects_trivial_factor():
-    E = MarkingEdge
-    one_loop = MarkingGraph(
-        (0,), [E(0, 1, 0, 0, (1,)), E(1, 0, 0, 0, (-1,))], check=False
-    )
+    one_loop = MarkingGraph._of((0,), {0: (1, 0, 0, (1,)), 1: (0, 0, 0, (-1,))})
     with pytest.raises(TrivialFactorError):
         tau(SplittingVertex(one_loop, 0))
+
+
+def test_tau_rejects_an_improper_factor():
+    # a loop a at 0 with a hair to 1 (unchecked: 1 has degree 1); collapsing
+    # all but the hair leaves the loop's whole group on the origin's side
+    hair = MarkingGraph._of((0, 1), {0: (1, 0, 0, (1,)), 1: (0, 0, 0, (-1,)),
+                                     2: (3, 0, 1, (2,)), 3: (2, 1, 0, (-2,))})
+    with pytest.raises(TrivialFactorError, match="improper"):
+        tau(SplittingVertex(hair, 2))
+
+
+def test_tau_rejects_loops_whose_words_are_no_basis():
+    E = MarkingEdge
+    loops = MarkingGraph((0,), [E(0, 1, 0, 0, (1, 1)), E(1, 0, 0, 0, (-1, -1)),
+                                E(2, 3, 0, 0, (2,)), E(3, 2, 0, 0, (-2,)),
+                                E(4, 5, 0, 0, (3,)), E(5, 4, 0, 0, (-3,))])
+    with pytest.raises(DomainError, match="do not present the free group"):
+        tau(SplittingVertex(loops, 2))
 
 
 def test_splitting_vertex_checks_edge_membership():

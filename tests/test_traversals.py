@@ -13,7 +13,6 @@ import pytest
 from freebases import complexes
 from freebases.agraph import (
     AGraph,
-    Edge,
     MarkingEdge,
     MarkingGraph,
     basis_from_tree,
@@ -84,12 +83,12 @@ def _path_graphs(seed, ranks, count):
 def _disjoint_union(g, h):
     """g beside a relabelled copy of h, unchecked (it is not connected)."""
     dv = max(g.vertices) + 1
-    de = max(g.edges) + 1
-    edges = dict(g.edges)
-    for e in h.edges.values():
-        edges[e.id + de] = Edge(e.id + de, e.inv + de, e.src + dv, e.dst + dv, e.label)
+    de = max(g.records()) + 1
+    records = dict(g.records())
+    for x, (inv, src, dst, label) in h.records().items():
+        records[x + de] = (inv + de, src + dv, dst + dv, label)
     vertices = set(g.vertices) | {v + dv for v in h.vertices}
-    return AGraph(vertices, edges, base=g.base, rank=max(g.rank, h.rank), check=False)
+    return AGraph._of(vertices, records, base=g.base, rank=max(g.rank, h.rank))
 
 
 def _reaches_all(g, tree=None):
