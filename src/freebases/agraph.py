@@ -13,7 +13,7 @@ from collections import Counter, namedtuple
 from itertools import permutations
 from operator import neg
 
-from .errors import ContractibleGraphError, DomainError
+from .errors import ContractibleGraphError, DomainError, distinct, typed
 from .words import (
     DEFAULT_RANK,
     concat_all,
@@ -151,26 +151,16 @@ class _Graph:
     @classmethod
     def _read(cls, data, read_label):
         """The vertices and records of a ``to_json_dict`` document, labels read by
-        ``read_label``; names and edge ids and ends are ints, no name or id twice."""
-        vertices = set()
-        for v in data["vertices"]:
-            if _json_int(v, "vertex name") in vertices:
-                raise ValueError("repeated vertex name %r" % (v,))
-            vertices.add(v)
-        records = {}
-        for item in data["edges"]:
-            x, *ends = (_json_int(item[k], "edge " + k) for k in ("id", "inv", "from", "to"))
-            if x in records:
-                raise ValueError("repeated edge id %r" % (x,))
-            records[x] = (*ends, read_label(item[cls._label_key]))
-        return vertices, records
-
-
-def _json_int(value, what):
-    """value, if it is an int: not a bool (JSON true would equal 1) or a float."""
-    if type(value) is not int:
-        raise ValueError("%s %r is not an int" % (what, value))
-    return value
+        ``read_label``; names and edge ids and ends are ints, no name or id twice,
+        and labels are strings."""
+        names = typed(data["vertices"], (list,), "vertices")
+        vertices = distinct([typed(v, (int,), "vertex name") for v in names], "vertex name")
+        items = typed(data["edges"], (list,), "edges")
+        ends = [[typed(item[k], (int,), "edge " + k) for k in ("id", "inv", "from", "to")]
+                for item in items]
+        distinct([x for x, *_ in ends], "edge id")
+        return vertices, {x: (*rest, read_label(typed(item[cls._label_key], (str,), "edge label")))
+                          for (x, *rest), item in zip(ends, items)}
 
 
 def _read_letter(text):
@@ -223,14 +213,13 @@ class AGraph(_Graph):
         return data
 
     @classmethod
-    def from_json_dict(cls, data, rank=None):
-        """The graph of a ``to_json_dict`` document, at ``rank``, else the
-        document's, else (older documents) the least that holds its letters."""
+    def from_json_dict(cls, data):
+        """The graph of a ``to_json_dict`` document, at the document's rank, else
+        (older documents) the least that holds its letters."""
         vertices, records = cls._read(data, _read_letter)
-        if rank is None:
-            rank = data.get("rank", max([DEFAULT_RANK] + [abs(r[3]) for r in records.values()]))
-        base = data.get("base")
-        base = base if base is None else _json_int(base, "base")
+        least = max([DEFAULT_RANK] + [abs(r[3]) for r in records.values()])
+        rank = typed(data.get("rank", least), (int,), "rank")
+        base = None if data.get("base") is None else typed(data["base"], (int,), "base")
         return cls._of(vertices, records, base=base, rank=rank)._checked()
 
     def to_dot(self, name="agraph"):
@@ -400,8 +389,8 @@ class MarkingGraph(_Graph):
         return AGraph._of(range(n), records, rank=least)
 
     @classmethod
-    def from_json_dict(cls, data, rank=None):
-        return cls._of(*cls._read(data, lambda text: parse_word(text, rank=rank)))._checked()
+    def from_json_dict(cls, data):
+        return cls._of(*cls._read(data, lambda text: parse_word(text, rank=None)))._checked()
 
 
 # -- labeled isomorphism --------------------------------------------------

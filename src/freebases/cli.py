@@ -17,7 +17,7 @@ import time
 
 from . import agraph, complexes, experiments, folding, hyperbolicity, words
 from .complexes import FBVertex, FFVertex, SplittingVertex
-from .errors import DomainError, NotABasisError
+from .errors import NAME, DomainError, NotABasisError, typed
 from .experiments import EXPERIMENTS
 
 
@@ -130,17 +130,17 @@ def cmd_fb(args):
 
 def cmd_witness(args):
     if args.verify:
-        wp = _load_json(args.verify, complexes.witness_path_from_json)
+        data, wp = _load_json(args.verify, lambda d: (d, complexes.witness_path_from_json(d)))
         for v in wp.vertices:
             _verified(v, words.words_str(v.ambient))
-        bound = complexes.WITNESS_BOUNDS.get(wp.kind)
-        if bound is None:
-            raise ValueError("unknown witness kind %r" % wp.kind)
-        problems = wp.validate()
-        if wp.length > bound:
-            problems.append("length %d exceeds the %s bound %d" % (wp.length, wp.kind, bound))
+        stated = wp.to_json_dict()  # compared as JSON text, where 3.0 and true are not 3 and 1
+        text = {k: [json.dumps(doc.get(k), sort_keys=True) for doc in (data, stated)]
+                for k in data.keys() | stated.keys()}
+        problems = ["its %r does not re-derive" % k for k, (was, now) in sorted(text.items())
+                    if was != now] + wp.validate()
         if problems:
             raise DomainError("witness invalid: " + "; ".join(problems))
+        bound = complexes.WITNESS_BOUNDS[wp.kind]
         print("witness %s: valid, length %d <= %d" % (args.verify, wp.length, bound))
         return 0
     if not args.kind:
@@ -200,9 +200,14 @@ def cmd_delta(args):
     return 0
 
 
+def _name(v):
+    return typed(v, NAME, "vertex name")
+
+
 def _subsets(data):
-    """Cone-off subsets; members are vertex names, as in graph JSON."""
-    return [sorted({hyperbolicity.vertex_name(v) for v in s}) for s in data]
+    """Cone-off subsets: a list of lists of vertex names, as in graph JSON."""
+    return [sorted(set(map(_name, typed(s, (list,), "subset"))))
+            for s in typed(data, (list,), "subsets")]
 
 
 def cmd_cone_off(args):
@@ -223,16 +228,17 @@ def cmd_cone_off(args):
 def cmd_thin_check(args):
     t0 = time.time()
     g = _load_json(args.infile, hyperbolicity.FiniteGraph.from_json_dict)
-    name = hyperbolicity.vertex_name
     paths = _load_json(args.paths, lambda data: {
-        (name(entry["from"]), name(entry["to"])): tuple(map(name, entry["path"]))
-        for entry in data
+        (_name(entry["from"]), _name(entry["to"])):
+            tuple(map(_name, typed(entry["path"], (list,), "path")))
+        for entry in typed(data, (list,), "path family")
     })
     if args.phi == "median":
         phi = hyperbolicity.median_map(g)
     else:
         phi = _load_json(args.phi, lambda data: {
-            tuple(map(name, entry["triple"])): name(entry["center"]) for entry in data
+            tuple(map(_name, typed(entry["triple"], (list,), "triple"))): _name(entry["center"])
+            for entry in typed(data, (list,), "center map")
         })
     report = hyperbolicity.check_thin_triangles(
         g,

@@ -20,6 +20,7 @@ from itertools import chain, combinations
 
 from .agraph import MarkingGraph, bfs
 from .errors import DomainError, FoldabilityError, NotABasisError, TrivialFactorError
+from .errors import distinct, typed
 from .folding import _find, _fold_path, ensure_foldable, is_basis, random_basis
 from .hyperbolicity import FiniteGraph
 from .words import (
@@ -331,23 +332,28 @@ WITNESS_BOUNDS = {"h-lipschitz": 4, "hq": 3, "density": 3}
 
 
 def witness_path_from_json(data):
-    """Rebuild a WitnessPath from its JSON form (for re-validation), at the
-    rank of its ambient bases."""
-    vertices = tuple(
-        FFVertex(
-            tuple(parse_word(w, len(v["ambient"])) for w in v["ambient"]),
-            frozenset(v["subset"]),
-        )
-        for v in data["vertices"]
-    )
+    """Rebuild a WitnessPath from its JSON form, at the rank of its ambient bases.
+    Only the fields a path is built from are read; a checker compares the rest
+    with the path's ``to_json_dict``."""
+    if data["kind"] not in WITNESS_BOUNDS:
+        raise ValueError("unknown witness kind %r" % (data["kind"],))
+    vertices = []
+    for v in typed(data["vertices"], (list,), "vertices"):
+        ambient = typed(v["ambient"], (list,), "ambient")
+        subset = distinct(typed(v["subset"], (list,), "subset"), "subset position")
+        words = (parse_word(typed(w, (str,), "ambient word"), len(ambient)) for w in ambient)
+        vertices.append(FFVertex(tuple(words), frozenset(subset)))
     rank = len(vertices[0].ambient) if vertices else None
     steps = []
-    for s in data["steps"]:
-        sign = s.get("sign", 1)
-        if type(sign) is not int or sign not in (1, -1):
+    for s in typed(data["steps"], (list,), "steps"):
+        if s["kind"] not in ("nested", "conjugate-cyclic"):
+            raise ValueError("unknown step kind %r" % (s["kind"],))
+        sign = typed(s.get("sign", 1), (int,), "step sign")
+        if sign not in (1, -1):
             raise ValueError("step sign %r is not 1 or -1" % (sign,))
-        steps.append(FFStep(s["kind"], parse_word(s.get("conjugator", "1"), rank), sign))
-    return WitnessPath(data["kind"], vertices, tuple(steps))
+        conjugator = typed(s.get("conjugator", "1"), (str,), "step conjugator")
+        steps.append(FFStep(s["kind"], parse_word(conjugator, rank), sign))
+    return WitnessPath(data["kind"], tuple(vertices), tuple(steps))
 
 
 def check_step(u, w, step):
@@ -376,13 +382,21 @@ class WitnessPath:
         return sum(step.cost for step in self.steps)
 
     def validate(self):
-        problems = []
+        """Each step that does not certify, ends not the kind's (hq: u to h(q(u)),
+        density: to an h-image, h-lipschitz: between two), a length past its bound."""
         if len(self.steps) != len(self.vertices) - 1:
-            problems.append("step count does not match vertex count")
-            return problems
+            return ["step count does not match vertex count"]
+        problems = []
         for k, step in enumerate(self.steps):
             if not check_step(self.vertices[k], self.vertices[k + 1], step):
                 problems.append("step %d (%s) does not certify" % (k, step.kind))
+        u, w = self.vertices[0], self.vertices[-1]
+        if w.subset != {1} or (self.kind == "hq" and w.ambient != u.ambient) or (
+                self.kind == "h-lipschitz" and u.subset != {1}):
+            problems.append("the path's ends are not those of a %r witness" % self.kind)
+        bound = WITNESS_BOUNDS[self.kind]
+        if self.length > bound:
+            problems.append("length %d exceeds the %s bound %d" % (self.length, self.kind, bound))
         return problems
 
     def to_json_dict(self):

@@ -138,10 +138,10 @@ def test_json_round_trip_at_rank_thirty():
         edges[e.id] = e
     g = AGraph(g.vertices, edges, base=0, rank=30)
     data = json.loads(json.dumps(g.to_json_dict()))
-    back = AGraph.from_json_dict(data, rank=30)
+    back = AGraph.from_json_dict(data)
+    assert back.rank == data["rank"] == 30
     assert back.to_json_dict() == data
     assert back.edges == g.edges
-    assert AGraph.from_json_dict(data).rank == 30
 
 
 def _json_copy(g):
@@ -251,6 +251,16 @@ def test_json_base_must_be_an_int():
     data["base"] = False
     with pytest.raises(ValueError, match="^base False is not an int$"):
         AGraph.from_json_dict(data)
+
+
+@pytest.mark.parametrize("rank", [2.5, True, "2"])
+def test_json_rank_must_be_an_int(rank):
+    # at rank 2.5 the rose would hold every letter, yet not be the rose of its rank
+    data = rose(2).to_json_dict()
+    data["rank"] = rank
+    with pytest.raises(ValueError) as refused:
+        AGraph.from_json_dict(data)
+    assert str(refused.value) == "rank %r is not an int" % (rank,)
 
 
 def test_shape_rules_refuse_an_empty_graph_and_a_base_off_the_graph():

@@ -274,10 +274,129 @@ def test_witness_verify_rejects_tampering(tmp_path):
     assert rc == 1
 
 
+def test_witness_verify_refuses_stated_fields_that_do_not_re_derive(tmp_path, capsys):
+    # tests/data/witness-length.json, which CI also runs: a valid hq path stating length 99
+    data = load(DATA / "witness-length.json")
+    assert _verify_refusal(tmp_path, capsys, data) == (
+        1, "DomainError", "witness invalid: its 'length' does not re-derive")
+    data["length"] = 3
+    for step in ({"cost": 7}, {"cost": True}, {"conjugator": "1"}):  # a nested step has none
+        stated = dict(data, steps=[{**data["steps"][0], **step}] + data["steps"][1:])
+        assert _verify_refusal(tmp_path, capsys, stated) == (
+            1, "DomainError", "witness invalid: its 'steps' does not re-derive")
+    (tmp_path / "w.json").write_text(json.dumps(data))
+    assert main(["witness", "--verify", str(tmp_path / "w.json")]) == 0
+
+
+def test_witness_verify_refuses_an_unknown_witness_or_step_kind_as_malformed(tmp_path, capsys):
+    data = dict(load(DATA / "witness-length.json"), length=3)
+    assert _verify_refusal(tmp_path, capsys, dict(data, kind="bogus")) == (
+        2, "ValueError", "unknown witness kind 'bogus'")
+    data["steps"][1]["kind"] = "bogus"
+    assert _verify_refusal(tmp_path, capsys, data) == (
+        2, "ValueError", "unknown step kind 'bogus'")
+
+
+def test_witness_verify_refuses_a_step_count_or_length_its_kind_does_not_allow(tmp_path, capsys):
+    data = dict(load(DATA / "witness-length.json"), length=2)
+    data["steps"].pop()
+    assert _verify_refusal(tmp_path, capsys, data) == (
+        1, "DomainError", "witness invalid: step count does not match vertex count")
+    # {2, 3} -> {2} -> {1, 2} -> {2} -> {1, 2} -> {1}: each step certifies, five in all
+    data = dict(load(DATA / "witness-length.json"), length=5)
+    ambient = data["vertices"][0]["ambient"]
+    data["vertices"][3:3] = [{"ambient": ambient, "subset": [2]},
+                             {"ambient": ambient, "subset": [1, 2]}]
+    data["steps"] = data["steps"][:1] * 5
+    assert _verify_refusal(tmp_path, capsys, data) == (
+        1, "DomainError", "witness invalid: length 5 exceeds the hq bound 3")
+
+
+@pytest.mark.parametrize("kind, ends", [("hq", ([2, 3], [2])), ("density", ([2, 3], [2])),
+                                        ("h-lipschitz", ([2, 3], [1]))])
+def test_witness_verify_refuses_a_path_between_the_wrong_ends(tmp_path, capsys, kind, ends):
+    # every step of {2, 3} -> {2} -> {1, 2} -> {x} certifies, but an hq or density
+    # path ends at {1}, and an h-lipschitz path starts there too
+    data = dict(load(DATA / "witness-length.json"), kind=kind, length=3)
+    data["vertices"][0]["subset"], data["vertices"][-1]["subset"] = ends
+    assert _verify_refusal(tmp_path, capsys, data) == (
+        1, "DomainError", "witness invalid: the path's ends are not those of a %r witness" % kind)
+
+
+def _one_change_mutants(data):
+    """(path, change, document) for every document one change away from data:
+    a dropped key, an int turned into a float, a bool or a string, a list
+    turned into a string, or a length, cost, subset position or sign moved by
+    one."""
+    def sites(node, path, key):
+        if isinstance(node, dict):
+            for k, v in node.items():
+                yield path + (k,), "drop", None
+                yield from sites(v, path + (k,), k)
+        elif isinstance(node, list):
+            yield path, "string", "".join(map(str, node))
+            for i, v in enumerate(node):
+                yield from sites(v, path + (i,), key)
+        elif type(node) is int:
+            yield from ((path, "retype", new) for new in (float(node), bool(node), str(node)))
+            if key in ("length", "cost", "subset", "sign"):
+                yield from ((path, "nudge", node + d) for d in (1, -1))
+
+    for path, change, new in sites(data, (), None):
+        mutant = json.loads(json.dumps(data))
+        parent = mutant
+        for k in path[:-1]:
+            parent = parent[k]
+        if change == "drop":
+            del parent[path[-1]]
+        else:
+            parent[path[-1]] = new
+        yield path, change, mutant
+
+
+@pytest.mark.parametrize("argv", [
+    ["--kind", "hq", "--ambient", "a,b,c", "--subset", "2,3"],
+    ["--kind", "h-lipschitz", "--a", "a,b,c", "--b", "BCb,a,b"],  # sign -1, conjugator b
+], ids=["hq", "h-lipschitz"])
+def test_witness_verify_refuses_every_one_change_mutant(tmp_path, capsys, argv):
+    out = tmp_path / "w.json"
+    assert main(["witness", *argv, "--json", str(out)]) == 0
+    capsys.readouterr()
+    changes = set()
+    for path, change, mutant in _one_change_mutants(load(out)):
+        (tmp_path / "m.json").write_text(json.dumps(mutant))
+        rc = main(["witness", "--verify", str(tmp_path / "m.json")])
+        error = json.loads(capsys.readouterr().err)["error"]
+        assert rc in (1, 2) and error["message"], (path, change, mutant)
+        changes.add(change)
+    assert changes == {"drop", "retype", "string", "nudge"}
+
+
 def test_witness_generate_requires_kind_flags(tmp_path):
     rc = main(["witness", "--kind", "hq", "--ambient", "a,b,c",
                "--json", str(tmp_path / "w.json")])
     assert rc == 2
+
+
+@pytest.mark.parametrize("argv, message", [
+    ([], "either --kind or --verify is required"),
+    (["--kind", "h-lipschitz", "--a", "a,b,c"], "--kind h-lipschitz needs --a and --b"),
+], ids=["no-kind", "one-basis"])
+def test_witness_without_the_flags_of_its_kind_exits_two(tmp_path, capsys, argv, message):
+    rc = main(["witness", *argv, "--json", str(tmp_path / "w.json")])
+    error = json.loads(capsys.readouterr().err)["error"]
+    assert (rc, error["type"], error["message"]) == (2, "ValueError", message)
+
+
+def test_witness_writes_its_kind_and_says_what_it_wrote_and_verified(tmp_path, capsys):
+    out = tmp_path / "w.json"
+    for kind in ("hq", "density"):  # one construction, two kinds
+        assert main(["witness", "--kind", kind, "--ambient", "a,b,c", "--subset", "2",
+                     "--json", str(out)]) == 0
+        assert load(out)["kind"] == kind
+        assert capsys.readouterr().out == "witness %s: length 2 (wrote %s)\n" % (kind, out)
+        assert main(["witness", "--verify", str(out)]) == 0
+        assert capsys.readouterr().out == "witness %s: valid, length 2 <= 3\n" % out
 
 
 # -- tau ----------------------------------------------------------------------
@@ -447,6 +566,27 @@ def test_cone_off_subsets_of_the_wrong_shape_exit_two(tmp_path, capsys, subsets)
     assert not out.exists()
 
 
+@pytest.mark.parametrize("command", ["cone-off", "delta", "thin-check"])
+def test_a_string_where_a_list_belongs_exits_two(tmp_path, capsys, command):
+    # read one character at a time, "02" would name the vertices "0" and "2"
+    g = hyperbolicity.FiniteGraph(list("012345"), [(str(k), str((k + 1) % 6)) for k in range(6)])
+    infile = write_graph(tmp_path / "c6.json", g)
+    paths = [{"from": x, "to": y, "path": "".join(p)}
+             for (x, y), p in hyperbolicity.geodesic_family(g).items()]
+    given, argv = {
+        "cone-off": (["02"], ["--in", infile, "--subsets"]),
+        "delta": ({"vertices": "0123", "edges": [["0", "1"], ["1", "2"], ["2", "3"]]}, ["--in"]),
+        "thin-check": (paths, ["--in", infile, "--phi", "median", "--b1", "1", "--paths"]),
+    }[command]
+    (tmp_path / "given.json").write_text(json.dumps(given))
+    out = tmp_path / "out.json"
+    rc = main([command, *argv, str(tmp_path / "given.json"), "--json", str(out)])
+    error = json.loads(capsys.readouterr().err)["error"]
+    assert (rc, error["type"]) == (2, "ValueError")
+    assert error["message"].endswith("is not a list")
+    assert not out.exists()
+
+
 # -- thin-check ---------------------------------------------------------------
 
 
@@ -467,6 +607,18 @@ def test_thin_check_median_on_tree(tmp_path):
     assert report["b2_hausdorff"] == 0
     assert report["b2_center"] == 0
     assert report["b2"] <= 2
+
+
+def test_thin_check_reports_its_time_and_says_what_it_found(tmp_path, capsys):
+    out = tmp_path / "thin.json"
+    rc = main(["thin-check", "--in", str(DATA / "c6.json"), "--paths", str(DATA / "c6-paths.json"),
+               "--phi", "median", "--b1", "1", "--json", str(out)])
+    report = load(out)
+    assert rc == 0 and report["timings"]["wall_seconds"] >= 0
+    assert capsys.readouterr().out == (
+        "thin-check: B2 = %d (hausdorff %d, subsegment %d, center %d; %s) (wrote %s)\n" % (
+            report["b2"], report["b2_hausdorff"], report["b2_subsegment"], report["b2_center"],
+            report["mode"], out))
 
 
 @pytest.mark.parametrize("flag", ["--b1", "--sample-size", "--tuple-threshold"])

@@ -84,6 +84,18 @@ def test_ensure_foldable_strips_two():
     assert b2 == X
 
 
+def test_ensure_foldable_may_need_a_power_past_half_the_longest_word():
+    # A^5 b A^2 and a^2 B c a^5: no power of a below the fifth gives the
+    # wedge point three labels, and the longest word has nine letters
+    b2 = ((2,) + (-1,) * 7, (1,) * 7 + (-2, 3))
+    assert ensure_foldable(((-1,) * 5 + (2, -1, -1), (1, 1, -2, 3) + (1,) * 5)) == (5, b2)
+
+
+def test_ensure_foldable_at_rank_one():
+    # one word meets the wedge point twice, so two labels are all it can see
+    assert ensure_foldable(((1,),), 1) == (0, ((1,),))
+
+
 def test_ensure_foldable_mixed_boundary_fails():
     with pytest.raises(FoldabilityError):
         ensure_foldable(parse_words("aB,aaB,abaB"))

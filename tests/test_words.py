@@ -14,6 +14,7 @@ from freebases.words import (
     cyclic_reduce,
     find_conjugator,
     invert,
+    least_rotation,
     letter_key,
     parse_word,
     parse_words,
@@ -92,6 +93,15 @@ def test_cyclic_normal_form_examples():
     assert cyclic_normal_form((2, 1, -2)) == (1,)
     assert cyclic_normal_form((2, 1)) == (1, 2)
     assert cyclic_normal_form(()) == ()
+
+
+def test_least_rotation_is_the_least_offset_of_a_least_rotation():
+    # by definition, over every word of up to six letters a, A, b, B; an offset
+    # is below the length, so a word of at most one letter has offset 0
+    for n in range(7):
+        for core in product((1, -1, 2, -2), repeat=n):
+            keys = [tuple(map(letter_key, core[i:] + core[:i])) for i in range(n)]
+            assert least_rotation(core) == (keys.index(min(keys)) if core else 0), core
 
 
 @given(reduced_words, reduced_words)
