@@ -171,9 +171,9 @@ def _read_letter(text):
 
 
 class AGraph(_Graph):
-    """Letter-labeled graph, optionally based: each label a letter within
-    ``rank``; the graph is nonempty and connected, and the base, when given,
-    is a vertex."""
+    """Letter-labeled graph, optionally based: ``rank`` is at least 1 and each
+    label a letter within it; the graph is nonempty and connected, and the
+    base, when given, is a vertex."""
 
     __slots__ = ("base", "rank", "_step")
     _kind, _label_key, _edge = "graph", "label", Edge
@@ -194,6 +194,8 @@ class AGraph(_Graph):
         return 0 < abs(label) <= self.rank
 
     def _shape_problems(self):
+        if self.rank < 1:
+            return ["rank %r is below 1" % (self.rank,)]
         if not self.vertices:
             return ["graph has no vertices"]
         if self.base is not None and self.base not in self.vertices:

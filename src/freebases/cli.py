@@ -206,8 +206,7 @@ def _name(v):
 
 def _subsets(data):
     """Cone-off subsets: a list of lists of vertex names, as in graph JSON."""
-    return [sorted(set(map(_name, typed(s, (list,), "subset"))))
-            for s in typed(data, (list,), "subsets")]
+    return [list(map(_name, typed(s, (list,), "subset"))) for s in typed(data, (list,), "subsets")]
 
 
 def cmd_cone_off(args):
@@ -288,10 +287,10 @@ def cmd_experiment(args):
 
 
 def build_parser():
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--rank", type=int, default=words.DEFAULT_RANK,
-                        help="rank of the free group (default 3)")
-    common.add_argument("--seed", type=int, default=0, help="base random seed")
+    rank, seed, common = (argparse.ArgumentParser(add_help=False) for _ in range(3))
+    rank.add_argument("--rank", type=int, default=words.DEFAULT_RANK,
+                      help="rank of the free group (default 3)")
+    seed.add_argument("--seed", type=int, default=0, help="base random seed")
     common.add_argument("--out", default=os.environ.get("FREEBASES_OUT", "."),
                         help="output directory for reports")
     common.add_argument("--json", dest="json_path", metavar="FILE",
@@ -305,23 +304,23 @@ def build_parser():
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("fold", parents=[common], help="fold a wedge of words to the rose")
+    p = sub.add_parser("fold", parents=[rank, common], help="fold a wedge of words to the rose")
     p.add_argument("--basis", required=True, help='comma-separated words, e.g. "ab,b,c"')
     p.add_argument("--dot", help="also write the final graph in DOT form")
     p.set_defaults(func=cmd_fold)
 
-    p = sub.add_parser("path-bases", parents=[common],
+    p = sub.add_parser("path-bases", parents=[rank, common],
                        help="bases read along the folding path")
     p.add_argument("--b", required=True, help="comma-separated words")
     p.set_defaults(func=cmd_path_bases)
 
-    p = sub.add_parser("fb-adjacent", parents=[common],
+    p = sub.add_parser("fb-adjacent", parents=[rank, common],
                        help="adjacency certificate for two free bases")
     p.add_argument("--a", required=True)
     p.add_argument("--b", required=True)
     p.set_defaults(func=cmd_fb)
 
-    p = sub.add_parser("witness", parents=[common],
+    p = sub.add_parser("witness", parents=[rank, common],
                        help="generate or re-validate a factor-path witness")
     p.add_argument("--kind", choices=sorted(complexes.WITNESS_BOUNDS))
     p.add_argument("--a", help="first basis (h-lipschitz)")
@@ -348,7 +347,7 @@ def build_parser():
     p.add_argument("--dot", help="also write the coned graph in DOT form")
     p.set_defaults(func=cmd_cone_off)
 
-    p = sub.add_parser("thin-check", parents=[common],
+    p = sub.add_parser("thin-check", parents=[seed, common],
                        help="measure thin-triangles constants")
     p.add_argument("--in", dest="infile", required=True, help="graph JSON file")
     p.add_argument("--paths", required=True, help="path family JSON file")
@@ -358,7 +357,7 @@ def build_parser():
     p.add_argument("--sample-size", type=int, default=20_000)
     p.set_defaults(func=cmd_thin_check)
 
-    p = sub.add_parser("experiment", parents=[common], help="run a seeded experiment")
+    p = sub.add_parser("experiment", parents=[rank, seed, common], help="run a seeded experiment")
     p.add_argument("name", choices=sorted(EXPERIMENTS))
     p.add_argument("--samples", type=int, default=50)
     p.add_argument("--moves", type=int, default=8, help="Nielsen moves per sample")
@@ -373,7 +372,7 @@ def main(argv=None):
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        if args.rank < 2:
+        if "rank" in args and args.rank < 2:
             raise ValueError("rank must be at least 2")
         return args.func(args)
     except (DomainError, ValueError, KeyError, OSError) as exc:

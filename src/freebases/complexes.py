@@ -573,7 +573,7 @@ def sample_fb_ball(center, seeds, moves):
     renum = {old: new for new, old in enumerate(main)}
     edges = {(renum[i], renum[j]) for group in holders.values()
              for i, j in combinations(group, 2) if i in renum}
-    return FiniteGraph(range(len(main)), edges, check=False), [labels[old] for old in main]
+    return FiniteGraph._of(range(len(main)), edges), [labels[old] for old in main]
 
 
 @dataclass(frozen=True)

@@ -15,15 +15,18 @@ product.  ``_intervals`` enumerates geodesic intervals and
 deltas, the median map's center table and the thin-triangles checker run
 on numpy arrays in blocks of about _BLOCK elements (see each docstring);
 Python loops run per block and per BFS level, never per distance
-computed, except two in the checker: the sampled draws, one plain loop
-over ints (``_draw_tuples``), and the read of a center map other than
-``median_map``'s, once per ordered triple.  Their whole-graph arrays are
-n x n distances, delta_slim's n^3 maxgeo at one byte an entry (two past
-diameter 127) and, for the checker, n^3 int32 profiles and centers (the
-median map's own table when it is given).  The test suite checks them
-against definitions: quadruple and all-geodesics scans for the deltas, a
-pure-Python BFS for the distances, the per-tuple checker and the per-call
-median map (tests/oracles.py lists them).
+computed, except per path vertex where paths are built or read
+(``geodesic_family``, ``check_path_family``, ``_padded_paths`` and the
+name reads of ``hausdorff_distance``) and two in the checker: the
+sampled draws, one plain loop over ints (``_draw_tuples``), and the read
+of a center map other than ``median_map``'s, once per ordered triple.
+Their whole-graph arrays are n x n distances, delta_slim's n^3 maxgeo at
+one byte an entry (two past diameter 127) and, for the checker, n^3
+int32 profiles and centers (the median map's own table when it is
+given).  The test suite checks them against definitions: quadruple and
+all-geodesics scans for the deltas, a pure-Python BFS for the distances,
+the per-tuple checker and the per-call median map (tests/oracles.py
+lists them).
 """
 
 import random
@@ -41,37 +44,50 @@ _BLOCK = 1 << 15  # int32 elements (128 KiB) of one temporary in the blocked sca
 
 
 class FiniteGraph:
-    """Simple connected graph with unit edge lengths.
-
-    With ``check=False`` the caller vouches for the edges, (u, v) pairs
-    with u < v of known vertices, and for connectivity: nothing is
-    canonicalised or checked.
-    """
+    """Simple connected graph with unit edge lengths.  The constructor
+    refuses names that cannot be put in order, and edges that are not pairs
+    of distinct names or that leave the graph disconnected.  ``_of`` is the
+    one unchecked constructor: its caller vouches for the edges, (u, v)
+    pairs with u < v of known vertices, and for connectivity."""
 
     __slots__ = ("vertices", "edges", "vertex_list", "vindex", "_adj", "_dm")
 
-    def __init__(self, vertices, edges, check=True):
+    def __init__(self, vertices, edges):
         self.vertices = frozenset(vertices)
-        self.vertex_list = sorted(self.vertices)
-        self.vindex = {v: i for i, v in enumerate(self.vertex_list)}
-        self._adj = self._dm = None
-        if not check:
-            self.edges = frozenset(edges)
-            return
+        try:
+            self._index()
+        except TypeError:  # name one vertex of each type, the last by repr
+            kinds = {type(v): repr(v) for v in sorted(self.vertices, key=repr)}
+            raise ValueError("vertex names %s cannot be put in order"
+                             % " and ".join(sorted(kinds.values()))) from None
         canon = set()
-        for u, v in edges:
+        for e in edges:
+            if len(e) != 2:
+                raise ValueError("edge %r is not a pair of vertex names" % (list(e),))
+            u, v = e
             if u == v:
                 raise ValueError("loop edge at %r" % (u,))
-            canon.add((min(u, v), max(u, v)))
-        self.edges = frozenset(canon)
-        for u, v in self.edges:
             if u not in self.vindex or v not in self.vindex:
                 raise ValueError("edge (%r, %r) has an unknown endpoint" % (u, v))
+            canon.add((min(u, v), max(u, v)))
+        self.edges = frozenset(canon)
         if not self.vertices:
             raise ValueError("graph has no vertices")
         reached = bfs(self.vertex_list[:1], lambda v: [(v, w) for w in self.neighbors(v)])
         if reached.keys() != self.vertices:
             raise ValueError("graph is not connected")
+
+    @classmethod
+    def _of(cls, vertices, edges):
+        g = cls.__new__(cls)
+        g.vertices, g.edges = frozenset(vertices), frozenset(edges)
+        g._index()
+        return g
+
+    def _index(self):
+        self.vertex_list = sorted(self.vertices)
+        self.vindex = {v: i for i, v in enumerate(self.vertex_list)}
+        self._adj = self._dm = None
 
     def __len__(self):
         return len(self.vertex_list)
@@ -382,11 +398,8 @@ def is_quasiconvex(g, s, c):
     distance c of s?"""
     if not s:
         raise ValueError("empty subset")
-    for v in s:
-        if v not in g.vindex:
-            raise ValueError("subset vertex %r not in graph" % (v,))
+    idx = np.unique(_indices(g, s, "subset"))
     d = g.distance_matrix()
-    idx = np.unique([g.vindex[v] for v in s])
     to_s = d[:, idx].min(axis=1)
     i, j = np.triu_indices(len(idx))
     return not any((to_s[v] > c).any() for _, _, v in _intervals(d, idx[i], idx[j], 1))
@@ -397,24 +410,19 @@ def cone_off(g, subsets):
     union; the metric does not see parallel copies)."""
     edges = set(g.edges)
     for s in subsets:
-        s = sorted(set(s))
+        s = sorted(set(_indices(g, s, "subset")))
         if not s:
             raise ValueError("cannot cone an empty subset")
-        for v in s:
-            if v not in g.vertices:
-                raise ValueError("subset vertex %r not in graph" % (v,))
-        for u, v in combinations(s, 2):
-            edges.add((u, v))
-    return FiniteGraph(g.vertices, edges)
+        edges.update((g.vertex_list[i], g.vertex_list[j]) for i, j in combinations(s, 2))
+    return FiniteGraph._of(g.vertices, edges)
 
 
-def _path_indices(g, p):
-    out = []
-    for v in p:
-        if v not in g.vindex:
-            raise ValueError("path vertex %r not in graph" % (v,))
-        out.append(g.vindex[v])
-    return out
+def _indices(g, names, what):
+    """The vertex indices of names; ValueError at the first that is no vertex."""
+    try:
+        return [g.vindex[v] for v in names]
+    except KeyError as exc:
+        raise ValueError("%s vertex %r not in graph" % (what, exc.args[0])) from None
 
 
 def hausdorff_distance(p, q, g):
@@ -423,7 +431,7 @@ def hausdorff_distance(p, q, g):
     for name, path in (("first", p), ("second", q)):
         if len(path) == 0:
             raise ValueError("the %s path is empty" % name)
-    rows = [np.array([_path_indices(g, path)], dtype=np.intp) for path in (p, q)]
+    rows = [np.array([_indices(g, path, "path")], dtype=np.intp) for path in (p, q)]
     return int(_hausdorff_rows(g.distance_matrix(), *rows)[0])
 
 

@@ -98,7 +98,7 @@ from freebases.folding import (
 from freebases.hyperbolicity import (
     FiniteGraph,
     ThinReport,
-    _path_indices,
+    _indices,
     check_path_family,
 )
 from freebases.words import (
@@ -604,7 +604,7 @@ def _ix_hausdorff(d, ia, ib):
 
 def ix_hausdorff_distance(p, q, g):
     """Hausdorff distance between the vertex sets of two paths."""
-    return _ix_hausdorff(g.distance_matrix(), _path_indices(g, p), _path_indices(g, q))
+    return _ix_hausdorff(g.distance_matrix(), _indices(g, p, "path"), _indices(g, q, "path"))
 
 
 def per_tuple_check_thin_triangles(
@@ -984,4 +984,4 @@ def condition3_value(g, paths, phi, a, b, c):
     """Distance from the center of (a,b,c) to the stored (a,b) path."""
     d = g.distance_matrix()
     center = phi(a, b, c) if callable(phi) else phi[a, b, c]
-    return int(d[g.vindex[center], _path_indices(g, paths[a, b])].min())
+    return int(d[g.vindex[center], _indices(g, paths[a, b], "path")].min())

@@ -263,6 +263,19 @@ def test_json_rank_must_be_an_int(rank):
     assert str(refused.value) == "rank %r is not an int" % (rank,)
 
 
+@pytest.mark.parametrize("rank", [0, -3])
+def test_a_rank_below_one_is_refused_by_the_constructor_and_the_json_reader(rank):
+    # at rank 0 the one-vertex graph has no edges, as the rose of rank 0 would
+    data = {"vertices": [0], "edges": [], "rank": rank, "base": 0}
+    with pytest.raises(ValueError) as read:
+        AGraph.from_json_dict(data)
+    with pytest.raises(ValueError) as built:
+        AGraph([0], [], base=0, rank=rank)
+    assert str(read.value) == str(built.value) == "invalid graph: rank %d is below 1" % rank
+    assert AGraph.from_json_dict(dict(data, rank=1)).rank == 1
+    assert is_rose(AGraph.from_json_dict(rose(1).to_json_dict()))
+
+
 def test_shape_rules_refuse_an_empty_graph_and_a_base_off_the_graph():
     with pytest.raises(ValueError) as refused:
         AGraph([], {})

@@ -66,6 +66,48 @@ def test_rank_below_two_is_rejected(capsys, tmp_path):
     assert err["error"]["type"] == "ValueError"
 
 
+@pytest.mark.parametrize("argv", [
+    ["path-bases", "--b", "a,b"],
+    ["fb-adjacent", "--a", "a,b", "--b", "b,a"],
+    ["witness", "--kind", "hq", "--ambient", "a,b", "--subset", "1"],
+    ["experiment", "fold-soundness", "--samples", "1"],
+], ids=["path-bases", "fb-adjacent", "witness", "experiment"])
+def test_every_command_that_reads_a_rank_refuses_rank_one(tmp_path, capsys, argv):
+    out = tmp_path / "out.json"
+    rc = main(argv + ["--rank", "1", "--json", str(out)])
+    error = json.loads(capsys.readouterr().err)["error"]
+    assert (rc, error["type"], error["message"]) == (2, "ValueError", "rank must be at least 2")
+    assert not out.exists()
+
+
+def test_a_command_takes_rank_or_seed_only_if_it_reads_it(capsys):
+    takes = {"--rank": {"fold", "path-bases", "fb-adjacent", "witness", "experiment"},
+             "--seed": {"thin-check", "experiment"}}
+    for command in ["fold", "path-bases", "fb-adjacent", "witness", "tau", "delta", "cone-off",
+                    "thin-check", "experiment"]:
+        with pytest.raises(SystemExit) as done:
+            main([command, "--help"])
+        text = capsys.readouterr().out
+        assert done.value.code == 0
+        assert all(flag in text for flag in ("--out", "--json", "--no-timings")), command
+        for flag, commands in takes.items():
+            assert (flag in text) == (command in commands), (command, flag)
+
+
+@pytest.mark.parametrize("argv", [
+    ["tau", "--marking", str(DATA / "marking.json"), "--edge", "4", "--rank", "5"],
+    ["fold", "--basis", "ab,b,c", "--seed", "3"],
+    ["delta", "--in", str(DATA / "c6.json"), "--rank", "1"],
+], ids=["tau rank", "fold seed", "delta rank"])
+def test_a_flag_the_command_does_not_read_exits_two(tmp_path, capsys, argv):
+    out = tmp_path / "out.json"
+    with pytest.raises(SystemExit) as refused:
+        main(argv + ["--json", str(out)])
+    assert refused.value.code == 2
+    assert "unrecognized arguments: " + " ".join(argv[-2:]) in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_default_report_path_uses_out_dir(tmp_path):
     rc = main(["fold", "--basis", "ab,b,c", "--out", str(tmp_path)])
     assert rc == 0
@@ -529,7 +571,11 @@ def test_delta_missing_file_exits_two(tmp_path):
      "vertex name True is not an int or a string"),
     ('{"vertices": [0, 1], "edges": [[0, 1.0]]}', "vertex name 1.0 is not an int or a string"),
     ('{"vertices": [0, [1]], "edges": []}', "vertex name [1] is not an int or a string"),
-], ids=["repeated", "true", "float", "list"])
+    ('{"vertices": [0, 1, 2], "edges": [[0], [1, 2]]}', "edge [0] is not a pair of vertex names"),
+    ((DATA / "edge-triple.json").read_text(), "edge [0, 1, 2] is not a pair of vertex names"),
+    ('{"vertices": [0, 1, "a"], "edges": [[0, 1], [1, "a"]]}',
+     "vertex names 'a' and 1 cannot be put in order"),
+], ids=["repeated", "true", "float", "list", "one-name edge", "three-name edge", "mixed names"])
 @pytest.mark.parametrize("command", [["delta"],
                                      ["cone-off", "--subsets", str(DATA / "c6-subsets.json")]],
                          ids=["delta", "cone-off"])
@@ -563,6 +609,17 @@ def test_cone_off_subsets_of_the_wrong_shape_exit_two(tmp_path, capsys, subsets)
     rc = main(["cone-off", "--in", infile, "--subsets", str(tmp_path / "subsets.json"),
                "--json", str(out)])
     assert (rc, error_type(capsys)) == (2, "ValueError")
+    assert not out.exists()
+
+
+def test_cone_off_names_the_first_subset_name_off_the_graph(tmp_path, capsys):
+    # the subsets are read as given, not sorted, so names of two types reach the name check
+    (tmp_path / "subsets.json").write_text('[[0, 1], [0, "a", 9]]')
+    out = tmp_path / "coned.json"
+    rc = main(["cone-off", "--in", str(DATA / "c6.json"), "--subsets",
+               str(tmp_path / "subsets.json"), "--json", str(out)])
+    error = json.loads(capsys.readouterr().err)["error"]
+    assert (rc, error["message"]) == (2, "subset vertex 'a' not in graph")
     assert not out.exists()
 
 

@@ -77,6 +77,54 @@ def test_graph_rejects_loops_and_stray_edges():
         FiniteGraph([0, 1], [(0, 2)])
     with pytest.raises(ValueError, match="no vertices"):
         FiniteGraph([], [])
+    # edges that are not pairs, and names that cannot be put in order; the
+    # first fault in input order is named
+    for vertices, edges, message in (
+            ([0, 1, 2], [(0,), (1, 2)], "edge [0] is not a pair of vertex names"),
+            ([0, 1, 2], [(0, 1), (0, 1, 2)], "edge [0, 1, 2] is not a pair of vertex names"),
+            ([0, 1, "a"], [(0, 1), (1, "a")], "vertex names 'a' and 1 cannot be put in order"),
+            ([0, 1], [(0, "x")], "edge (0, 'x') has an unknown endpoint"),
+            ([0, 1, 2], [(2, 5), (1, 1)], "edge (2, 5) has an unknown endpoint")):
+        with pytest.raises(ValueError) as refused:
+            FiniteGraph(vertices, edges)
+        assert str(refused.value) == message
+
+
+def _same_graph(g, h):
+    parts = [(x.vertices, x.edges, x.vertex_list, x.vindex) for x in (g, h)]
+    return parts[0] == parts[1] and np.array_equal(g.distance_matrix(), h.distance_matrix())
+
+
+def test_unchecked_builders_give_the_graph_the_checked_constructor_gives():
+    # sample_fb_ball and cone_off vouch for their edges and build through _of
+    for rank in (2, 3, 4):
+        for seed in range(4):
+            g, _ = sample_fb_ball(FBVertex(identity_basis(rank)), range(seed, seed + 6), 4)
+            assert len(g) > 1 and _same_graph(g, FiniteGraph(g.vertices, g.edges))
+    rng = random.Random(31)
+    families = ["tree", "cycle", "grid", "coned grid", "sparse"]
+    for k in range(60):
+        g = _random_graph(rng, families[k % len(families)])
+        if k % 2:  # string names sort apart from their numbers: "v10" < "v2"
+            g = FiniteGraph(["v%d" % v for v in g.vertices],
+                            [("v%d" % u, "v%d" % v) for u, v in g.edges])
+        subsets = [rng.sample(g.vertex_list, rng.randint(1, len(g)))
+                   for _ in range(rng.randint(0, 3))]
+        coned = cone_off(g, subsets)
+        added = [pair for sub in subsets for pair in combinations(sub, 2)]
+        assert _same_graph(coned, FiniteGraph(g.vertices, list(g.edges) + added))
+
+
+def test_every_name_read_refuses_the_first_name_off_the_graph():
+    g = path_graph(4)
+    for subset in ([0, 9, 8], [0, "a", 9]):
+        message = "^subset vertex %r not in graph$" % (subset[1],)
+        with pytest.raises(ValueError, match=message):
+            is_quasiconvex(g, subset, 1)
+        with pytest.raises(ValueError, match=message):
+            cone_off(g, [[0, 1], subset])
+        with pytest.raises(ValueError, match=message.replace("subset", "path")):
+            hausdorff_distance((0, 1), subset, g)
 
 
 def test_four_point_zero_on_trees():
@@ -653,7 +701,7 @@ def test_delta_slim_refuses_arrays_over_budget():
     assert 645**3 <= SLIM_BUDGET_BYTES < 646**3
     assert 2 * 512**3 == SLIM_BUDGET_BYTES
     with pytest.raises(DomainError, match="646 vertices needs a 269586136-byte array"):
-        delta_slim(FiniteGraph(range(646), [], check=False))
+        delta_slim(FiniteGraph._of(range(646), []))
     with pytest.raises(DomainError, match="513 vertices needs a 270011394-byte array"):
         delta_slim(path_graph(513))
 

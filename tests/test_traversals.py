@@ -150,7 +150,7 @@ def test_traversals_agree_with_hand_rolled_oracles():
         assert ours.dtype == np.int32 and np.array_equal(ours, bfs_distance_matrix(g))
         assert list(geodesic_family(g).items()) == list(least_geodesic_family(g).items())
         edges = [e for e in g.edges if rng.random() < 0.8]
-        unchecked = FiniteGraph(g.vertices, edges, check=False)
+        unchecked = FiniteGraph._of(g.vertices, edges)
         connected = reaches_all(g.vertices, unchecked.neighbors)
         assert _outcome(apsp, unchecked)[0] == ("ok" if connected else "error")
         if connected:
